@@ -20,8 +20,6 @@ from .algebra import (
     normalize_monomial,
     parity,
     partial_derive,
-    poly_add,
-    poly_mul,
     shift,
 )
 from .calculus import (
@@ -32,19 +30,20 @@ from .calculus import (
     evolutionary_apply,
     evolutionary_bracket,
     is_total_derivative,
-    quotient_equal,
     superderive,
     superderive_n,
     variational_derivative,
     variational_derivative_field,
 )
 from .operators import (
+    ConfigurationScan,
     MatrixDiffOperator,
     ScalarDiffOperator,
     SkewSymmetryError,
     apply_matrix_operator,
     check_skew_symmetry,
     compose_D_left,
+    configurations,
     evolution_rhs,
     frechet,
     hamiltonian_defect,

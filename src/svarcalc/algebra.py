@@ -350,14 +350,6 @@ ZERO = SuperPolynomial.zero()
 ONE = SuperPolynomial.one()
 
 
-def poly_add(u: SuperPolynomial, v: SuperPolynomial) -> SuperPolynomial:
-    return u + v
-
-
-def poly_mul(u: SuperPolynomial, v: SuperPolynomial) -> SuperPolynomial:
-    return u * v
-
-
 def partial_derive(u: SuperPolynomial, gen: Generator) -> SuperPolynomial:
     """Left superderivation d/d(gen) of parity |gen|.
 

@@ -24,6 +24,7 @@ from .algebra import (
     Generator,
     Monomial,
     SuperPolynomial,
+    base_of,
     field,
     normalize_monomial,
     parity,
@@ -106,41 +107,66 @@ def variational_derivative_field(u: SuperPolynomial, family: int) -> SuperPolyno
     return variational_derivative(u, field(family, 1))
 
 
-def is_total_derivative(u: SuperPolynomial) -> bool:
-    """Decide membership in the image of D.
+def _deciding_bases(u: SuperPolynomial) -> List[Generator]:
+    """The bases whose variational derivatives decide membership of u in Im D.
 
-    Valid only for polynomials with zero constant term; a constant-free u is
-    a total derivative iff every variational derivative (over all base
-    generators occurring, covector towers included) vanishes.
+    If every monomial has degree exactly 1 in some covector tower, u is
+    linear in that tower: integrating by parts gives u = E * xi modulo Im D
+    with E free of the tower and equal, up to sign, to the variational
+    derivative by xi, so that one derivative decides.  Among such towers the
+    one with the lowest top derivative order is cheapest (ties go to the
+    generator order).  Otherwise every base occurring decides, in generator
+    order.
     """
+    linear = None
+    top: Dict[Generator, int] = {}
+    for mono in u.terms():
+        degree: Dict[Generator, int] = {}
+        for gen, exp in mono:
+            if gen[0] != FIELD_KIND:
+                base = base_of(gen)
+                degree[base] = degree.get(base, 0) + exp
+                if gen[2] > top.get(base, -1):
+                    top[base] = gen[2]
+        ones = {base for base, count in degree.items() if count == 1}
+        linear = ones if linear is None else linear & ones
+        if not linear:
+            break
+    if linear:
+        return [min(linear, key=lambda base: (top[base], base))]
+    return sorted(u.bases())
+
+
+def _require_constant_free(u: SuperPolynomial) -> None:
     if u.constant_term():
         raise QuotientDomainError(
             "polynomial has a nonzero constant term; membership in the image "
             "of the superderivation is undefined for it"
         )
-    for base in sorted(u.bases()):
-        if variational_derivative(u, base):
-            return False
-    return True
 
 
-def quotient_equal(u: SuperPolynomial, v: SuperPolynomial) -> bool:
-    """Equality in the quotient by total derivatives (assumes constant-free)."""
-    return is_total_derivative(u - v)
+def is_total_derivative(u: SuperPolynomial) -> bool:
+    """Decide membership in the image of D.
+
+    Valid only for polynomials with zero constant term; a constant-free u is
+    a total derivative iff every variational derivative (over all base
+    generators occurring, covector towers included) vanishes.  When u is
+    linear in a covector tower, that tower's derivative alone decides.
+    """
+    _require_constant_free(u)
+    return not any(variational_derivative(u, base) for base in _deciding_bases(u))
 
 
 def non_membership_certificate(u: SuperPolynomial):
     """Certificate that u is outside the image of the superderivation.
 
     Returns (base generator, its nonzero variational derivative) for the
-    first base in generator order, or None when u is a total derivative.
+    first deciding base (the single linear covector tower when there is
+    one, else the first base in generator order with a nonzero derivative),
+    or None when u is a total derivative.
     """
-    if u.constant_term():
-        raise QuotientDomainError(
-            "polynomial has a nonzero constant term; membership in the image "
-            "of the superderivation is undefined for it"
-        )
-    for base in sorted(u.bases()):
+    _require_constant_free(u)
+    for base in _deciding_bases(u):
         grad = variational_derivative(u, base)
         if grad:
             return base, grad

@@ -15,22 +15,20 @@ import os
 import sys
 import time
 from itertools import islice
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .documents import DocumentError, InputDocument, parse_document, render_document
 from .modes import induce_bracket, render_table
 from .operators import (
     MatrixDiffOperator,
     SkewSymmetryError,
-    _configurations,
-    _defect_unchecked,
     evolution_rhs,
     is_hamiltonian_pair,
+    iter_closedness_failures,
     iter_schouten_failures,
     iter_skew_failures,
 )
 from .algebra import gen_name
-from .calculus import non_membership_certificate
 from .reports import ERROR, FAIL, PASS, Report, input_echo
 from .structures import (
     ALGEBRA_CLASSES,
@@ -39,45 +37,6 @@ from .structures import (
     iter_axiom_failures,
 )
 from .suite import verify_paper_examples
-
-
-def _chunked(seq: List, size: int):
-    for start in range(0, len(seq), size):
-        yield seq[start:start + size]
-
-
-def _closedness_chunk(args) -> List[Tuple]:
-    op, configs, limit = args
-    failures = []
-    for families, parities in configs:
-        defect = _defect_unchecked(op, families, parities)
-        certificate = non_membership_certificate(defect)
-        if certificate is not None:
-            base, gradient = certificate
-            failures.append((families, parities, gen_name(base), str(gradient)))
-            if len(failures) >= limit:
-                break
-    return failures
-
-
-def _scan_closedness(op: MatrixDiffOperator, jobs: int, limit: int) -> List[Tuple]:
-    """Failing configurations, lexicographically first, at most ``limit``.
-
-    Configurations are independent; with jobs > 1 they are evaluated in
-    chunks across processes and the witness list is the lexicographic
-    minimum of the union, so the outcome does not depend on scheduling.
-    """
-    configs = list(_configurations(op.dim))
-    if jobs <= 1:
-        return _closedness_chunk((op, configs, limit))
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk_size = max(1, (len(configs) + jobs - 1) // jobs)
-    tasks = [(op, chunk, limit) for chunk in _chunked(configs, chunk_size)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = pool.map(_closedness_chunk, tasks)
-    merged = [w for chunk in results for w in chunk]
-    return sorted(merged)[:limit]
 
 
 def _require_kind(doc: InputDocument, kind: str, path: str) -> None:
@@ -119,11 +78,13 @@ def _cmd_check_hamiltonian(args) -> Report:
     if skew:
         return Report(check="check-hamiltonian", verdict=FAIL,
                       witnesses=[("skew",) + w for w in skew], configuration=config)
-    failures = _scan_closedness(op, args.jobs, args.witness_limit)
+    failures = [("closedness", families, parities, gen_name(base), str(gradient))
+                for families, parities, base, gradient
+                in iter_closedness_failures(op, args.witness_limit, args.jobs)]
     return Report(
         check="check-hamiltonian",
         verdict=PASS if not failures else FAIL,
-        witnesses=[("closedness",) + f for f in failures],
+        witnesses=failures,
         configuration=config,
     )
 
@@ -138,7 +99,8 @@ def _load_operator_pair(args) -> Tuple[MatrixDiffOperator, MatrixDiffOperator]:
 
 def _cmd_schouten(args) -> Report:
     op_a, op_b = _load_operator_pair(args)
-    witnesses = list(islice(iter_schouten_failures(op_a, op_b), args.witness_limit))
+    witnesses = [failure[:2] for failure
+                 in iter_schouten_failures(op_a, op_b, args.witness_limit, args.jobs)]
     return Report(
         check="schouten",
         verdict=PASS if not witnesses else FAIL,
@@ -224,6 +186,16 @@ def _cmd_verify_examples(args) -> Report:
     )
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="svarcalc",
@@ -235,9 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--report", metavar="PATH",
                        help="write a machine-readable JSON report here")
-        p.add_argument("--jobs", type=int, default=1, metavar="K",
+        p.add_argument("--jobs", type=_positive_int, default=1, metavar="K",
                        help="worker processes for independent configurations")
-        p.add_argument("--witness-limit", dest="witness_limit", type=int, default=1,
+        p.add_argument("--witness-limit", dest="witness_limit", type=_positive_int, default=1,
                        metavar="K", help="collect at most K witnesses")
 
     p = sub.add_parser("check-algebra", help="check the axioms of an algebra class")
@@ -326,13 +298,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         witnesses=[{"location": exc.location, "message": exc.message}])
     except (SkewSymmetryError, ValueError) as exc:
         report = Report(check=args.command, verdict=ERROR, witnesses=[str(exc)])
+    except OSError as exc:
+        return _os_error(exc)
     elapsed = time.monotonic() - start
     _print_human(report, elapsed)
     if getattr(args, "report", None):
-        path = _report_path(args.report)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
+        try:
+            with open(_report_path(args.report), "w", encoding="utf-8") as handle:
+                handle.write(report.to_json())
+        except OSError as exc:
+            return _os_error(exc)
     return report.exit_code()
+
+
+def _os_error(exc: OSError) -> int:
+    """An I/O failure, such as an unwritable ``--report`` or ``build -o`` path, exits 2."""
+    print(f"svarcalc: error: {exc}", file=sys.stderr)
+    return 2
 
 
 def _report_path(path: str) -> str:

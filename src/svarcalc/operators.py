@@ -14,18 +14,22 @@ The Hamiltonian test feeds basis covector symbols through the linearization
 (Frechet) matrix of the operator and checks that the resulting cyclic
 three-form is a total derivative, for every triple of families and every
 parity triple; multilinearity makes basis configurations complete.  The
-Schouten super-bracket is the polarized version of the same three-form, so
-its diagonal vanishing reproduces the Hamiltonian test and its mixed
-vanishing characterizes Hamiltonian pairs.
+three-form is B(H, H) for a form B(A, B) linear in both operators, and the
+Schouten super-bracket is [H1, H2] = B(H1, H2) + B(H2, H1), so its diagonal
+vanishing reproduces the Hamiltonian test and its mixed vanishing
+characterizes Hamiltonian pairs.  One configuration-scan engine
+(``ConfigurationScan``) runs every such scan.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from typing import Dict, List, Mapping, Optional, Tuple
+from itertools import islice, product
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import (
+    COVECTOR_SLOTS,
+    FIELD_KIND,
     Generator,
     SuperPolynomial,
     covector,
@@ -33,7 +37,7 @@ from .algebra import (
     partial_derive,
 )
 from .calculus import (
-    is_total_derivative,
+    non_membership_certificate,
     superderive,
     superderive_n,
     variational_derivative_field,
@@ -338,29 +342,9 @@ def frechet(op: MatrixDiffOperator, cov_base: Generator,
     return out
 
 
-def _pairing_term(op_lin: MatrixDiffOperator, op_app: MatrixDiffOperator,
-                  arg: Tuple[int, int, Generator], operand: Tuple[int, int, Generator],
-                  closing: Tuple[int, int, Generator]) -> SuperPolynomial:
-    """One cyclic term: pair <closing, (Frechet_{op_lin} arg)(op_app operand)>.
-
-    Each of arg/operand/closing is (family, omega_parity, symbol).
-    """
-    fam_b, par_b, sym_b = operand
-    fam_c, _, sym_c = closing
-    _, par_a, sym_a = arg
-    applied = apply_matrix_operator(
-        op_app, {fam_b: SuperPolynomial.generator(sym_b)}, par_b)
-    lin = frechet(op_lin, sym_a, par_a)
-    closer = SuperPolynomial.generator(sym_c)
-    acc = SuperPolynomial.zero()
-    for (row, col), scalar_op in lin.items():
-        if row != fam_c:
-            # The pairing with a basis covector at fam_c keeps row fam_c only.
-            continue
-        w = applied[col]
-        if w:
-            acc = acc + scalar_op.apply(w)
-    return acc * closer
+def configurations(dim: int):
+    """Basis configurations (families, parities) in lexicographic order."""
+    return product(product(range(dim), repeat=3), product((0, 1), repeat=3))
 
 
 def _config_signs(iota: int, parities: Tuple[int, int, int]) -> Tuple[int, int, int]:
@@ -372,17 +356,184 @@ def _config_signs(iota: int, parities: Tuple[int, int, int]) -> Tuple[int, int, 
 
 
 def _basis_symbols(families: Tuple[int, int, int],
-                   parities: Tuple[int, int, int]) -> List[Tuple[int, int, Generator]]:
-    out = []
-    for slot, (fam, par) in enumerate(zip(families, parities), start=1):
-        sym = covector(slot, fam, 0, (par + 1) & 1)
-        out.append((fam, par, sym))
+                   parities: Tuple[int, int, int]) -> List[Generator]:
+    """Fresh covector symbols, one per slot, spanning parity-``par`` families."""
+    return [covector(slot, fam, 0, (par + 1) & 1)
+            for slot, fam, par in zip(COVECTOR_SLOTS, families, parities)]
+
+
+# (arg, operand, closing) slots of the three cyclic pairing terms.
+_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+def _field_families(op: MatrixDiffOperator) -> Dict[Tuple[int, int, int], frozenset]:
+    """Per nonzero block entry, the field families its coefficients contain."""
+    out = {}
+    for key, scalar in op.blocks().items():
+        out[key] = frozenset(gen[1] for coeff in scalar.entries().values()
+                             for gen in coeff.generators() if gen[0] == FIELD_KIND)
     return out
+
+
+class ConfigurationScan:
+    """The configuration-scan engine for the three-form sum of B(A, B) over pairs.
+
+    On a basis configuration, B(A, B) is the signed cyclic sum of the
+    pairings <xi_c, (Frechet_A xi_a)(B xi_b)>.  It is linear in each
+    argument, so the closedness defect of H is B(H, H) and the Schouten
+    bracket [H1, H2] is B(H1, H2) + B(H2, H1).
+
+    A scan memoises, per (operator index, covector symbol), the Frechet
+    linearization, the operator application and the derivative towers of the
+    applied columns: 6 d values per operator instead of three per
+    configuration.  The memo lives as long as the scan object.  A
+    configuration whose pairing terms all vanish structurally (no field
+    family of the linearized entry meets a nonzero column of the applied
+    operator) is skipped: its form is the zero polynomial.
+    """
+
+    def __init__(self, pairs: Sequence[Tuple[MatrixDiffOperator, MatrixDiffOperator]]):
+        self.pairs = tuple(pairs)
+        first = self.pairs[0][0]
+        self.ops: List[MatrixDiffOperator] = []
+        index: List[Tuple[int, int]] = []
+        for pair in self.pairs:
+            slots = []
+            for op in pair:
+                first._check_compatible(op)
+                # Operators are deduplicated by identity, so [H, H] shares one memo.
+                idx = next((i for i, seen in enumerate(self.ops) if seen is op), None)
+                if idx is None:
+                    idx = len(self.ops)
+                    self.ops.append(op)
+                slots.append(idx)
+            index.append(tuple(slots))
+        self._index = index
+        self.type_parity = first.type_parity
+        self.dim = first.dim
+        self._fields = [_field_families(op) for op in self.ops]
+        self._lin: Dict[Tuple[int, Generator], Dict[int, List[Tuple[int, Mapping]]]] = {}
+        self._applied: Dict[Tuple[int, Generator], Dict[int, SuperPolynomial]] = {}
+        self._towers: Dict[Tuple[int, Generator, int], List[SuperPolynomial]] = {}
+
+    @classmethod
+    def closedness(cls, op: MatrixDiffOperator) -> "ConfigurationScan":
+        """Scan of the closedness defect B(op, op); assumes skew-symmetry."""
+        return cls(((op, op),))
+
+    @classmethod
+    def schouten(cls, op1: MatrixDiffOperator, op2: MatrixDiffOperator) -> "ConfigurationScan":
+        """Scan of the Schouten bracket B(op1, op2) + B(op2, op1)."""
+        return cls(((op1, op2), (op2, op1)))
+
+    # -- memoised pieces -------------------------------------------------------
+
+    def _linearization(self, i: int, sym: Generator) -> Dict[int, List[Tuple[int, Mapping]]]:
+        """Frechet linearization of operator i along sym, grouped by row."""
+        key = (i, sym)
+        rows = self._lin.get(key)
+        if rows is None:
+            rows = {}
+            for (row, col), scalar in frechet(self.ops[i], sym, (sym[3] + 1) & 1).items():
+                rows.setdefault(row, []).append((col, scalar.entries()))
+            self._lin[key] = rows
+        return rows
+
+    def _derivative(self, j: int, sym: Generator, col: int, m: int) -> SuperPolynomial:
+        """D^m of column col of operator j applied to the basis covector sym."""
+        tower = self._towers.get((j, sym, col))
+        if tower is None:
+            applied = self._applied.get((j, sym))
+            if applied is None:
+                applied = apply_matrix_operator(
+                    self.ops[j], {sym[1]: SuperPolynomial.generator(sym)}, (sym[3] + 1) & 1)
+                self._applied[(j, sym)] = applied
+            tower = self._towers[(j, sym, col)] = [applied[col]]
+        while len(tower) <= m:
+            tower.append(superderive(tower[-1]))
+        return tower[m]
+
+    # -- one configuration -------------------------------------------------------
+
+    def _pairing(self, i: int, j: int, arg: Generator, operand: Generator,
+                 closing: Generator) -> SuperPolynomial:
+        """<closing, (Frechet_i arg)(op_j operand)> for basis covector symbols."""
+        acc = SuperPolynomial.zero()
+        # The pairing with a basis covector at closing's family keeps that row only.
+        for col, entries in self._linearization(i, arg).get(closing[1], ()):
+            for m, coeff in entries.items():
+                w = self._derivative(j, operand, col, m)
+                if w:
+                    acc = acc + coeff * w
+        return acc * SuperPolynomial.generator(closing)
+
+    def is_structurally_zero(self, families: Tuple[int, int, int],
+                             parities: Tuple[int, int, int]) -> bool:
+        """True when every pairing term of the configuration vanishes by the
+        nonzero pattern alone, so its form is the zero polynomial."""
+        for i, j in self._index:
+            fields, blocks = self._fields[i], self.ops[j].blocks()
+            for a, b, c in _CYCLIC:
+                cols = fields.get((parities[a], families[c], families[a]))
+                if cols and any((parities[b], col, families[b]) in blocks for col in cols):
+                    return False
+        return True
+
+    def three_form(self, families: Tuple[int, int, int],
+                   parities: Tuple[int, int, int]) -> SuperPolynomial:
+        """The scanned three-form on one basis configuration."""
+        xi = _basis_symbols(families, parities)
+        signs = _config_signs(self.type_parity, parities)
+        acc = SuperPolynomial.zero()
+        for i, j in self._index:
+            for (a, b, c), sign in zip(_CYCLIC, signs):
+                term = self._pairing(i, j, xi[a], xi[b], xi[c])
+                if term:
+                    acc = acc + (term if sign > 0 else -term)
+        return acc
+
+    # -- the scan ----------------------------------------------------------------
+
+    def _certified(self, configs) -> Iterator[Tuple]:
+        for families, parities in configs:
+            if self.is_structurally_zero(families, parities):
+                continue
+            certificate = non_membership_certificate(self.three_form(families, parities))
+            if certificate is not None:
+                yield (families, parities) + certificate
+
+    def failures(self, limit: Optional[int] = None, jobs: int = 1) -> Iterator[Tuple]:
+        """Certified failures (families, parities, base, gradient), lexicographically
+        first, at most ``limit`` (all when None).
+
+        ``base`` and ``gradient`` certify that the form is not a total
+        derivative.  With jobs > 1 the configurations are split into
+        contiguous chunks scanned in worker processes, each with its own memo,
+        and the result is the lexicographic minimum of the union, so it does
+        not depend on scheduling.
+        """
+        if jobs <= 1:
+            return islice(self._certified(configurations(self.dim)), limit)
+        from concurrent.futures import ProcessPoolExecutor
+
+        configs = list(configurations(self.dim))
+        size = -(-len(configs) // jobs)
+        tasks = [(self.pairs, configs[start:start + size], limit)
+                 for start in range(0, len(configs), size)]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            merged = [f for chunk in pool.map(_scan_chunk, tasks) for f in chunk]
+        merged.sort(key=lambda failure: failure[:2])
+        return iter(merged[:limit])
+
+
+def _scan_chunk(task) -> List[Tuple]:
+    pairs, configs, limit = task
+    return list(islice(ConfigurationScan(pairs)._certified(configs), limit))
 
 
 def hamiltonian_defect(op: MatrixDiffOperator, families: Tuple[int, int, int],
                        parities: Tuple[int, int, int]) -> SuperPolynomial:
-    """The closedness three-form on one basis configuration.
+    """The closedness three-form B(op, op) on one basis configuration.
 
     Builds three fresh covector symbols concentrated at the given families
     with the given parity gradings and returns the signed cyclic sum of the
@@ -393,31 +544,17 @@ def hamiltonian_defect(op: MatrixDiffOperator, families: Tuple[int, int, int],
     ok, witness = check_skew_symmetry(op)
     if not ok:
         raise SkewSymmetryError(f"operator is not super skew-symmetric: {witness}")
-    return _defect_unchecked(op, families, parities)
+    return ConfigurationScan.closedness(op).three_form(families, parities)
 
 
-def _defect_unchecked(op: MatrixDiffOperator, families, parities) -> SuperPolynomial:
-    xi = _basis_symbols(tuple(families), tuple(parities))
-    s1, s2, s3 = _config_signs(op.type_parity, tuple(parities))
-    t1 = _pairing_term(op, op, xi[0], xi[1], xi[2])
-    t2 = _pairing_term(op, op, xi[1], xi[2], xi[0])
-    t3 = _pairing_term(op, op, xi[2], xi[0], xi[1])
-    return t1 * s1 + t2 * s2 + t3 * s3
+def iter_closedness_failures(op: MatrixDiffOperator, limit: Optional[int] = None,
+                             jobs: int = 1) -> Iterator[Tuple]:
+    """Certified failures (families, parities, base, gradient) of the
+    closedness defect, lexicographically first, at most ``limit``.
 
-
-def _configurations(dim: int):
-    return product(product(range(dim), repeat=3), product((0, 1), repeat=3))
-
-
-def iter_closedness_failures(op: MatrixDiffOperator):
-    """Yield basis configurations whose defect is not a total derivative.
-
-    Assumes skew-symmetry has been checked; configurations run in
-    lexicographic order (family triple, then parity triple)."""
-    for families, parities in _configurations(op.dim):
-        defect = _defect_unchecked(op, families, parities)
-        if not is_total_derivative(defect):
-            yield (families, parities)
+    Assumes skew-symmetry has been checked; see ``ConfigurationScan.failures``.
+    """
+    yield from ConfigurationScan.closedness(op).failures(limit, jobs)
 
 
 def is_hamiltonian(op: MatrixDiffOperator):
@@ -430,7 +567,7 @@ def is_hamiltonian(op: MatrixDiffOperator):
     ok, witness = check_skew_symmetry(op)
     if not ok:
         return False, ("skew", witness)
-    for families, parities in iter_closedness_failures(op):
+    for families, parities, _, _ in iter_closedness_failures(op, limit=1):
         return False, ("closedness", families, parities)
     return True, None
 
@@ -438,38 +575,27 @@ def is_hamiltonian(op: MatrixDiffOperator):
 def schouten_bracket(op1: MatrixDiffOperator, op2: MatrixDiffOperator,
                      families: Tuple[int, int, int],
                      parities: Tuple[int, int, int]) -> SuperPolynomial:
-    """Schouten super-bracket evaluated on one basis configuration.
+    """Schouten super-bracket B(op1, op2) + B(op2, op1) on one basis configuration.
 
-    The six-term polarization of the closedness three-form; on the diagonal,
-    the bracket of an operator with itself is twice its defect, so vanishing
-    of the diagonal in the quotient reproduces the Hamiltonian test.
+    On the diagonal, the bracket of an operator with itself is twice its
+    defect, so vanishing of the diagonal in the quotient reproduces the
+    Hamiltonian test.
     """
-    op1._check_compatible(op2)
-    xi = _basis_symbols(tuple(families), tuple(parities))
-    s1, s2, s3 = _config_signs(op1.type_parity, tuple(parities))
-    acc = SuperPolynomial.zero()
-    for a, b, sign in ((0, 1, s1), (1, 2, s2), (2, 0, s3)):
-        c = 3 - a - b
-        acc = acc + _pairing_term(op1, op2, xi[a], xi[b], xi[c]) * sign
-        acc = acc + _pairing_term(op2, op1, xi[a], xi[b], xi[c]) * sign
-    return acc
+    return ConfigurationScan.schouten(op1, op2).three_form(families, parities)
 
 
-def iter_schouten_failures(op1: MatrixDiffOperator, op2: MatrixDiffOperator):
-    """Yield basis configurations where the Schouten bracket is not a total
-    derivative, in lexicographic order."""
-    op1._check_compatible(op2)
-    for families, parities in _configurations(op1.dim):
-        bracket = schouten_bracket(op1, op2, families, parities)
-        if not is_total_derivative(bracket):
-            yield (families, parities)
+def iter_schouten_failures(op1: MatrixDiffOperator, op2: MatrixDiffOperator,
+                           limit: Optional[int] = None, jobs: int = 1) -> Iterator[Tuple]:
+    """Certified failures (families, parities, base, gradient) of the Schouten
+    bracket, lexicographically first, at most ``limit``."""
+    yield from ConfigurationScan.schouten(op1, op2).failures(limit, jobs)
 
 
 def schouten_vanishes(op1: MatrixDiffOperator, op2: MatrixDiffOperator):
     """Check the Schouten bracket vanishes in the quotient on all basis
     configurations; returns (ok, witness)."""
-    for witness in iter_schouten_failures(op1, op2):
-        return False, witness
+    for families, parities, _, _ in iter_schouten_failures(op1, op2, limit=1):
+        return False, (families, parities)
     return True, None
 
 
@@ -477,18 +603,20 @@ def is_hamiltonian_pair(op1: MatrixDiffOperator, op2: MatrixDiffOperator):
     """Hamiltonian-pair test; returns (ok, witness).
 
     Raises on type or dimension mismatch, and on a skew-symmetry failure of
-    either operator; otherwise checks the three Schouten conditions.
+    either operator; otherwise checks the three Schouten conditions.  The
+    diagonal brackets [Hk, Hk] are twice the defects, so the defects are
+    scanned in their place.
     """
     op1._check_compatible(op2)
     for label, op in (("first", op1), ("second", op2)):
         ok, witness = check_skew_symmetry(op)
         if not ok:
             raise SkewSymmetryError(f"{label} operator is not super skew-symmetric: {witness}")
-    for label, (a, b) in (("[H1,H1]", (op1, op1)), ("[H2,H2]", (op2, op2)),
-                          ("[H1,H2]", (op1, op2))):
-        ok, witness = schouten_vanishes(a, b)
-        if not ok:
-            return False, (label,) + witness
+    for label, failures in (("[H1,H1]", iter_closedness_failures(op1, limit=1)),
+                            ("[H2,H2]", iter_closedness_failures(op2, limit=1)),
+                            ("[H1,H2]", iter_schouten_failures(op1, op2, limit=1))):
+        for families, parities, _, _ in failures:
+            return False, (label, families, parities)
     return True, None
 
 

@@ -40,7 +40,7 @@ from svarcalc import (
 )
 from svarcalc.documents import parse_document
 from svarcalc.modes import apply_Di_n, z_shift
-from svarcalc.operators import _configurations
+from svarcalc.operators import configurations
 from svarcalc.structures import iter_axiom_failures, multiply
 
 from helpers import field_pool, random_evolutionary, random_poly
@@ -264,7 +264,7 @@ def test_criterion_9_schouten_consistency(seed):
         ham, _ = is_hamiltonian(op)
         diag = all(
             is_total_derivative(schouten_bracket(op, op, fams, pars))
-            for fams, pars in _configurations(op.dim)
+            for fams, pars in configurations(op.dim)
         )
         report(9, diag == ham,
                f"[H,H] = 0 in the quotient agrees with the Hamiltonian test "

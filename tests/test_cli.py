@@ -10,6 +10,7 @@ from svarcalc import (
     MatrixDiffOperator,
     ScalarDiffOperator,
     SuperPolynomial,
+    build_type1_operator,
     field,
     make_truncated_example,
     np_to_nx,
@@ -43,6 +44,10 @@ def docs(tmp_path):
     write("nx2.alg.json", InputDocument("algebra", np_to_nx(make_truncated_example(2), 0)))
     broken = AlgebraSpec(dim=1, circ=(((F(3),),),), times=(((F(1),),),), form=((F(1),),))
     write("broken.alg.json", InputDocument("algebra", broken))
+    write("broken.op.json", InputDocument("operator", build_type1_operator(broken)))
+    field_only = ScalarDiffOperator.single(SuperPolynomial.generator(field(0, 3)), 0)
+    write("noskew.op.json", InputDocument("operator", MatrixDiffOperator(
+        1, 1, {(0, 0, 0): field_only, (1, 0, 0): field_only})))
     nx2 = np_to_nx(make_truncated_example(2), 0)
     bent = [[[c for c in cell] for cell in row] for row in nx2.circ]
     bent[0][0][0] += 1
@@ -75,6 +80,44 @@ class TestExitCodes:
 
     def test_wrong_kind_is_error(self, docs, capsys):
         assert main(["check-hamiltonian", docs["nx2.alg.json"]]) == 2
+
+
+class TestUsageErrors:
+    FAILING = {
+        "check-algebra": ["check-algebra", "--class", "nx_bialgebra", "broken.alg.json"],
+        "check-skew": ["check-skew", "noskew.op.json"],
+        "schouten": ["schouten", "broken.op.json", "broken.op.json"],
+        "check-hamiltonian": ["check-hamiltonian", "broken.op.json"],
+    }
+
+    def argv(self, docs, command):
+        return [docs.get(arg, arg) for arg in self.FAILING[command]]
+
+    @pytest.mark.parametrize("command", sorted(FAILING))
+    def test_failing_inputs_fail(self, docs, command, capsys):
+        assert main(self.argv(docs, command)) == 1
+
+    @pytest.mark.parametrize("command", sorted(FAILING))
+    @pytest.mark.parametrize("flag", ["--witness-limit", "--jobs"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_counts_below_one_are_usage_errors(self, docs, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self.argv(docs, command) + [flag, value])
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    def test_unwritable_report_is_an_error(self, docs, tmp_path, capsys):
+        path = tmp_path / "missing" / "report.json"
+        assert main(["check-skew", docs["d5.op.json"], "--report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(path) in err and "Traceback" not in err
+
+    def test_unwritable_build_output_is_an_error(self, docs, tmp_path, capsys):
+        path = tmp_path / "missing" / "built.op.json"
+        assert main(["build", "--from", "nx_bialgebra", docs["nx2.alg.json"],
+                     "-o", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(path) in err
 
 
 class TestReports:

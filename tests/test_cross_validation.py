@@ -13,11 +13,14 @@ from fractions import Fraction
 from itertools import product
 
 from svarcalc import (
+    AlgebraSpec,
+    ConfigurationScan,
     MatrixDiffOperator,
     ScalarDiffOperator,
     SuperPolynomial,
     apply_matrix_operator,
     check_skew_symmetry,
+    configurations,
     covector,
     field,
     is_total_derivative,
@@ -29,9 +32,9 @@ from svarcalc import (
     superderive,
 )
 from svarcalc.algebra import normalize_monomial
-from svarcalc.calculus import QuotientDomainError
+from svarcalc.calculus import QuotientDomainError, non_membership_certificate
 
-from helpers import mixed_pool, random_poly
+from helpers import field_pool, mixed_pool, random_poly
 
 F = Fraction
 
@@ -171,6 +174,68 @@ class TestMembershipOracle:
                   * SuperPolynomial.generator(covector(1, 0, 1, 1))):
             assert not is_total_derivative(u)
             assert not total_derivative_by_linear_solve(u)
+
+
+class TestSingleBaseRule:
+    """Membership of polynomials linear in a covector tower, which
+    is_total_derivative decides with that tower's variational derivative
+    alone, against the linear-solve oracle."""
+
+    def agree(self, u):
+        verdict = is_total_derivative(u)
+        assert verdict == total_derivative_by_linear_solve(u)
+        assert (non_membership_certificate(u) is None) == verdict
+        return verdict
+
+    def test_random_polynomials_linear_in_a_tower(self, seed):
+        rng = random.Random(seed + 2)
+        pool = field_pool(2, 4) + [covector(2, 0, k, 0) for k in range(2)]
+        verdicts = set()
+        for _ in range(80):
+            base_parity = rng.randint(0, 1)
+            tower = [covector(1, 0, k, base_parity) for k in range(4)]
+            terms = []
+            for _ in range(rng.randint(1, 3)):
+                gens = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+                gens.append(rng.choice(tower))
+                terms.append((gens, F(rng.randint(-4, 4), rng.randint(1, 3))))
+            u = SuperPolynomial.from_terms(terms)
+            verdicts.add(self.agree(u))
+            v = random_poly(rng, pool, max_terms=2, max_factors=2)
+            w = superderive(v * SuperPolynomial.generator(rng.choice(tower)))
+            assert self.agree(w)
+        assert verdicts == {True, False}
+
+    def test_defects_of_builder_outputs(self):
+        ops = [build_type1_operator(np_to_nx(make_truncated_example(n), 0))
+               for n in (1, 2, 3)]
+        ops += [build_type0_operator(make_exterior_example(a))
+                for a in ({}, {(3, 4): 1}, {(1, 2): 2, (3, 4): -1})]
+        # the suite's mutation control: circ constant 2 -> 3 in dimension one
+        ops.append(build_type1_operator(AlgebraSpec(
+            dim=1, circ=(((F(3),),),), times=(((F(1),),),), form=((F(1),),))))
+        verdicts = []
+        for op in ops:
+            scan = ConfigurationScan.closedness(op)
+            for families, parities in configurations(op.dim):
+                defect = scan.three_form(families, parities)
+                if defect:
+                    verdicts.append(self.agree(defect))
+        assert True in verdicts and False in verdicts
+
+    def test_zero_polynomial(self):
+        assert self.agree(SuperPolynomial.zero())
+
+    def test_tower_missing_from_some_monomials(self):
+        # 1/2*phi1(2) - 3/2*phi1(3)*D1(xi2_0)*xi3_0 - 3*D1(xi1_0): every
+        # covector tower occurs linearly where it occurs, but none occurs in
+        # every monomial, so no single tower decides.
+        g = SuperPolynomial.generator
+        u = (F(1, 2) * g(field(1, 2))
+             - F(3, 2) * g(field(1, 3)) * g(covector(2, 0, 1, 0)) * g(covector(3, 0, 0, 0))
+             - 3 * g(covector(1, 0, 1, 1)))
+        assert str(u) == "1/2*phi1(2) - 3/2*phi1(3)*D1(xi2_0)*xi3_0 - 3*D1(xi1_0)"
+        assert not self.agree(u)
 
 
 # -- direct skew-symmetry oracle ------------------------------------------------

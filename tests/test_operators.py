@@ -7,14 +7,19 @@ from itertools import permutations, product
 
 import pytest
 
+from svarcalc import operators
+from svarcalc.operators import iter_schouten_failures
 from svarcalc import (
+    ConfigurationScan,
     MatrixDiffOperator,
     ScalarDiffOperator,
     SkewSymmetryError,
     SuperPolynomial,
     apply_matrix_operator,
     check_skew_symmetry,
+    build_type0_operator,
     compose_D_left,
+    configurations,
     covector,
     evolution_rhs,
     field,
@@ -23,6 +28,7 @@ from svarcalc import (
     is_hamiltonian,
     is_hamiltonian_pair,
     is_total_derivative,
+    make_exterior_example,
     make_truncated_example,
     np_to_nx,
     build_type1_operator,
@@ -270,6 +276,84 @@ class TestSchouten:
     def test_type_mismatch_rejected(self):
         with pytest.raises(ValueError):
             schouten_bracket(const_type1(1), twisted_type0(), (0, 0, 0), (0, 0, 0))
+
+
+class TestConfigurationScan:
+    def corpus(self):
+        for n in (1, 2, 3):
+            yield quintic_example(n)
+        for assignment in ({}, {(3, 4): 1}, {(1, 2): 2, (3, 4): -1}):
+            yield build_type0_operator(make_exterior_example(assignment))
+        yield const_type1(1)
+        yield const_type1(5)
+        yield twisted_type0()
+
+    def test_skipped_configurations_have_zero_defect(self):
+        skipped = 0
+        for op in self.corpus():
+            scan = ConfigurationScan.closedness(op)
+            for families, parities in configurations(op.dim):
+                if scan.is_structurally_zero(families, parities):
+                    skipped += 1
+                    assert hamiltonian_defect(op, families, parities).is_zero()
+        assert skipped > 0
+
+    def mixed_pairs(self):
+        # A sparse operator without any symmetry between rows, columns and
+        # blocks, so every index of the zero-pattern test and of the memo
+        # keys matters.
+        dense = quintic_example(2)
+        sparse = MatrixDiffOperator(1, 2, {
+            (0, 1, 0): ScalarDiffOperator({0: gp(field(1, 3)), 1: gp(field(0, 2))}),
+            (1, 0, 1): ScalarDiffOperator({2: gp(field(1, 1))}),
+            (0, 0, 0): ScalarDiffOperator.d_power(3),
+        })
+        return ((dense, sparse), (sparse, dense), (sparse, sparse))
+
+    def test_scan_matches_per_configuration_brackets(self):
+        for a, b in self.mixed_pairs():
+            expected = [(families, parities) for families, parities in configurations(a.dim)
+                        if not is_total_derivative(schouten_bracket(a, b, families, parities))]
+            assert expected
+            assert [f[:2] for f in iter_schouten_failures(a, b)] == expected
+
+    def test_skipped_schouten_configurations_have_zero_bracket(self):
+        skipped = 0
+        for a, b in self.mixed_pairs():
+            scan = ConfigurationScan.schouten(a, b)
+            for families, parities in configurations(a.dim):
+                if scan.is_structurally_zero(families, parities):
+                    skipped += 1
+                    assert schouten_bracket(a, b, families, parities).is_zero()
+        assert skipped > 0
+
+    def test_linearizations_and_applications_are_built_once_per_symbol(self, monkeypatch):
+        calls = {"frechet": 0, "apply": 0}
+        real_frechet, real_apply = operators.frechet, operators.apply_matrix_operator
+
+        def counting_frechet(*args):
+            calls["frechet"] += 1
+            return real_frechet(*args)
+
+        def counting_apply(*args):
+            calls["apply"] += 1
+            return real_apply(*args)
+
+        monkeypatch.setattr(operators, "frechet", counting_frechet)
+        monkeypatch.setattr(operators, "apply_matrix_operator", counting_apply)
+        op = quintic_example(2)
+        assert is_hamiltonian(op) == (True, None)
+        # three slots, two families, two parities: 6 d covector symbols
+        assert 0 < calls["frechet"] <= 6 * op.dim
+        assert 0 < calls["apply"] <= 6 * op.dim
+
+    def test_parallel_scan_matches_serial(self):
+        bad = build_type1_operator(_spec_with_circ_constant(3))
+        serial = list(ConfigurationScan.closedness(bad).failures(limit=3))
+        parallel = list(ConfigurationScan.closedness(bad).failures(limit=3, jobs=2))
+        assert len(serial) == 3 and parallel == serial
+        assert [f[:2] for f in serial] == [f[:2] for f in
+                                           ConfigurationScan.closedness(bad).failures()][:3]
 
 
 class TestHamiltonianPair:
