@@ -2,8 +2,9 @@
 
 An AlgebraSpec holds up to three bilinear products (circ, times, dot), an
 optional symmetric bilinear form and an optional Z2 grading, all over exact
-rationals.  Every axiom class is decided exhaustively on basis triples; the
-identities are trilinear, so basis coverage is complete.
+rationals.  Every axiom class is one entry of the table AXIOM_IDENTITIES,
+decided exhaustively on basis pairs and triples by one evaluator; the
+identities are multilinear, so basis coverage is complete.
 
 The two builders realize the structure-constant dictionaries between algebras
 and matrix differential operators: a bialgebra with a compatible form yields
@@ -16,23 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .algebra import SuperPolynomial, field
+from .modes import LinearOperatorData
 from .operators import MatrixDiffOperator, ScalarDiffOperator
 
 Table = Tuple[Tuple[Tuple[Fraction, ...], ...], ...]
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 Vector = Tuple[Fraction, ...]
-
-ALGEBRA_CLASSES = (
-    "novikov",
-    "novikov_super",
-    "nx_bialgebra",
-    "novikov_poisson",
-    "fermionic_novikov",
-    "form_compat",
-)
 
 
 def _as_table(dim: int, data) -> Table:
@@ -104,39 +97,12 @@ def multiply(table: Table, x: Vector, y: Vector) -> Vector:
     return tuple(out)
 
 
-def pair(form: Matrix, x: Vector, y: Vector) -> Fraction:
-    total = Fraction(0)
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        for j, yj in enumerate(y):
-            if yj:
-                total += xi * yj * form[i][j]
-    return total
-
-
-def _vec_sub(x: Vector, y: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(x, y))
-
-
-def _vec_add(x: Vector, y: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def _vec_scale(c: Fraction, x: Vector) -> Vector:
-    return tuple(c * a for a in x)
-
-
-def _is_zero(x: Vector) -> bool:
-    return not any(x)
-
-
 def check_axioms(spec: AlgebraSpec, algebra_class: str):
-    """Evaluate the defining identities of the given class on basis triples.
+    """Evaluate the defining identities of the given class on basis tuples.
 
-    Returns (ok, witness); the witness is (identity_label, indices, residual)
-    for the first failing basis tuple in lexicographic order, the residual
-    being the left-minus-right vector of the identity in basis coordinates.
+    Returns (ok, witness); the witness is the first one ``iter_axiom_failures``
+    yields: (identity_label, indices, residual), the residual being the
+    left-minus-right vector of the identity in basis coordinates.
     Raises ValueError when a required product or form is absent.
     """
     for witness in iter_axiom_failures(spec, algebra_class):
@@ -145,149 +111,179 @@ def check_axioms(spec: AlgebraSpec, algebra_class: str):
 
 
 def iter_axiom_failures(spec: AlgebraSpec, algebra_class: str):
-    """Yield (identity_label, indices, residual) witnesses in lexicographic
-    order."""
-    if algebra_class not in ALGEBRA_CLASSES:
+    """Yield (identity_label, indices, residual) witnesses.
+
+    The class's groups of ``AXIOM_IDENTITIES`` run in table order; within a
+    group the basis pairs or triples run in lexicographic order, and on each
+    tuple the identities in row order.  So ``nx_bialgebra`` yields every
+    ``times_commutative`` pair before any triple.  Form identities have
+    1-tuple residuals.
+    """
+    if algebra_class not in AXIOM_IDENTITIES:
         raise ValueError(f"unknown algebra class '{algebra_class}'")
-    return _CHECKERS[algebra_class](spec)
+    return _failures(spec, AXIOM_IDENTITIES[algebra_class])
 
 
-def _iter_commutative(table: Table, dim: int, label: str):
-    for i, j in product(range(dim), repeat=2):
-        if table[i][j] != table[j][i]:
-            yield (label, (i, j), _vec_sub(table[i][j], table[j][i]))
+class Term(NamedTuple):
+    """coeff * outer(inner(p, q), r) (nesting "left") or coeff * outer(p, inner(q, r))
+    ("right"), with p q r the permutation ``perm`` of the basis triple x y z.  An
+    ``outer`` "form" is a product into a 1-dimensional space.  The sign flips when
+    the two slots named by ``sign`` both hold odd basis vectors."""
+
+    coeff: int
+    outer: str
+    inner: str
+    nesting: str
+    perm: str = "xyz"
+    sign: Optional[str] = None
 
 
-def _iter_novikov_identities(spec: AlgebraSpec, table: Table, prefix: str = ""):
-    e = spec.basis
-    mul = lambda x, y: multiply(table, x, y)
-    for i, j, k in product(range(spec.dim), repeat=3):
-        x, y, z = e(i), e(j), e(k)
-        if mul(mul(x, y), z) != mul(mul(x, z), y):
-            yield (prefix + "right_commute", (i, j, k),
-                   _vec_sub(mul(mul(x, y), z), mul(mul(x, z), y)))
-        lhs = _vec_sub(mul(mul(x, y), z), mul(x, mul(y, z)))
-        rhs = _vec_sub(mul(mul(y, x), z), mul(y, mul(x, z)))
-        if lhs != rhs:
-            yield (prefix + "left_symmetry", (i, j, k), _vec_sub(lhs, rhs))
+class Symmetric(NamedTuple):
+    """Symmetry of one table (or of the form) on basis pairs."""
+
+    component: str
+    label: str
 
 
-def _iter_novikov(spec: AlgebraSpec):
-    spec.require("circ")
-    yield from _iter_novikov_identities(spec, spec.circ)
-
-
-def _iter_fermionic_novikov(spec: AlgebraSpec):
-    spec.require("circ")
-    e = spec.basis
-    mul = lambda x, y: multiply(spec.circ, x, y)
-    for i, j, k in product(range(spec.dim), repeat=3):
-        x, y, z = e(i), e(j), e(k)
-        if mul(mul(x, y), z) != _vec_scale(Fraction(-1), mul(mul(x, z), y)):
-            yield ("right_anticommute", (i, j, k),
-                   _vec_add(mul(mul(x, y), z), mul(mul(x, z), y)))
-        lhs = _vec_sub(mul(mul(x, y), z), mul(x, mul(y, z)))
-        rhs = _vec_sub(mul(mul(y, x), z), mul(y, mul(x, z)))
-        if lhs != rhs:
-            yield ("left_symmetry", (i, j, k), _vec_sub(lhs, rhs))
-
-
-def _iter_novikov_super(spec: AlgebraSpec):
-    spec.require("circ")
-    if spec.grading is None:
-        raise ValueError("algebra spec is missing the component 'grading'")
-    e = spec.basis
-    g = spec.grading
-    mul = lambda x, y: multiply(spec.circ, x, y)
-    for i, j, k in product(range(spec.dim), repeat=3):
-        x, y, z = e(i), e(j), e(k)
-        sign_yz = Fraction(-1) if g[j] & g[k] else Fraction(1)
-        if mul(mul(x, y), z) != _vec_scale(sign_yz, mul(mul(x, z), y)):
-            yield ("graded_right_commute", (i, j, k),
-                   _vec_sub(mul(mul(x, y), z), _vec_scale(sign_yz, mul(mul(x, z), y))))
-        sign_xy = Fraction(-1) if g[i] & g[j] else Fraction(1)
-        lhs = _vec_sub(mul(mul(x, y), z), mul(x, mul(y, z)))
-        rhs = _vec_scale(sign_xy, _vec_sub(mul(mul(y, x), z), mul(y, mul(x, z))))
-        if lhs != rhs:
-            yield ("graded_left_symmetry", (i, j, k), _vec_sub(lhs, rhs))
-
-
-def _iter_nx_bialgebra(spec: AlgebraSpec):
-    spec.require("circ", "times")
-    yield from _iter_commutative(spec.times, spec.dim, "times_commutative")
-    yield from _iter_novikov_identities(spec, spec.circ, prefix="circ_")
-    e = spec.basis
-    c = lambda x, y: multiply(spec.circ, x, y)
-    t = lambda x, y: multiply(spec.times, x, y)
-    for i, j, k in product(range(spec.dim), repeat=3):
-        u, v, w = e(i), e(j), e(k)
-        if c(t(u, v), w) != t(u, c(v, w)):
-            yield ("mixed_associator", (i, j, k),
-                   _vec_sub(c(t(u, v), w), t(u, c(v, w))))
-        lhs = _vec_add(t(t(u, v), w), t(u, t(v, w)))
-        rhs = _vec_sub(_vec_add(t(c(v, u), w), t(u, c(v, w))), c(v, t(u, w)))
-        if lhs != rhs:
-            yield ("times_sum_rule", (i, j, k), _vec_sub(lhs, rhs))
-        lhs = _vec_sub(t(t(u, v), w), t(u, t(v, w)))
-        rhs = _vec_sub(
-            _vec_add(c(t(u, v), w), c(w, t(u, v))),
-            _vec_add(c(u, t(v, w)), c(t(v, w), u)),
-        )
-        if lhs != rhs:
-            yield ("times_difference_rule", (i, j, k), _vec_sub(lhs, rhs))
-
-
-def _iter_novikov_poisson(spec: AlgebraSpec):
-    spec.require("circ", "dot")
-    yield from _iter_commutative(spec.dot, spec.dim, "dot_commutative")
-    e = spec.basis
-    c = lambda x, y: multiply(spec.circ, x, y)
-    d = lambda x, y: multiply(spec.dot, x, y)
-    for i, j, k in product(range(spec.dim), repeat=3):
-        x, y, z = e(i), e(j), e(k)
-        if d(d(x, y), z) != d(x, d(y, z)):
-            yield ("dot_associative", (i, j, k),
-                   _vec_sub(d(d(x, y), z), d(x, d(y, z))))
-    yield from _iter_novikov_identities(spec, spec.circ, prefix="circ_")
-    for i, j, k in product(range(spec.dim), repeat=3):
-        x, y, z = e(i), e(j), e(k)
-        if c(d(x, y), z) != d(x, c(y, z)):
-            yield ("dot_circ_associator", (i, j, k),
-                   _vec_sub(c(d(x, y), z), d(x, c(y, z))))
-        lhs = _vec_sub(d(c(x, y), z), c(x, d(y, z)))
-        rhs = _vec_sub(d(c(y, x), z), c(y, d(x, z)))
-        if lhs != rhs:
-            yield ("dot_circ_symmetry", (i, j, k), _vec_sub(lhs, rhs))
-
-
-def _iter_form_compat(spec: AlgebraSpec):
-    spec.require("circ", "times", "form")
-    e = spec.basis
-    for i, j in product(range(spec.dim), repeat=2):
-        if spec.form[i][j] != spec.form[j][i]:
-            yield ("form_symmetric", (i, j),
-                   (spec.form[i][j] - spec.form[j][i],))
-    c = lambda x, y: multiply(spec.circ, x, y)
-    t = lambda x, y: multiply(spec.times, x, y)
-    f = lambda x, y: pair(spec.form, x, y)
-    for i, j, k in product(range(spec.dim), repeat=3):
-        u, v, w = e(i), e(j), e(k)
-        if f(c(u, v), w) != f(u, c(v, w)):
-            yield ("form_circ_invariance", (i, j, k),
-                   (f(c(u, v), w) - f(u, c(v, w)),))
-        if f(c(u, v), w) != 2 * f(t(u, v), w):
-            yield ("form_times_ratio", (i, j, k),
-                   (f(c(u, v), w) - 2 * f(t(u, v), w),))
-
-
-_CHECKERS = {
-    "novikov": _iter_novikov,
-    "novikov_super": _iter_novikov_super,
-    "nx_bialgebra": _iter_nx_bialgebra,
-    "novikov_poisson": _iter_novikov_poisson,
-    "fermionic_novikov": _iter_fermionic_novikov,
-    "form_compat": _iter_form_compat,
+# Right-commutativity label, coefficient of its swapped term, Koszul signs.
+_SIGN_RULES = {
+    "plain": ("right_commute", -1, False),
+    "graded": ("graded_right_commute", -1, True),
+    "fermionic": ("right_anticommute", 1, False),
 }
+
+
+def _novikov_rows(p: str, rule: str, prefix: str = ""):
+    """(xy)z = +-(xz)y and (xy)z - x(yz) = +-((yx)z - y(xz)) under a sign rule."""
+    commute, swapped, graded = _SIGN_RULES[rule]
+    yz, xy = ("yz", "xy") if graded else (None, None)
+    return (
+        (prefix + commute, (Term(1, p, p, "left"), Term(swapped, p, p, "left", "xzy", yz))),
+        (prefix + ("graded_" if graded else "") + "left_symmetry",
+         (Term(1, p, p, "left"), Term(-1, p, p, "right"),
+          Term(-1, p, p, "left", "yxz", xy), Term(1, p, p, "right", "yxz", xy))),
+    )
+
+
+# Each class is an ordered list of groups: a Symmetric check on basis pairs, or
+# rows (label, terms) whose terms sum to the residual on every basis triple.  The
+# key order is the order of ALGEBRA_CLASSES (and of the CLI's choices).
+AXIOM_IDENTITIES = {
+    "novikov": (_novikov_rows("circ", "plain"),),
+    "novikov_super": (_novikov_rows("circ", "graded"),),
+    "nx_bialgebra": (
+        Symmetric("times", "times_commutative"),
+        _novikov_rows("circ", "plain", "circ_"),
+        (
+            ("mixed_associator",
+             (Term(1, "circ", "times", "left"), Term(-1, "times", "circ", "right"))),
+            ("times_sum_rule",
+             (Term(1, "times", "times", "left"), Term(1, "times", "times", "right"),
+              Term(-1, "times", "circ", "left", "yxz"), Term(-1, "times", "circ", "right"),
+              Term(1, "circ", "times", "right", "yxz"))),
+            ("times_difference_rule",
+             (Term(1, "times", "times", "left"), Term(-1, "times", "times", "right"),
+              Term(-1, "circ", "times", "left"), Term(-1, "circ", "times", "right", "zxy"),
+              Term(1, "circ", "times", "right"), Term(1, "circ", "times", "left", "yzx"))),
+        ),
+    ),
+    "novikov_poisson": (
+        Symmetric("dot", "dot_commutative"),
+        (("dot_associative", (Term(1, "dot", "dot", "left"), Term(-1, "dot", "dot", "right"))),),
+        _novikov_rows("circ", "plain", "circ_"),
+        (
+            ("dot_circ_associator",
+             (Term(1, "circ", "dot", "left"), Term(-1, "dot", "circ", "right"))),
+            ("dot_circ_symmetry",
+             (Term(1, "dot", "circ", "left"), Term(-1, "circ", "dot", "right"),
+              Term(-1, "dot", "circ", "left", "yxz"), Term(1, "circ", "dot", "right", "yxz"))),
+        ),
+    ),
+    "fermionic_novikov": (_novikov_rows("circ", "fermionic"),),
+    "form_compat": (
+        Symmetric("form", "form_symmetric"),
+        (
+            ("form_circ_invariance",
+             (Term(1, "form", "circ", "left"), Term(-1, "form", "circ", "right"))),
+            ("form_times_ratio",
+             (Term(1, "form", "circ", "left"), Term(-2, "form", "times", "left"))),
+        ),
+    ),
+}
+
+ALGEBRA_CLASSES = tuple(AXIOM_IDENTITIES)
+
+
+def _required(groups) -> List[str]:
+    """The spec components the groups read, in a fixed order."""
+    terms = [t for g in groups if not isinstance(g, Symmetric) for _, row in g for t in row]
+    used = {g.component for g in groups if isinstance(g, Symmetric)}
+    used.update(name for t in terms for name in (t.outer, t.inner, t.sign and "grading"))
+    return [name for name in ("circ", "times", "dot", "form", "grading") if name in used]
+
+
+def _cells(spec: AlgebraSpec, name: str):
+    """A table's [p][q] coefficient vectors; the form's entries as 1-vectors."""
+    data = getattr(spec, name)
+    return [[(v,) for v in row] for row in data] if name == "form" else data
+
+
+def _nested(spec: AlgebraSpec, outer: str, inner: str, nesting: str):
+    """outer(inner(e_a, e_b), e_c) or outer(e_a, inner(e_b, e_c)) on every basis
+    triple, as sparse {(a, b, c): {k: coefficient}}."""
+    sparse = {name: [[[(k, c) for k, c in enumerate(cell) if c] for cell in row]
+                     for row in _cells(spec, name)] for name in (outer, inner)}
+    outer_nz, inner_nz = sparse[outer], sparse[inner]
+    dim = spec.dim
+    out: Dict[Tuple[int, int, int], Dict[int, Fraction]] = {}
+    for p, q in product(range(dim), repeat=2):
+        for m, x in inner_nz[p][q]:
+            for r in range(dim):
+                key, pairs = ((p, q, r), outer_nz[m][r]) if nesting == "left" else \
+                    ((r, p, q), outer_nz[r][m])
+                if pairs:
+                    cell = out.setdefault(key, {})
+                    for k, y in pairs:
+                        cell[k] = cell.get(k, 0) + x * y
+    return out
+
+
+def _failures(spec: AlgebraSpec, groups):
+    spec.require(*_required(groups))
+    dim, grading = spec.dim, spec.grading
+    slots = lambda letters: tuple("xyz".index(s) for s in letters)
+    nested: Dict[Tuple[str, str, str], Dict] = {}
+    for group in groups:
+        if isinstance(group, Symmetric):
+            cells = _cells(spec, group.component)
+            for i, j in product(range(dim), repeat=2):
+                if cells[i][j] != cells[j][i]:
+                    yield (group.label, (i, j),
+                           tuple(a - b for a, b in zip(cells[i][j], cells[j][i])))
+            continue
+        rows = []
+        for label, terms in group:
+            compiled = []
+            for term in terms:
+                key = (term.outer, term.inner, term.nesting)
+                if key not in nested:
+                    nested[key] = _nested(spec, *key)
+                compiled.append((term.coeff, nested[key], slots(term.perm),
+                                 term.sign and slots(term.sign)))
+            rows.append((label, 1 if terms[0].outer == "form" else dim, compiled))
+        for idx in product(range(dim), repeat=3):
+            for label, width, compiled in rows:
+                residual: Dict[int, Fraction] = {}
+                for coeff, tensor, (p, q, r), sign in compiled:
+                    cell = tensor.get((idx[p], idx[q], idx[r]))
+                    if not cell:
+                        continue
+                    if sign and grading[idx[sign[0]]] & grading[idx[sign[1]]]:
+                        coeff = -coeff
+                    for k, v in cell.items():
+                        residual[k] = residual.get(k, 0) + coeff * v
+                if any(residual.values()):
+                    yield label, idx, tuple(residual.get(k, Fraction(0)) for k in range(width))
 
 
 def derived_dot_table(spec: AlgebraSpec) -> Table:
@@ -320,26 +316,15 @@ def build_type1_operator(spec: AlgebraSpec) -> MatrixDiffOperator:
 
     Entry (p,q) is form[p][q] D^5 + sum_g dot Phi_g D^2 + times Phi_g(2) D
     + circ Phi_g(3), with the dot product always derived from circ and times;
-    both parity blocks coincide.  The builder is total: validity is decided
-    separately by the axiom checkers and the Hamiltonian test.
+    both parity blocks coincide.  These are the ``LinearOperatorData`` tables
+    of top order 1 (circ, dot even; times odd; form constant).  The builder is
+    total: validity is decided separately by the axiom checkers and the
+    Hamiltonian test.
     """
     spec.require("circ", "times", "form")
-    dot = derived_dot_table(spec)
-    dim = spec.dim
-    blocks: Dict[Tuple[int, int, int], ScalarDiffOperator] = {}
-    for p, q in product(range(dim), repeat=2):
-        entries: Dict[int, SuperPolynomial] = {}
-        if spec.form[p][q]:
-            entries[5] = SuperPolynomial.scalar(spec.form[p][q])
-        for power, table, order in ((2, dot, 1), (1, spec.times, 2), (0, spec.circ, 3)):
-            coeff = _linear_coeff(table, p, q, order, dim)
-            if coeff:
-                entries[power] = coeff
-        if entries:
-            op = ScalarDiffOperator(entries)
-            blocks[(0, p, q)] = op
-            blocks[(1, p, q)] = op
-    return MatrixDiffOperator(1, dim, blocks)
+    return LinearOperatorData(top_order=1, dim=spec.dim,
+                              even_tables=(spec.circ, derived_dot_table(spec)),
+                              odd_tables=(spec.times,), constant=spec.form).realize()
 
 
 def build_type0_operator(spec: AlgebraSpec) -> MatrixDiffOperator:
@@ -392,7 +377,7 @@ def np_to_nx(spec: AlgebraSpec, identity_index: int) -> AlgebraSpec:
             raise ValueError(
                 f"basis vector {identity_index} is not an identity for the dot product"
             )
-    if multiply(spec.circ, e, e) != _vec_scale(Fraction(2), e):
+    if multiply(spec.circ, e, e) != tuple(2 * c for c in e):
         raise ValueError("the identity's circ square must be twice the identity")
     return AlgebraSpec(
         dim=spec.dim,

@@ -44,10 +44,6 @@ from .structures import (
 SuiteResult = Tuple[str, str, Optional[object]]  # (name, verdict, witness)
 
 
-def _verdict(ok: bool, witness) -> SuiteResult:
-    return ("pass" if ok else "fail", witness)
-
-
 def _entry_truncated_chain(n: int) -> Tuple[str, Optional[object]]:
     spec = make_truncated_example(n)
     ok, witness = check_axioms(spec, "novikov_poisson")
@@ -85,26 +81,28 @@ def _entry_exterior(assignment: Dict[Tuple[int, int], int]) -> Tuple[str, Option
     return "pass", None
 
 
-def _constant_type1(power: int) -> MatrixDiffOperator:
+def constant_type1(power: int) -> MatrixDiffOperator:
+    """The one-family type-1 operator D^power in both parity blocks."""
     return MatrixDiffOperator(1, 1, {
         (0, 0, 0): ScalarDiffOperator.d_power(power),
         (1, 0, 0): ScalarDiffOperator.d_power(power),
     })
 
 
-def _twisted_type0() -> MatrixDiffOperator:
+def twisted_type0() -> MatrixDiffOperator:
+    """The one-family type-0 operator 1 + D^4, negated in the odd block."""
     even = ScalarDiffOperator({0: SuperPolynomial.one(), 4: SuperPolynomial.one()})
     return MatrixDiffOperator(0, 1, {(0, 0, 0): even, (1, 0, 0): even.scaled(-1)})
 
 
 def _entry_constant_operators() -> Tuple[str, Optional[object]]:
-    for name, op in (("first_power", _constant_type1(1)),
-                     ("fifth_power", _constant_type1(5)),
-                     ("twisted_type0", _twisted_type0())):
+    for name, op in (("first_power", constant_type1(1)),
+                     ("fifth_power", constant_type1(5)),
+                     ("twisted_type0", twisted_type0())):
         ok, witness = is_hamiltonian(op)
         if not ok:
             return "fail", (name, witness)
-    ok, witness = is_hamiltonian_pair(_constant_type1(1), _constant_type1(5))
+    ok, witness = is_hamiltonian_pair(constant_type1(1), constant_type1(5))
     if not ok:
         return "fail", ("pair", witness)
     return "pass", None
@@ -113,7 +111,7 @@ def _entry_constant_operators() -> Tuple[str, Optional[object]]:
 def _entry_super_kdv() -> Tuple[str, Optional[object]]:
     phi = lambda order: SuperPolynomial.generator(field(0, order))
     density = phi(1) * phi(6) * Fraction(-1, 2) + phi(1) * phi(2) * phi(2)
-    op = _constant_type1(1)
+    op = constant_type1(1)
     produced = evolution_rhs(op, density)[0]
     mu = 2
     expanded = (
@@ -142,15 +140,20 @@ def _entry_mode_algebra() -> Tuple[str, Optional[object]]:
     return "pass", None
 
 
-def _entry_mutation_control() -> Tuple[str, Optional[object]]:
-    # circ constant doubled from 2 to 3 on the one-dimensional truncated
-    # algebra; the checkers must reject it with a witness on both sides.
-    broken = AlgebraSpec(
+def hand_checked_mutation() -> AlgebraSpec:
+    """The one-dimensional truncated bialgebra with its circ constant raised
+    from 2 to 3: it fails both the axioms and the Hamiltonian test."""
+    return AlgebraSpec(
         dim=1,
         circ=(((Fraction(3),),),),
         times=(((Fraction(1),),),),
         form=((Fraction(1),),),
     )
+
+
+def _entry_mutation_control() -> Tuple[str, Optional[object]]:
+    # The checkers must reject the mutation with a witness on both sides.
+    broken = hand_checked_mutation()
     ok, witness = check_axioms(broken, "nx_bialgebra")
     if ok:
         return "fail", ("mutation_accepted_by_axioms", None)

@@ -10,8 +10,6 @@ import time
 from fractions import Fraction
 from svarcalc import (
     AlgebraSpec,
-    MatrixDiffOperator,
-    ScalarDiffOperator,
     SuperPolynomial,
     build_type0_operator,
     build_type1_operator,
@@ -42,6 +40,7 @@ from svarcalc.documents import parse_document
 from svarcalc.modes import apply_Di_n, z_shift
 from svarcalc.operators import configurations
 from svarcalc.structures import iter_axiom_failures, multiply
+from svarcalc.suite import constant_type1, hand_checked_mutation, twisted_type0
 
 from helpers import field_pool, random_evolutionary, random_poly
 
@@ -58,22 +57,8 @@ def gp(g):
     return SuperPolynomial.generator(g)
 
 
-def const_type1(power):
-    op = ScalarDiffOperator.d_power(power)
-    return MatrixDiffOperator(1, 1, {(0, 0, 0): op, (1, 0, 0): op})
-
-
-def twisted_type0():
-    even = ScalarDiffOperator({0: SuperPolynomial.one(), 4: SuperPolynomial.one()})
-    return MatrixDiffOperator(0, 1, {(0, 0, 0): even, (1, 0, 0): even.scaled(-1)})
-
-
 def truncated_operator(n):
     return build_type1_operator(np_to_nx(make_truncated_example(n), 0))
-
-
-def mutated_truncated_spec():
-    return AlgebraSpec(dim=1, circ=(((F(3),),),), times=(((F(1),),),), form=((F(1),),))
 
 
 EXTERIOR_ASSIGNMENTS = ({}, {(3, 4): 1}, {(1, 2): 2, (3, 4): -1})
@@ -92,7 +77,7 @@ def test_criterion_1_type1_forward():
 
 def test_criterion_2_type1_reverse_mutation():
     """Doubling the circ constant to 3 breaks the operator and the axioms."""
-    spec = mutated_truncated_spec()
+    spec = hand_checked_mutation()
     op = build_type1_operator(spec)
     skew_ok, _ = check_skew_symmetry(op)
     ham_ok, witness = is_hamiltonian(op)
@@ -139,10 +124,10 @@ def test_criterion_3_type0_round_trip():
 
 def test_criterion_4_constant_operators():
     start = time.monotonic()
-    ok1, _ = is_hamiltonian(const_type1(1))
-    ok5, _ = is_hamiltonian(const_type1(5))
+    ok1, _ = is_hamiltonian(constant_type1(1))
+    ok5, _ = is_hamiltonian(constant_type1(5))
     ok0, _ = is_hamiltonian(twisted_type0())
-    okp, _ = is_hamiltonian_pair(const_type1(1), const_type1(5))
+    okp, _ = is_hamiltonian_pair(constant_type1(1), constant_type1(5))
     elapsed = time.monotonic() - start
     report(4, ok1 and ok5 and ok0 and okp and elapsed < 10.0,
            f"first/fifth powers (type 1), twisted identity+fourth power (type 0), "
@@ -248,7 +233,7 @@ def test_criterion_8_super_kdv_rhs():
     )
     report(8, fixture == oracle, "fixture equals the brute-force expansion")
     density = F(-1, 2) * (phi(1) * phi(6)) + phi(1) * phi(2) * phi(2)
-    produced = evolution_rhs(const_type1(1), density)[0]
+    produced = evolution_rhs(constant_type1(1), density)[0]
     report(8, produced == fixture, "evolution right side reproduces the fixture")
 
 
@@ -256,8 +241,8 @@ def test_criterion_9_schouten_consistency(seed):
     operators = [truncated_operator(n) for n in (1, 2, 3, 4)]
     operators += [build_type0_operator(make_exterior_example(a))
                   for a in EXTERIOR_ASSIGNMENTS]
-    operators += [const_type1(1), const_type1(5), twisted_type0()]
-    operators.append(build_type1_operator(mutated_truncated_spec()))
+    operators += [constant_type1(1), constant_type1(5), twisted_type0()]
+    operators.append(build_type1_operator(hand_checked_mutation()))
     for idx, op in enumerate(operators):
         if not check_skew_symmetry(op)[0]:
             continue
@@ -270,7 +255,7 @@ def test_criterion_9_schouten_consistency(seed):
                f"[H,H] = 0 in the quotient agrees with the Hamiltonian test "
                f"(operator {idx}, dim {op.dim})")
     rng = random.Random(seed)
-    a, b = const_type1(1), const_type1(5)
+    a, b = constant_type1(1), constant_type1(5)
     pair_ok, _ = is_hamiltonian_pair(a, b)
     agree = True
     for _ in range(5):

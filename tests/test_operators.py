@@ -9,6 +9,7 @@ import pytest
 
 from svarcalc import operators
 from svarcalc.operators import iter_schouten_failures
+from svarcalc.suite import constant_type1, hand_checked_mutation, twisted_type0
 from svarcalc import (
     ConfigurationScan,
     MatrixDiffOperator,
@@ -41,16 +42,6 @@ from helpers import field_pool, random_poly
 
 def gp(g):
     return SuperPolynomial.generator(g)
-
-
-def const_type1(power, scale=1):
-    op = ScalarDiffOperator.d_power(power, scale)
-    return MatrixDiffOperator(1, 1, {(0, 0, 0): op, (1, 0, 0): op})
-
-
-def twisted_type0():
-    even = ScalarDiffOperator({0: SuperPolynomial.one(), 4: SuperPolynomial.one()})
-    return MatrixDiffOperator(0, 1, {(0, 0, 0): even, (1, 0, 0): even.scaled(-1)})
 
 
 def quintic_example(n):
@@ -109,10 +100,10 @@ class TestTypeConstraint:
 
 class TestSkewSymmetry:
     def test_quintic_power_is_skew(self):
-        assert check_skew_symmetry(const_type1(5)) == (True, None)
+        assert check_skew_symmetry(constant_type1(5)) == (True, None)
 
     def test_cubic_power_is_not(self):
-        ok, witness = check_skew_symmetry(const_type1(3))
+        ok, witness = check_skew_symmetry(constant_type1(3))
         assert not ok and witness[0] == "transpose"
 
     def test_field_only_operator_fails(self):
@@ -156,7 +147,7 @@ def _relabel(entry, perm):
 class TestApplyOperator:
     def test_single_power(self):
         xi = covector(1, 0, 0, 0)
-        out = apply_matrix_operator(const_type1(5), {0: gp(xi)}, 1)
+        out = apply_matrix_operator(constant_type1(5), {0: gp(xi)}, 1)
         assert out[0] == gp(covector(1, 0, 5, 0))
 
     def test_virasoro_entry_expansion(self):
@@ -173,12 +164,12 @@ class TestApplyOperator:
     def test_parity_mismatch_rejected(self):
         xi = covector(1, 0, 0, 0)
         with pytest.raises(ValueError):
-            apply_matrix_operator(const_type1(5), {0: gp(xi)}, 0)
+            apply_matrix_operator(constant_type1(5), {0: gp(xi)}, 0)
 
 
 class TestFrechet:
     def test_constant_coefficients_linearize_to_zero(self):
-        assert frechet(const_type1(5), covector(1, 0, 0, 0), 1) == {}
+        assert frechet(constant_type1(5), covector(1, 0, 0, 0), 1) == {}
 
     def test_single_field_entry(self):
         coeff = gp(field(0, 1))
@@ -197,8 +188,8 @@ class TestFrechet:
 
 class TestHamiltonian:
     def test_first_and_fifth_powers(self):
-        assert is_hamiltonian(const_type1(1)) == (True, None)
-        assert is_hamiltonian(const_type1(5)) == (True, None)
+        assert is_hamiltonian(constant_type1(1)) == (True, None)
+        assert is_hamiltonian(constant_type1(5)) == (True, None)
 
     def test_twisted_type0(self):
         assert is_hamiltonian(twisted_type0()) == (True, None)
@@ -210,37 +201,25 @@ class TestHamiltonian:
     def test_defect_of_constant_operators_vanishes_exactly(self):
         # Constant coefficients have zero linearization, so the defect is the
         # zero polynomial, not merely a total derivative.
-        for op in (const_type1(1), const_type1(5), twisted_type0()):
+        for op in (constant_type1(1), constant_type1(5), twisted_type0()):
             for parities in product((0, 1), repeat=3):
                 assert hamiltonian_defect(op, (0, 0, 0), parities).is_zero()
 
     def test_mutated_structure_constant_detected(self):
-        bad = build_type1_operator(
-            _spec_with_circ_constant(3)
-        )
+        bad = build_type1_operator(hand_checked_mutation())
         ok, witness = is_hamiltonian(bad)
         assert not ok and witness[0] == "closedness"
 
     def test_invariant_under_rescaling(self):
         op = quintic_example(1)
         assert is_hamiltonian(op.scaled(Fraction(-7, 3)))[0]
-        bad = build_type1_operator(_spec_with_circ_constant(3))
+        bad = build_type1_operator(hand_checked_mutation())
         assert not is_hamiltonian(bad.scaled(Fraction(5, 2)))[0]
-
-
-def _spec_with_circ_constant(value):
-    from svarcalc import AlgebraSpec
-    return AlgebraSpec(
-        dim=1,
-        circ=(((Fraction(value),),),),
-        times=(((Fraction(1),),),),
-        form=((Fraction(1),),),
-    )
 
 
 class TestSchouten:
     def test_self_bracket_of_first_power(self):
-        op = const_type1(1)
+        op = constant_type1(1)
         for parities in product((0, 1), repeat=3):
             b = schouten_bracket(op, op, (0, 0, 0), parities)
             assert is_total_derivative(b)
@@ -253,7 +232,7 @@ class TestSchouten:
             assert bracket == 2 * defect
 
     def test_symmetric_in_arguments(self):
-        a, b = const_type1(1), const_type1(5)
+        a, b = constant_type1(1), constant_type1(5)
         q = quintic_example(1)
         for parities in ((0, 0, 0), (0, 1, 1), (1, 1, 0)):
             assert schouten_bracket(a, q, (0, 0, 0), parities) == \
@@ -261,7 +240,7 @@ class TestSchouten:
 
     def test_bilinearity(self, seed):
         rng = random.Random(seed)
-        a, b = const_type1(1), const_type1(5)
+        a, b = constant_type1(1), constant_type1(5)
         q = quintic_example(1)
         for _ in range(3):
             x = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
@@ -275,7 +254,7 @@ class TestSchouten:
 
     def test_type_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            schouten_bracket(const_type1(1), twisted_type0(), (0, 0, 0), (0, 0, 0))
+            schouten_bracket(constant_type1(1), twisted_type0(), (0, 0, 0), (0, 0, 0))
 
 
 class TestConfigurationScan:
@@ -284,8 +263,8 @@ class TestConfigurationScan:
             yield quintic_example(n)
         for assignment in ({}, {(3, 4): 1}, {(1, 2): 2, (3, 4): -1}):
             yield build_type0_operator(make_exterior_example(assignment))
-        yield const_type1(1)
-        yield const_type1(5)
+        yield constant_type1(1)
+        yield constant_type1(5)
         yield twisted_type0()
 
     def test_skipped_configurations_have_zero_defect(self):
@@ -348,7 +327,7 @@ class TestConfigurationScan:
         assert 0 < calls["apply"] <= 6 * op.dim
 
     def test_parallel_scan_matches_serial(self):
-        bad = build_type1_operator(_spec_with_circ_constant(3))
+        bad = build_type1_operator(hand_checked_mutation())
         serial = list(ConfigurationScan.closedness(bad).failures(limit=3))
         parallel = list(ConfigurationScan.closedness(bad).failures(limit=3, jobs=2))
         assert len(serial) == 3 and parallel == serial
@@ -358,11 +337,11 @@ class TestConfigurationScan:
 
 class TestHamiltonianPair:
     def test_first_and_fifth_powers_pair(self):
-        assert is_hamiltonian_pair(const_type1(1), const_type1(5)) == (True, None)
+        assert is_hamiltonian_pair(constant_type1(1), constant_type1(5)) == (True, None)
 
     def test_quintic_family_members_are_hamiltonian(self):
         # every rational combination a D + b D^5 of the pair is Hamiltonian
-        combo = const_type1(1).scaled(Fraction(3, 2)) + const_type1(5).scaled(-2)
+        combo = constant_type1(1).scaled(Fraction(3, 2)) + constant_type1(5).scaled(-2)
         assert is_hamiltonian(combo) == (True, None)
 
     def test_operator_pairs_with_itself(self):
@@ -371,11 +350,11 @@ class TestHamiltonianPair:
 
     def test_skew_failure_is_an_error(self):
         with pytest.raises(SkewSymmetryError):
-            is_hamiltonian_pair(const_type1(1), field_only_type1())
+            is_hamiltonian_pair(constant_type1(1), field_only_type1())
 
     def test_pair_agrees_with_combinations(self, seed):
         rng = random.Random(seed)
-        a, b = const_type1(1), const_type1(5)
+        a, b = constant_type1(1), constant_type1(5)
         assert is_hamiltonian_pair(a, b)[0]
         for _ in range(5):
             x = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
@@ -388,24 +367,24 @@ class TestHamiltonianPair:
     def test_schouten_vanishing_matches_hamiltonian(self):
         good = quintic_example(1)
         assert schouten_vanishes(good, good)[0] == is_hamiltonian(good)[0]
-        bad = build_type1_operator(_spec_with_circ_constant(3))
+        bad = build_type1_operator(hand_checked_mutation())
         assert schouten_vanishes(bad, bad)[0] == is_hamiltonian(bad)[0] == False
 
 
 class TestEvolutionRhs:
     def test_zero_density(self):
-        out = evolution_rhs(const_type1(1), SuperPolynomial.zero())
+        out = evolution_rhs(constant_type1(1), SuperPolynomial.zero())
         assert all(p.is_zero() for p in out.values())
 
     def test_quadratic_density(self):
         density = gp(field(0, 1)) * gp(field(0, 2))
-        out = evolution_rhs(const_type1(1), density)
+        out = evolution_rhs(constant_type1(1), density)
         assert out[0] == 2 * gp(field(0, 3))
 
     def test_super_kdv_form(self):
         phi = lambda n: gp(field(0, n))
         density = Fraction(-1, 2) * (phi(1) * phi(6)) + phi(1) * phi(2) * phi(2)
-        out = evolution_rhs(const_type1(1), density)
+        out = evolution_rhs(constant_type1(1), density)
         mu = 2
         expected = (
             -phi(7)

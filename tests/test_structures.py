@@ -18,8 +18,14 @@ from svarcalc import (
     make_exterior_example,
     make_truncated_example,
     np_to_nx,
+    virasoro_operator_data,
 )
-from svarcalc.structures import derived_dot_table, multiply
+from svarcalc.structures import (
+    ALGEBRA_CLASSES,
+    derived_dot_table,
+    iter_axiom_failures,
+    multiply,
+)
 
 F = Fraction
 
@@ -165,6 +171,13 @@ class TestType1Builder:
         assert op.entry(0, 0, 1).entries()[0] == 3 * gp(field(1, 3))
         assert op.entry(0, 1, 0).entries()[0] == 2 * gp(field(1, 3))
 
+    def test_truncated_family_gives_super_virasoro_data(self):
+        # The truncated bialgebras are the structure constants of the linear
+        # operators whose mode algebras generalize super-Virasoro.
+        for d in (1, 2, 3, 4):
+            op = build_type1_operator(np_to_nx(make_truncated_example(d), 0))
+            assert op == virasoro_operator_data(d).realize()
+
     def test_zero_algebra_builds_zero_operator(self):
         spec = AlgebraSpec(dim=1, circ=(((F(0),),),), times=(((F(0),),),),
                            form=((F(0),),))
@@ -301,3 +314,175 @@ class TestRoundTrips:
             broke += not axioms_ok
         assert broke >= 2
 
+
+
+# -- formula-level oracle for the axiom table ------------------------------------
+
+ORACLE_NEEDS = {
+    "novikov": ("circ",),
+    "novikov_super": ("circ", "grading"),
+    "nx_bialgebra": ("circ", "times"),
+    "novikov_poisson": ("circ", "dot"),
+    "fermionic_novikov": ("circ",),
+    "form_compat": ("circ", "times", "form"),
+}
+
+
+def _sub(x, y):
+    return tuple(a - b for a, b in zip(x, y))
+
+
+def _add(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def _scale(c, x):
+    return tuple(c * a for a in x)
+
+
+def oracle_failures(spec, cls):
+    """Every identity of the class as its textbook formula on basis vectors:
+    the same witnesses as iter_axiom_failures, built without its table."""
+    e, g = spec.basis, spec.grading
+    c = lambda x, y: multiply(spec.circ, x, y)
+    t = lambda x, y: multiply(spec.times, x, y)
+    dt = lambda x, y: multiply(spec.dot, x, y)
+    f = lambda x, y: (sum(x[a] * y[b] * spec.form[a][b]
+                          for a in range(spec.dim) for b in range(spec.dim)),)
+    assoc = lambda m, x, y, z: _sub(m(m(x, y), z), m(x, m(y, z)))
+    koszul = lambda a, b: -1 if g[a] & g[b] else 1
+
+    def novikov(m, prefix=""):
+        def rows(i, j, k, x, y, z):
+            # (xy)z = (xz)y and (x, y, z) = (y, x, z) with the associator (,,)
+            yield prefix + "right_commute", m(m(x, y), z), m(m(x, z), y)
+            yield prefix + "left_symmetry", assoc(m, x, y, z), assoc(m, y, x, z)
+        return rows
+
+    def graded(i, j, k, x, y, z):
+        yield ("graded_right_commute", c(c(x, y), z),
+               _scale(koszul(j, k), c(c(x, z), y)))
+        yield ("graded_left_symmetry", assoc(c, x, y, z),
+               _scale(koszul(i, j), assoc(c, y, x, z)))
+
+    def fermionic(i, j, k, x, y, z):
+        yield "right_anticommute", c(c(x, y), z), _scale(-1, c(c(x, z), y))
+        yield "left_symmetry", assoc(c, x, y, z), assoc(c, y, x, z)
+
+    def bialgebra(i, j, k, u, v, w):
+        yield "mixed_associator", c(t(u, v), w), t(u, c(v, w))
+        yield ("times_sum_rule", _add(t(t(u, v), w), t(u, t(v, w))),
+               _sub(_add(t(c(v, u), w), t(u, c(v, w))), c(v, t(u, w))))
+        yield ("times_difference_rule", assoc(t, u, v, w),
+               _sub(_add(c(t(u, v), w), c(w, t(u, v))), _add(c(u, t(v, w)), c(t(v, w), u))))
+
+    def dot_associative(i, j, k, x, y, z):
+        yield "dot_associative", dt(dt(x, y), z), dt(x, dt(y, z))
+
+    def poisson(i, j, k, x, y, z):
+        yield "dot_circ_associator", c(dt(x, y), z), dt(x, c(y, z))
+        yield ("dot_circ_symmetry", _sub(dt(c(x, y), z), c(x, dt(y, z))),
+               _sub(dt(c(y, x), z), c(y, dt(x, z))))
+
+    def forms(i, j, k, u, v, w):
+        yield "form_circ_invariance", f(c(u, v), w), f(u, c(v, w))
+        yield "form_times_ratio", f(c(u, v), w), _scale(2, f(t(u, v), w))
+
+    def commutative(m, label):
+        def rows(i, j, x, y):
+            yield label, m(x, y), m(y, x)
+        return rows
+
+    # (arity, rows) groups: basis pairs or triples, in the order of the table
+    groups = {
+        "novikov": [(3, novikov(c))],
+        "novikov_super": [(3, graded)],
+        "nx_bialgebra": [(2, commutative(t, "times_commutative")), (3, novikov(c, "circ_")),
+                         (3, bialgebra)],
+        "novikov_poisson": [(2, commutative(dt, "dot_commutative")), (3, dot_associative),
+                            (3, novikov(c, "circ_")), (3, poisson)],
+        "fermionic_novikov": [(3, fermionic)],
+        "form_compat": [(2, commutative(f, "form_symmetric")), (3, forms)],
+    }[cls]
+    for arity, rows in groups:
+        for idx in product(range(spec.dim), repeat=arity):
+            for label, lhs, rhs in rows(*idx, *(e(i) for i in idx)):
+                if lhs != rhs:
+                    yield label, idx, _sub(lhs, rhs)
+
+
+def random_table(rng, dim, density):
+    return [[[rng.choice((-2, -1, 1, 2, F(1, 2))) if rng.random() < density else 0
+              for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+
+
+def bumped(spec, table, site, delta):
+    tab = [[list(cell) for cell in row] for row in getattr(spec, table)]
+    i, j, k = site
+    tab[i][j][k] += delta
+    parts = {name: getattr(spec, name) for name in ("circ", "times", "dot", "form", "grading")}
+    parts[table] = tab
+    return AlgebraSpec(dim=spec.dim, **parts)
+
+
+class TestIdentityTableOracle:
+    """iter_axiom_failures against the textbook formulas, witness for witness."""
+
+    def assert_matches_oracle(self, spec, classes=ALGEBRA_CLASSES):
+        for cls in classes:
+            missing = [n for n in ORACLE_NEEDS[cls] if getattr(spec, n) is None]
+            if missing:
+                with pytest.raises(ValueError, match=f"'{missing[0]}'"):
+                    list(iter_axiom_failures(spec, cls))
+                continue
+            got = list(iter_axiom_failures(spec, cls))
+            assert got == list(oracle_failures(spec, cls)), cls
+            assert all(type(v) is F for _, _, residual in got for v in residual)
+
+    def test_random_specs_with_gradings(self, seed):
+        rng = random.Random(seed)
+        failing = 0
+        for _ in range(40):
+            dim = rng.randint(1, 3)
+            spec = AlgebraSpec(
+                dim=dim,
+                circ=random_table(rng, dim, rng.choice((0.2, 0.5, 0.9))),
+                times=random_table(rng, dim, rng.choice((0.2, 0.5))),
+                dot=random_table(rng, dim, rng.choice((0.2, 0.5))),
+                form=[[rng.choice((0, 1, -1, F(3, 2))) for _ in range(dim)] for _ in range(dim)],
+                grading=[rng.randint(0, 1) for _ in range(dim)],
+            )
+            self.assert_matches_oracle(spec)
+            failing += any(True for _ in iter_axiom_failures(spec, "novikov_super"))
+        assert failing  # the residual comparison must see failing specs
+
+    def test_partial_specs_raise_for_the_first_missing_component(self):
+        self.assert_matches_oracle(one_dim(circ=1))
+        self.assert_matches_oracle(one_dim(times=1, form=1))
+        self.assert_matches_oracle(one_dim(circ=2, dot=1, form=1))
+
+    def test_truncated_single_entry_mutations(self):
+        for n in (2, 3):
+            base = np_to_nx(make_truncated_example(n), 0)
+            base = AlgebraSpec(dim=n, circ=base.circ, times=base.times, dot=base.times,
+                               form=base.form, grading=(0,) * (n - 1) + (1,))
+            self.assert_matches_oracle(base)
+            for table in ("circ", "times", "dot"):
+                for site in product(range(n), repeat=3):
+                    self.assert_matches_oracle(bumped(base, table, site, 1))
+
+    def test_exterior_single_entry_mutations(self, seed):
+        rng = random.Random(seed)
+        base = make_exterior_example({(1, 2): 2, (3, 4): -1})
+        self.assert_matches_oracle(base, ("novikov", "fermionic_novikov"))
+        for _ in range(12):
+            site = (rng.randrange(6), rng.randrange(6), rng.randrange(6))
+            self.assert_matches_oracle(bumped(base, "circ", site, rng.choice((-1, 1, 2))),
+                                       ("novikov", "fermionic_novikov"))
+
+    def test_large_truncated_mutation_first_witness(self):
+        spec = bumped(np_to_nx(make_truncated_example(12), 0), "circ", (5, 6, 0), 1)
+        for cls in ("nx_bialgebra", "form_compat"):
+            ok, witness = check_axioms(spec, cls)
+            assert not ok
+            assert witness == next(oracle_failures(spec, cls))
