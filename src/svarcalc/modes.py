@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from .algebra import SuperPolynomial, field
 from .operators import MatrixDiffOperator, ScalarDiffOperator, check_skew_symmetry
@@ -32,9 +32,21 @@ ZExp = Tuple[int, int, int]
 Thetas = Tuple[int, ...]
 MonoKey = Tuple[ZExp, Thetas, Symbol]
 ModeKey = Tuple[int, int]  # (family, doubled mode index)
-Combo = Dict[Symbol, Fraction]
+Coeff = Union[int, Fraction]
+Combo = Dict[Symbol, Coeff]
 
-_ZERO = Fraction(0)
+_ZERO = 0
+
+
+def _exact(value) -> Coeff:
+    """``value`` as an exact rational: an ``int`` when integral, else a ``Fraction``.
+
+    Integral coefficients stay ``int`` so that the common case runs on machine
+    integers; mixed arithmetic promotes to ``Fraction`` once a denominator
+    appears, and ``int`` and ``Fraction`` compare, hash and print alike.
+    """
+    f = Fraction(value)
+    return f.numerator if f.denominator == 1 else f
 
 
 def phi_symbol(family: int, doubled: int) -> Symbol:
@@ -54,7 +66,7 @@ class FormalDistribution:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Optional[Dict[MonoKey, Fraction]] = None):
+    def __init__(self, terms: Optional[Dict[MonoKey, Coeff]] = None):
         self._terms = terms if terms is not None else {}
 
     @classmethod
@@ -64,10 +76,10 @@ class FormalDistribution:
     @classmethod
     def monomial(cls, zexp: ZExp, thetas: Thetas, sym: Symbol = NUM,
                  coeff=1) -> "FormalDistribution":
-        c = Fraction(coeff)
+        c = _exact(coeff)
         return cls({(zexp, tuple(thetas), sym): c} if c else {})
 
-    def terms(self) -> Mapping[MonoKey, Fraction]:
+    def terms(self) -> Mapping[MonoKey, Coeff]:
         return self._terms
 
     def is_zero(self) -> bool:
@@ -100,13 +112,13 @@ class FormalDistribution:
         return self + (-other)
 
     def scaled(self, factor) -> "FormalDistribution":
-        f = Fraction(factor)
+        f = _exact(factor)
         if not f:
             return FormalDistribution()
         return FormalDistribution({k: c * f for k, c in self._terms.items()})
 
     def __mul__(self, other: "FormalDistribution") -> "FormalDistribution":
-        acc: Dict[MonoKey, Fraction] = {}
+        acc: Dict[MonoKey, Coeff] = {}
         for (za, ta, sa), ca in self._terms.items():
             for (zb, tb, sb), cb in other._terms.items():
                 sym = _merge_symbols(sa, sb)
@@ -118,7 +130,7 @@ class FormalDistribution:
                 if tsign == 0:
                     continue
                 sign *= tsign
-                key = (tuple(x + y for x, y in zip(za, zb)), thetas, sym)
+                key = ((za[0] + zb[0], za[1] + zb[1], za[2] + zb[2]), thetas, sym)
                 c = ca * cb * sign
                 tot = acc.get(key, _ZERO) + c
                 if tot:
@@ -173,9 +185,9 @@ def apply_Di(x: FormalDistribution, var: int) -> FormalDistribution:
     """The odd derivation theta_var d/dz_var + d/dtheta_var."""
     if var not in (1, 2, 3):
         raise ValueError("variable index must be 1, 2 or 3")
-    acc: Dict[MonoKey, Fraction] = {}
+    acc: Dict[MonoKey, Coeff] = {}
 
-    def bump(key: MonoKey, coeff: Fraction) -> None:
+    def bump(key: MonoKey, coeff: Coeff) -> None:
         if not coeff:
             return
         tot = acc.get(key, _ZERO) + coeff
@@ -216,13 +228,12 @@ def bare_delta(i: int, j: int, window: int) -> FormalDistribution:
     """Truncated two-variable delta: sum of (z_i/z_j)^m over |m| <= window."""
     if window < 1:
         raise ValueError("window must be >= 1")
-    terms: Dict[MonoKey, Fraction] = {}
-    one = Fraction(1)
+    terms: Dict[MonoKey, Coeff] = {}
     for m in range(-window, window + 1):
         z = [0, 0, 0]
         z[i - 1] += m
         z[j - 1] -= m
-        terms[(tuple(z), (), NUM)] = one
+        terms[(tuple(z), (), NUM)] = 1
     return FormalDistribution(terms)
 
 
@@ -248,13 +259,12 @@ def mode_field(family: int, var: int, top_order: int, mode_bound: int) -> Formal
     Integer modes ride with theta_var, half-integer modes without; the mode
     with doubled index 2n (or 2n+1) sits at z-exponent -n - top_order - 1.
     """
-    terms: Dict[MonoKey, Fraction] = {}
-    one = Fraction(1)
+    terms: Dict[MonoKey, Coeff] = {}
     for n in range(-mode_bound, mode_bound + 1):
         z = [0, 0, 0]
         z[var - 1] = -n - top_order - 1
-        terms[(tuple(z), (var,), phi_symbol(family, 2 * n))] = one
-        terms[(tuple(z), (), phi_symbol(family, 2 * n + 1))] = one
+        terms[(tuple(z), (var,), phi_symbol(family, 2 * n))] = 1
+        terms[(tuple(z), (), phi_symbol(family, 2 * n + 1))] = 1
     return FormalDistribution(terms)
 
 
@@ -265,7 +275,8 @@ class LinearOperatorData:
     ``even_tables[m][a][b][g]`` multiplies phi_g(2(N-m)+1) D^{2m} and
     ``odd_tables[n][a][b][g]`` multiplies phi_g(2(N-n)) D^{2n+1} in entry
     (a, b); the optional ``constant[a][b]`` is a scalar block at power 2N+3
-    that feeds the central extension.
+    that feeds the central extension.  Entries are stored exactly: ``int``
+    when integral, ``Fraction`` otherwise.
     """
 
     top_order: int
@@ -281,18 +292,18 @@ class LinearOperatorData:
         if d < 1:
             raise ValueError("family count must be >= 1")
         self.even_tables = tuple(
-            tuple(tuple(tuple(Fraction(self.even_tables[m][a][b][g]) for g in range(d))
+            tuple(tuple(tuple(_exact(self.even_tables[m][a][b][g]) for g in range(d))
                         for b in range(d)) for a in range(d))
             for m in range(n + 1)
         )
         self.odd_tables = tuple(
-            tuple(tuple(tuple(Fraction(self.odd_tables[m][a][b][g]) for g in range(d))
+            tuple(tuple(tuple(_exact(self.odd_tables[m][a][b][g]) for g in range(d))
                         for b in range(d)) for a in range(d))
             for m in range(n)
         )
         if self.constant is not None:
             self.constant = tuple(
-                tuple(Fraction(self.constant[a][b]) for b in range(d)) for a in range(d)
+                tuple(_exact(self.constant[a][b]) for b in range(d)) for a in range(d)
             )
 
     def realize(self) -> MatrixDiffOperator:
@@ -411,20 +422,26 @@ def induce_bracket(data: LinearOperatorData, window: int,
 
 def _extract_pairs(x: FormalDistribution, fam_a: int, fam_b: int, top_order: int,
                    window: int, entries: Dict[Tuple[ModeKey, ModeKey], Combo]) -> None:
+    # One pass groups the terms by (z-exponent, theta pattern); each mode pair
+    # is then one lookup instead of a scan of every term.
+    index: Dict[Tuple[ZExp, Thetas], Combo] = {}
+    for (z, th, sym), coeff in x.terms().items():
+        if coeff:
+            index.setdefault((z, th), {})[sym] = coeff
     bound = 2 * window
     for k1 in range(-bound, bound + 1):
-        m = k1 // 2 if k1 % 2 == 0 else (k1 - 1) // 2
         for k2 in range(-bound, bound + 1):
-            n = k2 // 2 if k2 % 2 == 0 else (k2 - 1) // 2
-            zexp = (-m - top_order - 1, -n - top_order - 1, 0)
+            zexp = (-(k1 // 2) - top_order - 1, -(k2 // 2) - top_order - 1, 0)
             if k1 % 2 == 0 and k2 % 2 == 0:
-                combo = x.coefficient(zexp, (1, 2))
+                combo = index.get((zexp, (1, 2)))
             elif k1 % 2 == 0:
-                combo = {s: -c for s, c in x.coefficient(zexp, (1,)).items()}
+                combo = index.get((zexp, (1,)))
+                if combo:
+                    combo = {s: -c for s, c in combo.items()}
             elif k2 % 2 == 0:
-                combo = x.coefficient(zexp, (2,))
+                combo = index.get((zexp, (2,)))
             else:
-                combo = x.coefficient(zexp, ())
+                combo = index.get((zexp, ()))
             if combo:
                 entries[((fam_a, k1), (fam_b, k2))] = combo
 
@@ -450,14 +467,18 @@ def check_super_skew(table: ModeBracketTable):
 
 
 def _combo_bracket(table: ModeBracketTable, combo: Combo, w: ModeKey) -> Optional[Combo]:
-    """Bracket of a symbol combination with a mode; None if out of window."""
+    """Bracket of a symbol combination with an interior mode; None if the
+    combination holds a mode outside the window."""
     out: Combo = {}
+    entries, bound = table.entries, 2 * table.window
     for sym, coeff in combo.items():
         if sym == CENTRAL:
             continue
-        inner = table.bracket((sym[1], sym[2]), w)
-        if inner is None:
+        if abs(sym[2]) > bound:
             return None
+        inner = entries.get(((sym[1], sym[2]), w))
+        if not inner:
+            continue
         for s, c in inner.items():
             tot = out.get(s, _ZERO) + coeff * c
             if tot:
@@ -470,23 +491,43 @@ def _combo_bracket(table: ModeBracketTable, combo: Combo, w: ModeKey) -> Optiona
 def check_super_jacobi(table: ModeBracketTable):
     """Graded Jacobi identity on every admissible interior triple.
 
-    A triple is admissible when all three inner brackets and their pairings
-    with the remaining mode stay inside the window.  Returns (ok, witness).
+    A triple (x, y, z) of interior modes is admissible when all three inner
+    brackets and their pairings with the remaining mode stay inside the
+    window.  Returns (ok, witness); the witness is the lexicographically first
+    failing triple of ``mode_keys()`` cubed.
+
+    The sweep visits only triples that are lexicographically smallest among
+    their rotations, a third of them.  With
+    S(x, y, z) = [[x,y],z] + (-1)^{px(py+pz)} [[y,z],x] + (-1)^{pz(px+py)} [[z,x],y],
+    rotation gives S(y, z, x) = (-1)^{px(py+pz)} S(x, y, z), and it permutes
+    the three nested brackets, so admissibility and the vanishing of S agree
+    on all three rotations.  Rotations of a failing triple therefore fail,
+    and the lexicographically first failing triple of the full sweep is the
+    smallest of its rotations: the reduced sweep visits it, and visits the
+    other triples in the same order, so it returns the same witness.
     """
     keys = table.mode_keys()
-    for x in keys:
+    entries = table.entries
+    count = len(keys)
+    for i, x in enumerate(keys):
         px = mode_parity(x)
-        for y in keys:
+        for j in range(i, count):
+            y = keys[j]
             py = mode_parity(y)
-            bxy = table.bracket(x, y)
-            for z in keys:
+            bxy = entries.get((x, y), {})
+            # (i, j, k) is the least of its rotations iff k >= i, and k > i
+            # when j > i.
+            for k in range(i if j == i else i + 1, count):
+                z = keys[k]
                 pz = mode_parity(z)
-                byz = table.bracket(y, z)
-                bzx = table.bracket(z, x)
                 t1 = _combo_bracket(table, bxy, z)
-                t2 = _combo_bracket(table, byz, x)
-                t3 = _combo_bracket(table, bzx, y)
-                if t1 is None or t2 is None or t3 is None:
+                if t1 is None:
+                    continue
+                t2 = _combo_bracket(table, entries.get((y, z), {}), x)
+                if t2 is None:
+                    continue
+                t3 = _combo_bracket(table, entries.get((z, x), {}), y)
+                if t3 is None:
                     continue
                 total: Combo = dict(t1)
                 for combo, flip in ((t2, px & (py ^ pz)), (t3, pz & (px ^ py))):
@@ -547,7 +588,6 @@ def virasoro_operator_data(families: int) -> LinearOperatorData:
     if families < 1:
         raise ValueError("family count must be >= 1")
     d = families
-    zero = Fraction(0)
 
     def table(value_fn):
         return tuple(
@@ -555,13 +595,10 @@ def virasoro_operator_data(families: int) -> LinearOperatorData:
             for a in range(d)
         )
 
-    even0 = table(lambda a, b, g: Fraction(b + 2) if a + b == g else zero)
-    even1 = table(lambda a, b, g: Fraction(a + b + 3) if a + b == g else zero)
-    odd0 = table(lambda a, b, g: Fraction(1) if a + b == g else zero)
-    const = tuple(
-        tuple(Fraction(1) if a == 0 and b == 0 else zero for b in range(d))
-        for a in range(d)
-    )
+    even0 = table(lambda a, b, g: b + 2 if a + b == g else 0)
+    even1 = table(lambda a, b, g: a + b + 3 if a + b == g else 0)
+    odd0 = table(lambda a, b, g: 1 if a + b == g else 0)
+    const = tuple(tuple(1 if a == 0 and b == 0 else 0 for b in range(d)) for a in range(d))
     return LinearOperatorData(
         top_order=1, dim=d,
         even_tables=(even0, even1),
@@ -589,33 +626,32 @@ def super_virasoro_table(families: int, window: int) -> ModeBracketTable:
             for k1 in range(-bound, bound + 1):
                 for k2 in range(-bound, bound + 1):
                     combo: Combo = {}
-                    lin = Fraction(0)
                     target = i + j
                     if k1 % 2 and k2 % 2:
                         m, n = (k1 - 1) // 2, (k2 - 1) // 2
                         if target < d:
-                            combo[phi_symbol(target, k1 + k2)] = Fraction(1)
+                            combo[phi_symbol(target, k1 + k2)] = 1
                         if i == 0 and j == 0 and m + n + 1 == 0:
-                            c = Fraction((n + 1) * n)
+                            c = (n + 1) * n
                             if c:
                                 combo[CENTRAL] = combo.get(CENTRAL, _ZERO) + c
                     elif k1 % 2:
                         m, n = (k1 - 1) // 2, k2 // 2
-                        lin = Fraction((j + 2) * (m + 1) - (i + 1) * (n + 1))
+                        lin = (j + 2) * (m + 1) - (i + 1) * (n + 1)
                         if lin and target < d:
                             combo[phi_symbol(target, k1 + k2)] = lin
                     elif k2 % 2:
                         m, n = k1 // 2, (k2 - 1) // 2
-                        lin = Fraction((j + 1) * (m + 1) - (i + 2) * (n + 1))
+                        lin = (j + 1) * (m + 1) - (i + 2) * (n + 1)
                         if lin and target < d:
                             combo[phi_symbol(target, k1 + k2)] = lin
                     else:
                         m, n = k1 // 2, k2 // 2
-                        lin = Fraction((j + 2) * (m + 1) - (i + 2) * (n + 1))
+                        lin = (j + 2) * (m + 1) - (i + 2) * (n + 1)
                         if lin and target < d:
                             combo[phi_symbol(target, k1 + k2)] = lin
                         if i == 0 and j == 0 and m + n == 0:
-                            c = Fraction(-(n + 1) * n * (n - 1))
+                            c = -(n + 1) * n * (n - 1)
                             if c:
                                 combo[CENTRAL] = combo.get(CENTRAL, _ZERO) + c
                     combo = {s: c for s, c in combo.items() if c}

@@ -61,16 +61,22 @@ def _entry_truncated_chain(n: int) -> Tuple[str, Optional[object]]:
     return "pass", None
 
 
+def top_form_associator(spec: AlgebraSpec) -> Tuple[Fraction, ...]:
+    """The circ associator (e0 o e1) o e2 - e0 o (e1 o e2); on an exterior
+    spec it is c34 times the top form e5."""
+    e = spec.basis
+    lhs = multiply(spec.circ, multiply(spec.circ, e(0), e(1)), e(2))
+    rhs = multiply(spec.circ, e(0), multiply(spec.circ, e(1), e(2)))
+    return tuple(a - b for a, b in zip(lhs, rhs))
+
+
 def _entry_exterior(assignment: Dict[Tuple[int, int], int]) -> Tuple[str, Optional[object]]:
     spec = make_exterior_example(assignment)
     ok, witness = check_axioms(spec, "fermionic_novikov")
     if not ok:
         return "fail", ("fermionic_novikov", witness)
     c34 = Fraction(assignment.get((3, 4), 0))
-    e = spec.basis
-    lhs = multiply(spec.circ, multiply(spec.circ, e(0), e(1)), e(2))
-    rhs = multiply(spec.circ, e(0), multiply(spec.circ, e(1), e(2)))
-    assoc = tuple(a - b for a, b in zip(lhs, rhs))
+    assoc = top_form_associator(spec)
     expected = tuple(c34 if k == 5 else Fraction(0) for k in range(6))
     if assoc != expected:
         return "fail", ("top_form_associator", [str(x) for x in assoc])

@@ -5,7 +5,17 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from svarcalc import EvolutionaryField, SuperPolynomial, covector, field
+from svarcalc import (
+    AlgebraSpec,
+    EvolutionaryField,
+    LinearOperatorData,
+    SuperPolynomial,
+    covector,
+    field,
+    make_truncated_example,
+    np_to_nx,
+)
+from svarcalc.structures import derived_dot_table
 
 
 def field_pool(families: int, max_order: int):
@@ -48,3 +58,24 @@ def random_evolutionary(rng: random.Random, families: int, max_order: int,
     for fam in range(families):
         comps[fam] = random_homogeneous(rng, pool, (s + 1) & 1)
     return EvolutionaryField(parity=s, components=comps)
+
+
+def linear_data(spec: AlgebraSpec) -> LinearOperatorData:
+    """The top-order-1 tables (circ, derived dot; times; form) of a bialgebra spec."""
+    return LinearOperatorData(1, spec.dim, (spec.circ, derived_dot_table(spec)),
+                              (spec.times,), spec.form)
+
+
+def truncated_mutations(rng: random.Random):
+    """Every single-entry circ/times mutation of the truncated bialgebras
+    d = 1, 2, each by a seeded delta from +-1, +-2."""
+    for d in (1, 2):
+        base = np_to_nx(make_truncated_example(d), 0)
+        for name in ("circ", "times"):
+            for i in range(d):
+                for j in range(d):
+                    for k in range(d):
+                        table = [[list(cell) for cell in row] for row in getattr(base, name)]
+                        table[i][j][k] += rng.choice((1, -1, 2, -2))
+                        parts = {"circ": base.circ, "times": base.times, name: table}
+                        yield AlgebraSpec(dim=d, form=base.form, **parts)

@@ -2,9 +2,10 @@
 procedures.
 
 The total-derivative test is cross-checked against exact linear algebra
-(solve u = D(v) over a finite candidate basis), and the normal-ordering
+(solve u = D(v) over a finite candidate basis), the normal-ordering
 skew-symmetry criterion against the direct pairing definition evaluated in
-the quotient.
+the quotient, and the Hamiltonian test of a top-order-1 linear operator
+against the Jacobi identity of the mode bracket it induces.
 """
 
 import random
@@ -28,13 +29,17 @@ from svarcalc import (
     np_to_nx,
     build_type1_operator,
     build_type0_operator,
+    check_super_jacobi,
+    induce_bracket,
+    is_hamiltonian,
     make_exterior_example,
     superderive,
 )
 from svarcalc.algebra import normalize_monomial
 from svarcalc.calculus import QuotientDomainError, non_membership_certificate
+from svarcalc.suite import hand_checked_mutation
 
-from helpers import field_pool, mixed_pool, random_poly
+from helpers import field_pool, linear_data, mixed_pool, random_poly, truncated_mutations
 
 F = Fraction
 
@@ -300,4 +305,25 @@ class TestSkewOracle:
             direct = skew_by_pairing(op)
             assert criterion == direct
             verdicts.append(criterion)
+        assert True in verdicts and False in verdicts
+
+
+class TestHamiltonianJacobiOracle:
+    def test_hamiltonian_iff_induced_jacobi(self, seed):
+        # For top-order-1 linear data the realized operator is Hamiltonian
+        # exactly when the induced mode bracket satisfies Jacobi.
+        rng = random.Random(seed)
+        specs = [np_to_nx(make_truncated_example(d), 0) for d in (1, 2)]
+        specs.append(hand_checked_mutation())
+        specs.extend(truncated_mutations(rng))
+        verdicts = []
+        for spec in specs:
+            data = linear_data(spec)
+            op = data.realize()
+            if not check_skew_symmetry(op)[0]:
+                continue
+            ham = is_hamiltonian(op)[0]
+            for window in (2, 3):
+                assert check_super_jacobi(induce_bracket(data, window))[0] == ham, (spec, window)
+            verdicts.append(ham)
         assert True in verdicts and False in verdicts

@@ -7,6 +7,7 @@ import pytest
 
 from svarcalc import (
     CENTRAL,
+    check_skew_symmetry,
     FormalDistribution,
     LinearOperatorData,
     ModeBracketTable,
@@ -20,7 +21,9 @@ from svarcalc import (
     super_virasoro_table,
     virasoro_operator_data,
 )
-from svarcalc.modes import NUM, apply_Di_n, render_combo, render_mode, z_shift
+from svarcalc.modes import NUM, apply_Di_n, mode_parity, render_combo, render_mode, z_shift
+
+from helpers import linear_data, truncated_mutations
 
 F = Fraction
 
@@ -250,3 +253,194 @@ class TestRendering:
     def test_combo_rendering(self):
         combo = {phi_symbol(0, 2): F(-1), CENTRAL: F(3, 2)}
         assert render_combo(combo) == "3/2*c - phi0(1)"
+
+
+# -- test-only oracles: the full O(K^3) sweep and the coefficient-scan extraction --
+
+
+def nested_bracket(table, combo, w):
+    """[combo, w] through ``table.bracket``; None when a mode leaves the window."""
+    out = {}
+    for sym, coeff in combo.items():
+        if sym == CENTRAL:
+            continue
+        inner = table.bracket((sym[1], sym[2]), w)
+        if inner is None:
+            return None
+        for s, c in inner.items():
+            out[s] = out.get(s, 0) + coeff * c
+    return {s: c for s, c in out.items() if c}
+
+
+def full_jacobi_sweep(table):
+    """Graded Jacobi over every ordered triple of interior modes, in order."""
+    keys = table.mode_keys()
+    for x in keys:
+        for y in keys:
+            for z in keys:
+                terms = [nested_bracket(table, table.bracket(u, v), w)
+                         for u, v, w in ((x, y, z), (y, z, x), (z, x, y))]
+                if any(t is None for t in terms):
+                    continue
+                px, py, pz = mode_parity(x), mode_parity(y), mode_parity(z)
+                signs = (1, -1 if px & (py ^ pz) else 1, -1 if pz & (px ^ py) else 1)
+                total = {}
+                for sign, combo in zip(signs, terms):
+                    for s, c in combo.items():
+                        total[s] = total.get(s, 0) + sign * c
+                if any(total.values()):
+                    return False, (x, y, z)
+    return True, None
+
+
+def induce_by_scan(data, window):
+    """``induce_bracket`` entries with every mode pair read by ``coefficient``."""
+    n, d = data.top_order, data.dim
+    delta = make_delta(1, 2, window + n + 2)
+    delta_derivs = [apply_Di_n(delta, 1, p) for p in range(2 * n + 4)]
+    field_derivs = {g: [apply_Di_n(mode_field(g, 1, n, 2 * window + n + 2), 1, p)
+                        for p in range(2 * n + 1)] for g in range(d)}
+    central = FormalDistribution.monomial((0, 0, 0), (), CENTRAL)
+    thetas = {(0, 0): (1, 2), (0, 1): (1,), (1, 0): (2,), (1, 1): ()}
+    bound = 2 * window
+    entries = {}
+    for a in range(d):
+        for b in range(d):
+            x = FormalDistribution.zero()
+            for g in range(d):
+                for m in range(n + 1):
+                    term = field_derivs[g][2 * (n - m)] * delta_derivs[2 * m]
+                    x = x + term.scaled(data.even_tables[m][a][b][g])
+                for m in range(n):
+                    term = field_derivs[g][2 * (n - m) - 1] * delta_derivs[2 * m + 1]
+                    x = x + term.scaled(data.odd_tables[m][a][b][g])
+            if data.constant is not None:
+                x = x + (delta_derivs[2 * n + 3] * central).scaled(data.constant[a][b])
+            x = z_shift(2, -1) * x
+            for k1 in range(-bound, bound + 1):
+                for k2 in range(-bound, bound + 1):
+                    zexp = (-(k1 // 2) - n - 1, -(k2 // 2) - n - 1, 0)
+                    combo = x.coefficient(zexp, thetas[(k1 & 1, k2 & 1)])
+                    if k1 % 2 == 0 and k2 % 2:
+                        combo = {s: -c for s, c in combo.items()}
+                    if combo:
+                        entries[((a, k1), (b, k2))] = combo
+    return entries
+
+
+def perturbed_table(rng, families, window, mirrored):
+    """A closed-form table with one entry shifted; ``mirrored`` also shifts
+    the reverse entry so that super skew symmetry still holds."""
+    table = super_virasoro_table(families, window)
+    entries = {k: dict(v) for k, v in table.entries.items()}
+    keys = table.mode_keys()
+    x, y = rng.sample(keys, 2)
+    sym = rng.choice((CENTRAL, phi_symbol(rng.randrange(families), x[1] + y[1]),
+                      phi_symbol(rng.randrange(families), x[1] + y[1] + rng.choice((-2, 2)))))
+    delta = rng.choice((1, -1, 2, -2))
+    shifts = [((x, y), delta)]
+    if mirrored:
+        shifts.append(((y, x), -delta if (x[1] & y[1] & 1) == 0 else delta))
+    for key, change in shifts:
+        combo = entries.setdefault(key, {})
+        combo[sym] = combo.get(sym, 0) + change
+        if not combo[sym]:
+            del combo[sym]
+    entries = {k: v for k, v in entries.items() if v}
+    return ModeBracketTable(dim=families, window=window, entries=entries)
+
+
+class TestSweepOracles:
+    def test_jacobi_matches_full_sweep_on_perturbed_tables(self, seed):
+        rng = random.Random(seed)
+        outcomes = []
+        for families in (1, 2, 3):
+            for window in (2, 3):
+                for mirrored in (False, True):
+                    for _ in range(2):
+                        table = perturbed_table(rng, families, window, mirrored)
+                        expected = full_jacobi_sweep(table)
+                        assert check_super_jacobi(table) == expected
+                        outcomes.append(expected[0])
+                        if mirrored:
+                            assert check_super_skew(table) == (True, None)
+        assert False in outcomes
+
+    def test_jacobi_matches_full_sweep_on_closed_forms(self):
+        for families, window in ((1, 2), (1, 3), (2, 2), (3, 2)):
+            table = super_virasoro_table(families, window)
+            assert check_super_jacobi(table) == full_jacobi_sweep(table) == (True, None)
+
+    def test_scaled_entry_witness_matches_full_sweep(self):
+        # Tripling [phi(1), phi(-1/2)] first fails on ((0, -3), (0, 2), (0, -1)),
+        # a triple that is not the least key of the window.
+        table = super_virasoro_table(1, 2)
+        entries = dict(table.entries)
+        key = ((0, 2), (0, -1))
+        entries[key] = {s: 3 * c for s, c in entries[key].items()}
+        mutated = ModeBracketTable(dim=1, window=2, entries=entries)
+        expected = full_jacobi_sweep(mutated)
+        assert not expected[0]
+        assert check_super_jacobi(mutated) == expected
+
+    def test_diagonal_triple_is_swept(self):
+        # [x, x] = x for the odd mode x = phi(1/2) fails Jacobi on (x, x, x) only.
+        x = (0, 1)
+        table = ModeBracketTable(dim=1, window=1, entries={(x, x): {phi_symbol(0, 1): 1}})
+        assert full_jacobi_sweep(table) == (False, (x, x, x))
+        assert check_super_jacobi(table) == (False, (x, x, x))
+
+    def test_induce_matches_scan_extraction_on_virasoro_data(self):
+        for families, window in ((1, 2), (1, 3), (2, 2), (2, 3)):
+            data = virasoro_operator_data(families)
+            assert induce_bracket(data, window).entries == induce_by_scan(data, window)
+
+    def test_induce_matches_scan_extraction_on_bialgebra_mutations(self, seed):
+        rng = random.Random(seed)
+        checked = 0
+        for spec in truncated_mutations(rng):
+            data = linear_data(spec)
+            if not check_skew_symmetry(data.realize())[0]:
+                continue
+            assert induce_bracket(data, 2).entries == induce_by_scan(data, 2)
+            checked += 1
+        assert checked >= 5
+
+
+class TestExactCoefficients:
+    def test_integral_inputs_stay_int(self):
+        data = LinearOperatorData(
+            top_order=1, dim=1,
+            even_tables=((((F(2),),),), (((F(3),),),)),
+            odd_tables=((((F(4, 2),),),),),
+            constant=((F(1),),),
+        )
+        cells = [data.even_tables[0][0][0][0], data.even_tables[1][0][0][0],
+                 data.odd_tables[0][0][0][0], data.constant[0][0]]
+        assert all(type(c) is int for c in cells) and cells == [2, 3, 2, 1]
+        assert all(type(c) is int for c in make_delta(1, 2, 3).terms().values())
+        assert all(type(c) is int for c in mode_field(0, 1, 1, 3).terms().values())
+        assert type(next(iter(FormalDistribution.monomial((0, 0, 0), (), NUM, F(6, 3))
+                               .terms().values()))) is int
+        table = induce_bracket(virasoro_operator_data(2), 3)
+        assert all(type(c) is int for combo in table.entries.values() for c in combo.values())
+
+    def test_half_entry_gives_exact_fraction_bracket(self):
+        base = virasoro_operator_data(1)
+        half = lambda tables: tuple(
+            tuple(tuple(tuple(c * F(1, 2) for c in cell) for cell in row) for row in t)
+            for t in tables)
+        data = LinearOperatorData(1, 1, half(base.even_tables), half(base.odd_tables),
+                                  ((F(1, 2),),))
+        assert data.constant[0][0] == F(1, 2) and type(data.constant[0][0]) is F
+        induced = induce_bracket(data, 3).entries
+        closed = super_virasoro_table(1, 3).entries
+        # The induced bracket is linear in the tables.
+        assert induced == {k: {s: c * F(1, 2) for s, c in v.items()} for k, v in closed.items()}
+        assert induced[((0, 1), (0, 1))] == {phi_symbol(0, 2): F(1, 2)}
+        assert type(induced[((0, 1), (0, 1))][phi_symbol(0, 2)]) is F
+
+    def test_scaled_promotes_only_on_a_denominator(self):
+        x = FormalDistribution.monomial((1, 0, 0), (1,), NUM, 3)
+        assert type(next(iter(x.scaled(2).terms().values()))) is int
+        assert next(iter(x.scaled(F(1, 2)).terms().values())) == F(3, 2)
