@@ -19,8 +19,9 @@ bit-for-bit.
 
 A monomial is a sorted tuple of ``(generator, exponent)`` pairs; odd
 generators never carry an exponent above 1 (their squares vanish).  A
-polynomial maps monomials to nonzero ``Fraction`` coefficients; the empty
-monomial is the scalar 1 and the zero polynomial is the empty mapping.
+polynomial maps monomials to nonzero exact rational coefficients, an ``int``
+when integral and a ``Fraction`` otherwise (``_exact``); the empty monomial is
+the scalar 1 and the zero polynomial is the empty mapping.
 Reordering a product of generators costs a sign of -1 for every transposition
 of two odd generators, which is exactly the super-commutation rule
 ``u v = (-1)^{|u||v|} v u``.
@@ -29,16 +30,28 @@ of two odd generators, which is exactly the super-commutation rule
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 Generator = Tuple[int, int, int, int]
 Monomial = Tuple[Tuple[Generator, int], ...]
+Coeff = Union[int, Fraction]
 
 FIELD_KIND = 0
 COVECTOR_SLOTS = (1, 2, 3)
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
+
+
+def _exact(value) -> Coeff:
+    """``value`` as an exact rational: an ``int`` when integral, else a ``Fraction``.
+
+    Integral coefficients stay ``int`` so that the common case runs on machine
+    integers; mixed arithmetic promotes to ``Fraction`` once a denominator
+    appears, and ``int`` and ``Fraction`` compare, hash and print alike.
+    """
+    f = Fraction(value)
+    return f.numerator if f.denominator == 1 else f
 
 
 def field(family: int, order: int = 1) -> Generator:
@@ -164,7 +177,7 @@ class SuperPolynomial:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Optional[Dict[Monomial, Fraction]] = None):
+    def __init__(self, terms: Optional[Dict[Monomial, Coeff]] = None):
         # Trusted constructor: terms must already be canonical with no zeros.
         self._terms = terms if terms is not None else {}
 
@@ -176,7 +189,7 @@ class SuperPolynomial:
 
     @classmethod
     def scalar(cls, value) -> "SuperPolynomial":
-        c = Fraction(value)
+        c = _exact(value)
         return cls({(): c} if c else {})
 
     @classmethod
@@ -190,12 +203,12 @@ class SuperPolynomial:
     @classmethod
     def from_terms(cls, terms: Iterable[Tuple[Sequence[Generator], object]]) -> "SuperPolynomial":
         """Build from (raw generator sequence, coefficient) pairs."""
-        acc: Dict[Monomial, Fraction] = {}
+        acc: Dict[Monomial, Coeff] = {}
         for gens, coeff in terms:
             mono, sign = normalize_monomial(tuple(gens))
             if sign == 0:
                 continue
-            c = acc.get(mono, _ZERO) + sign * Fraction(coeff)
+            c = acc.get(mono, _ZERO) + sign * _exact(coeff)
             if c:
                 acc[mono] = c
             elif mono in acc:
@@ -204,7 +217,7 @@ class SuperPolynomial:
 
     # -- inspection ----------------------------------------------------------
 
-    def terms(self) -> Mapping[Monomial, Fraction]:
+    def terms(self) -> Mapping[Monomial, Coeff]:
         return self._terms
 
     def is_zero(self) -> bool:
@@ -213,10 +226,10 @@ class SuperPolynomial:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def constant_term(self) -> Fraction:
+    def constant_term(self) -> Coeff:
         return self._terms.get((), _ZERO)
 
-    def coefficient(self, mono: Monomial) -> Fraction:
+    def coefficient(self, mono: Monomial) -> Coeff:
         return self._terms.get(mono, _ZERO)
 
     def generators(self) -> Iterator[Generator]:
@@ -284,7 +297,7 @@ class SuperPolynomial:
         if isinstance(other, SuperPolynomial):
             if not self._terms or not other._terms:
                 return SuperPolynomial({})
-            acc: Dict[Monomial, Fraction] = {}
+            acc: Dict[Monomial, Coeff] = {}
             for m1, c1 in self._terms.items():
                 for m2, c2 in other._terms.items():
                     mono, sign = _mul_monomials(m1, m2)
@@ -297,7 +310,7 @@ class SuperPolynomial:
                         del acc[mono]
             return SuperPolynomial(acc)
         if isinstance(other, (int, Fraction)):
-            c0 = Fraction(other)
+            c0 = _exact(other)
             if not c0:
                 return SuperPolynomial({})
             return SuperPolynomial({m: c * c0 for m, c in self._terms.items()})
@@ -350,30 +363,69 @@ ZERO = SuperPolynomial.zero()
 ONE = SuperPolynomial.one()
 
 
-def partial_derive(u: SuperPolynomial, gen: Generator) -> SuperPolynomial:
-    """Left superderivation d/d(gen) of parity |gen|.
+def tower_partials(u: SuperPolynomial, gen: Generator) -> Dict[int, SuperPolynomial]:
+    """Partial derivatives by every element of gen's derivative tower, in one pass.
 
-    Acts on each monomial by removing one power of gen with the sign
-    (-1)^{|gen| * (parity of the factors to its left)}.
+    Maps each derivative count m to the nonzero left superderivation of u by
+    the tower element with m derivatives.  That derivation removes one power
+    of the element with the sign (-1)^{|element| * (parity of the factors to
+    its left)}.  Removing one power of the same generator from distinct
+    monomials leaves distinct monomials, so no coefficients merge.
     """
-    gp = parity(gen)
-    acc: Dict[Monomial, Fraction] = {}
+    kind, family, _, base_parity = gen
+    acc: Dict[int, Dict[Monomial, Coeff]] = {}
     for mono, coeff in u._terms.items():
         left_odd = 0
         for idx, (g, exp) in enumerate(mono):
-            if g == gen:
-                c = coeff * exp
-                if gp and (left_odd & 1):
-                    c = -c
+            if g[0] == kind and g[1] == family and g[3] == base_parity:
                 if exp > 1:
                     new = mono[:idx] + ((g, exp - 1),) + mono[idx + 1:]
                 else:
                     new = mono[:idx] + mono[idx + 1:]
-                tot = acc.get(new, _ZERO) + c
-                if tot:
-                    acc[new] = tot
-                elif new in acc:
-                    del acc[new]
-                break
-            left_odd += parity(g)  # odd generators always carry exponent 1
-    return SuperPolynomial(acc)
+                c = coeff * exp
+                acc.setdefault(g[2], {})[new] = -c if left_odd & (g[2] + base_parity) & 1 else c
+            left_odd += (g[2] + g[3]) & 1  # odd generators always carry exponent 1
+    return {m: SuperPolynomial(acc[m]) for m in sorted(acc)}
+
+
+def partial_derive(u: SuperPolynomial, gen: Generator) -> SuperPolynomial:
+    """Left superderivation d/d(gen) of parity |gen|: the gen entry of
+    ``tower_partials``."""
+    return tower_partials(u, gen).get(gen[2]) or SuperPolynomial.zero()
+
+
+def insert_generator(mono: Monomial, gen: Generator, lo: int = 0) -> Tuple[Optional[Monomial], int]:
+    """Put one more factor gen in front of the sorted tail mono[lo:] and sort it in.
+
+    Returns the canonical monomial and the number of odd generators gen
+    passes on the way to its place, so the reordering sign is
+    (-1)^{|gen| * count}.  An even gen already present gets its exponent
+    raised; an odd one gives ``(None, 0)`` (its square vanishes).
+    """
+    pos, crossed = lo, 0
+    for g, _ in mono[lo:]:
+        if g >= gen:
+            break
+        crossed += (g[2] + g[3]) & 1
+        pos += 1
+    if pos < len(mono) and mono[pos][0] == gen:
+        if parity(gen):
+            return None, 0
+        return mono[:pos] + ((gen, mono[pos][1] + 1),) + mono[pos + 1:], crossed
+    return mono[:pos] + ((gen, 1),) + mono[pos:], crossed
+
+
+def times_generator(u: SuperPolynomial, gen: Generator) -> SuperPolynomial:
+    """u * gen by one insertion per monomial.
+
+    gen enters from the right, so it passes the odd generators above its
+    place: all odd generators of the monomial except the ``crossed`` below.
+    Distinct monomials stay distinct, so no coefficients merge.
+    """
+    odd = parity(gen)
+    out: Dict[Monomial, Coeff] = {}
+    for mono, coeff in u._terms.items():
+        new, crossed = insert_generator(mono, gen)
+        if new is not None:
+            out[new] = -coeff if odd and (monomial_parity(mono) + crossed) & 1 else coeff
+    return SuperPolynomial(out)

@@ -16,23 +16,23 @@ sense; they are determined by their order-1 components.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterable, List, Tuple
 
 from .algebra import (
     FIELD_KIND,
+    Coeff,
     Generator,
     Monomial,
     SuperPolynomial,
     base_of,
     field,
-    normalize_monomial,
-    parity,
+    insert_generator,
     partial_derive,
     shift,
+    tower_partials,
 )
 
-_ZERO = Fraction(0)
+_ZERO = 0
 
 
 class QuotientDomainError(ValueError):
@@ -41,29 +41,35 @@ class QuotientDomainError(ValueError):
 
 
 def superderive(u: SuperPolynomial) -> SuperPolynomial:
-    """Apply the odd superderivation D once."""
-    acc: Dict[Monomial, Fraction] = {}
+    """Apply the odd superderivation D once.
+
+    On each factor gen^exp of a monomial, D passes the odd factors to its
+    left and gives exp * gen^(exp-1) * D(gen); D(gen) is sorted into the tail
+    of the monomial in place, with the sign of the odd generators it passes.
+    """
+    acc: Dict[Monomial, Coeff] = {}
     for mono, coeff in u.terms().items():
-        left_parity = 0
+        odd_prefix = 0
         for idx, (gen, exp) in enumerate(mono):
-            raw: List[Generator] = []
-            for g2, e2 in mono[:idx]:
-                raw.extend([g2] * e2)
-            raw.extend([gen] * (exp - 1))
-            raw.append(shift(gen))
-            for g2, e2 in mono[idx + 1:]:
-                raw.extend([g2] * e2)
-            new, sign = normalize_monomial(raw)
-            if sign:
-                c = coeff * exp * sign
-                if left_parity & 1:
+            odd = (gen[2] + gen[3]) & 1
+            # gen^(exp-1) stays in place (gen is even whenever exp > 1) and
+            # D(gen) starts just after it.
+            if exp > 1:
+                rest, lo = mono[:idx] + ((gen, exp - 1),) + mono[idx + 1:], idx + 1
+            else:
+                rest, lo = mono[:idx] + mono[idx + 1:], idx
+            new, crossed = insert_generator(rest, shift(gen), lo)
+            if new is not None:
+                c = coeff * exp
+                # D(gen) has parity 1 - |gen|.
+                if (odd_prefix + (1 - odd) * crossed) & 1:
                     c = -c
                 tot = acc.get(new, _ZERO) + c
                 if tot:
                     acc[new] = tot
                 elif new in acc:
                     del acc[new]
-            left_parity += parity(gen) * exp
+            odd_prefix += odd
     return SuperPolynomial(acc)
 
 
@@ -76,29 +82,30 @@ def superderive_n(u: SuperPolynomial, n: int) -> SuperPolynomial:
 def variational_derivative(u: SuperPolynomial, base: Generator) -> SuperPolynomial:
     """Variational (Euler-type) derivative with respect to a base generator.
 
-    Sum over derivative counts m of c_m D^m applied to the partial derivative
-    by the m-th element of the base's tower, truncated at the largest order
-    occurring in u.  The sign sequence is forced by requiring the operator to
-    annihilate the image of D: the graded commutator identity
+    Sum over derivative counts m of c_m D^m P_m, where P_m is the partial
+    derivative by the m-th element of the base's tower, truncated at the
+    largest order occurring in u.  The sign sequence is forced by requiring
+    the operator to annihilate the image of D: the graded commutator identity
     [d/dg_m, D] = d/dg_{m-1} gives c_{m+1} = (-1)^{|g_m|+1} c_m, which is
     (-1)^{m(m-1)/2} on odd-based towers (the field case) and the twisted
     (-1)^{m(m+1)/2} on even-based covector towers.
+
+    The sum is evaluated in Horner form, c_0 P_0 + D(c_1 P_1 + D(...)), from
+    the partials of one ``tower_partials`` pass: D is linear, so this is the
+    same polynomial with ``top`` applications of D instead of
+    top (top + 1) / 2.
     """
-    kind, family, derivs, base_parity = base
+    _, _, derivs, base_parity = base
     if derivs != 0:
         raise ValueError("variational derivative expects a derivs-0 base generator")
-    top = u.max_derivs(base)
+    parts = tower_partials(u, base)
     total = SuperPolynomial.zero()
-    for m in range(top + 1):
-        g = (kind, family, m, base_parity)
-        part = partial_derive(u, g)
-        if not part:
-            continue
-        term = superderive_n(part, m)
-        exponent = m * (m - 1) // 2 + (m if base_parity == 0 else 0)
-        if exponent & 1:
-            term = -term
-        total = total + term
+    for m in range(max(parts, default=-1), -1, -1):
+        total = superderive(total)
+        part = parts.get(m)
+        if part:
+            exponent = m * (m - 1) // 2 + (m if base_parity == 0 else 0)
+            total = total - part if exponent & 1 else total + part
     return total
 
 
@@ -207,22 +214,13 @@ def evolutionary_apply(f: EvolutionaryField, u: SuperPolynomial) -> SuperPolynom
     (-1)^{parity * n} D^n(component_j); only the finitely many orders
     occurring in u contribute.
     """
-    cache: Dict[Tuple[int, int], SuperPolynomial] = {}
     acc = SuperPolynomial.zero()
-    s = f.parity
-    for gen in {g for g in u.generators() if g[0] == FIELD_KIND}:
-        fam, n = gen[1], gen[2]
-        part = partial_derive(u, gen)
-        if not part:
-            continue
-        key = (fam, n)
-        if key not in cache:
-            comp = f.component(fam)
-            coeff = superderive_n(comp, n)
-            if s and (n & 1):
+    for fam in sorted({g[1] for g in u.generators() if g[0] == FIELD_KIND}):
+        for n, part in tower_partials(u, field(fam, 1)).items():
+            coeff = superderive_n(f.component(fam), n)
+            if f.parity and (n & 1):
                 coeff = -coeff
-            cache[key] = coeff
-        acc = acc + cache[key] * part
+            acc = acc + coeff * part
     return acc
 
 

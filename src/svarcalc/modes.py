@@ -17,10 +17,9 @@ interior coefficient exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from .algebra import SuperPolynomial, field
+from .algebra import Coeff, SuperPolynomial, _exact, field
 from .operators import MatrixDiffOperator, ScalarDiffOperator, check_skew_symmetry
 
 # Symbols carried by distribution coefficients.
@@ -32,21 +31,9 @@ ZExp = Tuple[int, int, int]
 Thetas = Tuple[int, ...]
 MonoKey = Tuple[ZExp, Thetas, Symbol]
 ModeKey = Tuple[int, int]  # (family, doubled mode index)
-Coeff = Union[int, Fraction]
 Combo = Dict[Symbol, Coeff]
 
 _ZERO = 0
-
-
-def _exact(value) -> Coeff:
-    """``value`` as an exact rational: an ``int`` when integral, else a ``Fraction``.
-
-    Integral coefficients stay ``int`` so that the common case runs on machine
-    integers; mixed arithmetic promotes to ``Fraction`` once a denominator
-    appears, and ``int`` and ``Fraction`` compare, hash and print alike.
-    """
-    f = Fraction(value)
-    return f.numerator if f.denominator == 1 else f
 
 
 def phi_symbol(family: int, doubled: int) -> Symbol:

@@ -23,7 +23,6 @@ characterizes Hamiltonian pairs.  One configuration-scan engine
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import islice, product
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -32,9 +31,11 @@ from .algebra import (
     FIELD_KIND,
     Generator,
     SuperPolynomial,
+    _exact,
     covector,
     field,
-    partial_derive,
+    times_generator,
+    tower_partials,
 )
 from .calculus import (
     non_membership_certificate,
@@ -104,7 +105,7 @@ class ScalarDiffOperator:
         return ScalarDiffOperator({p: -c for p, c in self._entries.items()})
 
     def scaled(self, factor) -> "ScalarDiffOperator":
-        f = Fraction(factor)
+        f = _exact(factor)
         if not f:
             return ScalarDiffOperator()
         return ScalarDiffOperator({p: c * f for p, c in self._entries.items()})
@@ -325,11 +326,7 @@ def frechet(op: MatrixDiffOperator, cov_base: Generator,
         for col in range(op.dim):
             entries: Dict[int, SuperPolynomial] = {}
             for power, coeff in shifted.items():
-                top = coeff.max_derivs(field(col, 1))
-                for m in range(top + 1):
-                    part = partial_derive(coeff, field(col, m + 1))
-                    if not part:
-                        continue
+                for m, part in tower_partials(coeff, field(col, 1)).items():
                     if sign_flip and (m & 1):
                         part = -part
                     tot = entries.get(m, SuperPolynomial.zero()) + part
@@ -465,7 +462,7 @@ class ConfigurationScan:
                 w = self._derivative(j, operand, col, m)
                 if w:
                     acc = acc + coeff * w
-        return acc * SuperPolynomial.generator(closing)
+        return times_generator(acc, closing)
 
     def is_structurally_zero(self, families: Tuple[int, int, int],
                              parities: Tuple[int, int, int]) -> bool:

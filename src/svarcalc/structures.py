@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .algebra import SuperPolynomial, field
+from .algebra import SuperPolynomial, _exact, field
 from .modes import LinearOperatorData
 from .operators import MatrixDiffOperator, ScalarDiffOperator
 
@@ -307,7 +307,7 @@ def _linear_coeff(table: Table, row: int, col: int, order: int, dim: int) -> Sup
     for gamma in range(dim):
         c = table[row][col][gamma]
         if c:
-            terms[((field(gamma, order), 1),)] = c
+            terms[((field(gamma, order), 1),)] = _exact(c)
     return SuperPolynomial(terms)
 
 

@@ -14,6 +14,7 @@ from svarcalc import (
     field,
     make_truncated_example,
     np_to_nx,
+    parity,
 )
 from svarcalc.structures import derived_dot_table
 
@@ -38,6 +39,41 @@ def random_poly(rng: random.Random, pool, max_terms: int = 4,
         coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         terms.append((gens, coeff))
     return SuperPolynomial.from_terms(terms)
+
+
+# Fields of two families plus one covector slot and family in both base
+# parities, whose towers interleave: D(xi1_0) of base parity 0 sorts after
+# the odd xi1_0 of base parity 1.  Few generators make repeated even factors
+# and shifts onto present generators common.
+KERNEL_POOL = (field_pool(1, 4) + field_pool(2, 2)[2:]
+               + [covector(1, 0, k, bp) for k in range(3) for bp in (0, 1)]
+               + [covector(3, 0, 0, 1)])
+KERNEL_COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2), Fraction(5, 3))
+
+
+def kernel_poly(rng: random.Random) -> SuperPolynomial:
+    """Seeded polynomial for the kernel oracles: up to four terms of up to
+    six factors, with integral and fractional coefficients."""
+    return SuperPolynomial.from_terms(
+        ([rng.choice(KERNEL_POOL) for _ in range(rng.randint(0, 6))], rng.choice(KERNEL_COEFFS))
+        for _ in range(rng.randint(1, 4)))
+
+
+def partial_by_scan(u: SuperPolynomial, gen) -> SuperPolynomial:
+    """Oracle for one partial derivative: scan each monomial for gen and
+    remove one power with the sign of the odd factors to its left."""
+    acc = {}
+    for mono, coeff in u.terms().items():
+        left_odd = 0
+        for idx, (g, exp) in enumerate(mono):
+            if g == gen:
+                c = -coeff * exp if parity(gen) and left_odd & 1 else coeff * exp
+                rest = ((g, exp - 1),) if exp > 1 else ()
+                new = mono[:idx] + rest + mono[idx + 1:]
+                acc[new] = acc.get(new, 0) + c
+                break
+            left_odd += parity(g)
+    return SuperPolynomial({m: c for m, c in acc.items() if c})
 
 
 def random_homogeneous(rng: random.Random, pool, parity: int,

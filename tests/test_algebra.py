@@ -15,7 +15,8 @@ from svarcalc import (
     parity,
     partial_derive,
 )
-from helpers import field_pool, mixed_pool, random_poly
+from svarcalc.algebra import times_generator, tower_partials
+from helpers import KERNEL_POOL, field_pool, kernel_poly, mixed_pool, partial_by_scan, random_poly
 
 ONE = SuperPolynomial.one()
 
@@ -112,6 +113,63 @@ class TestPartialDerive:
     def test_even_exponent_rule(self):
         u = gen_poly(field(0, 2)) * gen_poly(field(0, 2))
         assert partial_derive(u, field(0, 2)) == 2 * gen_poly(field(0, 2))
+
+
+class TestAlgebraKernelOracle:
+    """One-pass tower partials and one-generator insertion against a partial
+    scan per generator and the general product."""
+
+    def test_tower_partials_match_one_scan_per_order(self, seed):
+        rng = random.Random(seed)
+        towers = 0
+        for _ in range(400):
+            u = kernel_poly(rng)
+            for base in sorted(u.bases()):
+                kind, family, _, base_parity = base
+                expected = {}
+                for m in range(u.max_derivs(base) + 1):
+                    part = partial_by_scan(u, (kind, family, m, base_parity))
+                    if part:
+                        expected[m] = part
+                got = tower_partials(u, base)
+                assert list(got) == sorted(expected)
+                for m, part in expected.items():
+                    assert got[m].terms() == part.terms() and str(got[m]) == str(part)
+                    assert partial_derive(u, (kind, family, m, base_parity)) == part
+                towers += 1
+        assert towers > 800
+
+    def test_times_generator_matches_product(self, seed):
+        rng = random.Random(seed + 1)
+        for _ in range(200):
+            u = kernel_poly(rng)
+            for gen in KERNEL_POOL:
+                product = u * SuperPolynomial.generator(gen)
+                got = times_generator(u, gen)
+                assert got.terms() == product.terms() and str(got) == str(product)
+
+
+class TestExactCoefficients:
+    def test_integral_inputs_give_int(self):
+        u = SuperPolynomial.from_terms([([field(0, 2)], Fraction(4, 2)),
+                                        ([field(1, 1), field(0, 1)], 3)])
+        assert all(type(c) is int for c in u.terms().values())
+        assert type(SuperPolynomial.scalar(Fraction(6, 3)).constant_term()) is int
+        assert all(type(c) is int for c in (Fraction(2) * u).terms().values())
+        assert type(SuperPolynomial.generator(field(0, 1)).terms()[((field(0, 1), 1),)]) is int
+
+    def test_fractional_inputs_stay_exact(self):
+        u = SuperPolynomial.from_terms([([field(0, 2)], Fraction(1, 2))])
+        (coeff,) = u.terms().values()
+        assert coeff == Fraction(1, 2) and isinstance(coeff, Fraction)
+        assert (3 * u).terms() == {((field(0, 2), 1),): Fraction(3, 2)}
+        assert str(Fraction(1, 3) * u) == "1/6*phi0(2)"
+        assert (u + u) == gen_poly(field(0, 2))
+
+    def test_int_and_fraction_render_and_compare_alike(self):
+        as_int = SuperPolynomial({((field(0, 2), 1),): 2})
+        as_fraction = SuperPolynomial({((field(0, 2), 1),): Fraction(2)})
+        assert as_int == as_fraction and str(as_int) == str(as_fraction) == "2*phi0(2)"
 
 
 # -- hypothesis strategies ----------------------------------------------------

@@ -16,6 +16,9 @@ from svarcalc import (
     evolutionary_bracket,
     field,
     is_total_derivative,
+    normalize_monomial,
+    parity,
+    shift,
     superderive,
     superderive_n,
     variational_derivative,
@@ -23,7 +26,9 @@ from svarcalc import (
 )
 from helpers import (
     field_pool,
+    kernel_poly,
     mixed_pool,
+    partial_by_scan,
     random_evolutionary,
     random_homogeneous,
     random_poly,
@@ -67,6 +72,104 @@ class TestSuperderive:
                 continue
             sign = -1 if u.homogeneous_parity() else 1
             assert superderive(u * v) == superderive(u) * v + sign * (u * superderive(v))
+
+
+# -- test-only oracles: D by re-sorting raw generator lists, and per-order sums --
+
+def superderive_by_normalization(u):
+    """D through a raw generator list per factor, re-sorted by normalize_monomial."""
+    acc = {}
+    for mono, coeff in u.terms().items():
+        left_parity = 0
+        for idx, (gen, exp) in enumerate(mono):
+            raw = [g for g, e in mono[:idx] for _ in range(e)]
+            raw += [gen] * (exp - 1) + [shift(gen)]
+            raw += [g for g, e in mono[idx + 1:] for _ in range(e)]
+            new, sign = normalize_monomial(raw)
+            if sign:
+                c = coeff * exp * sign
+                acc[new] = acc.get(new, 0) + (-c if left_parity & 1 else c)
+            left_parity += parity(gen) * exp
+    return SuperPolynomial({m: c for m, c in acc.items() if c})
+
+
+def variational_by_partials(u, base):
+    """The sum of c_m D^m P_m term by term: one partial scan and m
+    derivatives per order m, all through the oracles above."""
+    kind, family, _, base_parity = base
+    total = SuperPolynomial.zero()
+    for m in range(u.max_derivs(base) + 1):
+        term = partial_by_scan(u, (kind, family, m, base_parity))
+        for _ in range(m):
+            term = superderive_by_normalization(term)
+        exponent = m * (m - 1) // 2 + (m if base_parity == 0 else 0)
+        total = total - term if exponent & 1 else total + term
+    return total
+
+
+def same(p, q):
+    assert p.terms() == q.terms()
+    assert str(p) == str(q)
+
+
+class TestKernelOracle:
+    """The in-place superderive and the Horner variational derivative against
+    the normalization and per-order oracles on seeded polynomials."""
+
+    def polys(self, seed, count=400):
+        rng = random.Random(seed)
+        return [kernel_poly(rng) for _ in range(count)]
+
+    def test_superderive_matches_normalization(self, seed):
+        cases = dict.fromkeys(("power", "odd hit", "even hit", "other parity", "half"), 0)
+        for u in self.polys(seed):
+            same(superderive(u), superderive_by_normalization(u))
+            for mono, coeff in u.terms().items():
+                cases["half"] += not isinstance(coeff, int)
+                present = dict(mono)
+                for gen, exp in mono:
+                    target = shift(gen)
+                    cases["power"] += exp > 1
+                    if target in present:
+                        cases["odd hit" if parity(target) else "even hit"] += 1
+                    cases["other parity"] += any(
+                        gen < g < target and g[:3] == gen[:3] for g in present)
+        # every branch of the insertion occurred
+        assert all(cases.values()), cases
+
+    def test_variational_derivative_matches_per_order_sum(self, seed):
+        bases = 0
+        for u in self.polys(seed + 1):
+            for base in sorted(u.bases()):
+                same(variational_derivative(u, base), variational_by_partials(u, base))
+                bases += 1
+        assert bases > 800
+
+    def test_derivatives_of_derivatives(self, seed):
+        # D(u) has shifted factors next to unshifted ones, so the second
+        # application lands on present generators far more often.
+        for u in self.polys(seed + 2, count=150):
+            du = superderive_by_normalization(u)
+            same(superderive(du), superderive_by_normalization(du))
+            for base in sorted(du.bases()):
+                same(variational_derivative(du, base), variational_by_partials(du, base))
+
+    def test_fixed_cases(self):
+        g = SuperPolynomial.generator
+        even, odd = field(0, 2), field(0, 1)
+        # phi0(2)^3: the exponent drops and D(phi0(2)) = phi0(3) is appended.
+        cube = g(even) * g(even) * g(even)
+        same(superderive(cube), 3 * g(even) * g(even) * g(field(0, 3)))
+        # phi0(2)*phi0(3): D(phi0(2)) lands on the odd phi0(3) and vanishes.
+        same(superderive(g(even) * g(field(0, 3))), g(even) * g(field(0, 4)))
+        # phi0(1)*phi0(2): D(phi0(1)) raises the exponent of phi0(2).
+        same(superderive(g(odd) * g(even)), g(even) * g(even) - g(odd) * g(field(0, 3)))
+        # xi1_0 with base parity 0 passes the odd xi1_0 of base parity 1.
+        lo, hi = covector(1, 0, 0, 0), covector(1, 0, 0, 1)
+        same(superderive(g(lo) * g(hi)), -(g(hi) * g(covector(1, 0, 1, 0)))
+             + g(lo) * g(covector(1, 0, 1, 1)))
+        half = Fraction(1, 2) * g(odd) * g(even)
+        same(superderive(half), superderive_by_normalization(half))
 
 
 class TestVariationalDerivative:

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -169,6 +170,38 @@ class TestReports:
         main(["check-algebra", "--class", "nx_bialgebra", docs["bent2.alg.json"],
               "--report", str(rpt)])
         assert len(json.loads(rpt.read_text())["witnesses"]) == 1
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+# Report name -> (argv without --report, exit code).  The operator documents
+# are the `build --from nx_bialgebra` outputs of the suite's hand-checked
+# mutation and of the truncated n = 3 bialgebra with circ[1][0][1] raised by
+# one; the reports were written by the code before the integer coefficient
+# core, run from the repository root with these relative paths.
+GOLDEN_REPORTS = {
+    "check_hamiltonian_hand_checked_mutation": (
+        ["check-hamiltonian", "--witness-limit", "3",
+         "tests/fixtures/hand_checked_mutation.op.json"], 1),
+    "check_hamiltonian_truncated3_circ101": (
+        ["check-hamiltonian", "--witness-limit", "3",
+         "tests/fixtures/truncated3_circ101.op.json"], 1),
+    "schouten_d1_d5": (["schouten", "samples/d1.op.json", "samples/d5.op.json"], 0),
+    "schouten_d1_hand_checked_mutation": (
+        ["schouten", "--witness-limit", "3", "samples/d1.op.json",
+         "tests/fixtures/hand_checked_mutation.op.json"], 1),
+}
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+    def test_report_bytes(self, name, tmp_path, monkeypatch, capsys):
+        argv, code = GOLDEN_REPORTS[name]
+        monkeypatch.chdir(REPO)
+        out = tmp_path / "report.json"
+        assert main(argv[:1] + ["--report", str(out)] + argv[1:]) == code
+        golden = REPO / "tests" / "fixtures" / "reports" / f"{name}.json"
+        assert out.read_bytes() == golden.read_bytes()
 
 
 class TestCommands:

@@ -83,6 +83,8 @@ def _solve_exact(columns, target):
     """Solvability of A x = target over the rationals (Gaussian elimination).
 
     ``columns`` maps column labels to {row: coeff}; ``target`` is {row: coeff}.
+    Entries are coerced to ``Fraction``: polynomial coefficients are ``int``
+    when integral, and ``int / int`` would give a float.
     """
     rows = sorted(set(target) | {r for col in columns.values() for r in col})
     row_index = {r: i for i, r in enumerate(rows)}
@@ -90,11 +92,11 @@ def _solve_exact(columns, target):
     for col in columns.values():
         vec = [F(0)] * len(rows)
         for r, c in col.items():
-            vec[row_index[r]] = c
+            vec[row_index[r]] = F(c)
         matrix.append(vec)
     rhs = [F(0)] * len(rows)
     for r, c in target.items():
-        rhs[row_index[r]] = c
+        rhs[row_index[r]] = F(c)
     # transpose to row-major system over the row space
     n_rows, n_cols = len(rows), len(matrix)
     aug = [[matrix[j][i] for j in range(n_cols)] + [rhs[i]] for i in range(n_rows)]

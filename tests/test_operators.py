@@ -335,6 +335,43 @@ class TestConfigurationScan:
                                            ConfigurationScan.closedness(bad).failures()][:3]
 
 
+def coefficients(op):
+    return [c for scalar in op.blocks().values() for coeff in scalar.entries().values()
+            for c in coeff.terms().values()]
+
+
+class TestExactCoefficients:
+    def test_builder_operators_hold_int(self):
+        for op in (quintic_example(3),
+                   build_type1_operator(hand_checked_mutation()),
+                   build_type0_operator(make_exterior_example({(1, 2): 2, (3, 4): -1}))):
+            assert coefficients(op) and all(type(c) is int for c in coefficients(op))
+
+    def test_scan_defects_hold_int(self):
+        op = build_type1_operator(hand_checked_mutation())
+        scan = ConfigurationScan.closedness(op)
+        forms = [scan.three_form(f, p) for f, p in configurations(op.dim)]
+        assert any(forms)
+        assert all(type(c) is int for form in forms for c in form.terms().values())
+        (_, _, _, gradient), = scan.failures(limit=1)
+        assert all(type(c) is int for c in gradient.terms().values())
+
+    def test_halved_operator_stays_exact(self):
+        op = build_type1_operator(hand_checked_mutation())
+        half = op.scaled(Fraction(1, 2))
+        assert Fraction(1, 2) in coefficients(half)
+        assert coefficients(op.scaled(Fraction(4, 2))) == [2 * c for c in coefficients(op)]
+        assert all(type(c) is int for c in coefficients(op.scaled(Fraction(4, 2))))
+        # B is bilinear, so halving the operator quarters every defect.
+        scan, half_scan = ConfigurationScan.closedness(op), ConfigurationScan.closedness(half)
+        fractional = False
+        for f, p in configurations(op.dim):
+            form = half_scan.three_form(f, p)
+            assert form == Fraction(1, 4) * scan.three_form(f, p)
+            fractional |= any(isinstance(c, Fraction) for c in form.terms().values())
+        assert fractional
+
+
 class TestHamiltonianPair:
     def test_first_and_fifth_powers_pair(self):
         assert is_hamiltonian_pair(constant_type1(1), constant_type1(5)) == (True, None)
