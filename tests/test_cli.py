@@ -177,8 +177,10 @@ REPO = Path(__file__).resolve().parent.parent
 # Report name -> (argv without --report, exit code).  The operator documents
 # are the `build --from nx_bialgebra` outputs of the suite's hand-checked
 # mutation and of the truncated n = 3 bialgebra with circ[1][0][1] raised by
-# one; the reports were written by the code before the integer coefficient
-# core, run from the repository root with these relative paths.
+# one, and the sparse operator of ``TestConfigurationScan.mixed_pairs``, which
+# is not skew-symmetric; the reports were written by the code before the
+# integer coefficient core (the ``_all`` ones: before the orbit-reduced scan),
+# run from the repository root with these relative paths.
 GOLDEN_REPORTS = {
     "check_hamiltonian_hand_checked_mutation": (
         ["check-hamiltonian", "--witness-limit", "3",
@@ -186,10 +188,19 @@ GOLDEN_REPORTS = {
     "check_hamiltonian_truncated3_circ101": (
         ["check-hamiltonian", "--witness-limit", "3",
          "tests/fixtures/truncated3_circ101.op.json"], 1),
+    "check_hamiltonian_hand_checked_mutation_all": (
+        ["check-hamiltonian", "--witness-limit", "1000",
+         "tests/fixtures/hand_checked_mutation.op.json"], 1),
+    "check_hamiltonian_truncated3_circ101_all": (
+        ["check-hamiltonian", "--witness-limit", "1000",
+         "tests/fixtures/truncated3_circ101.op.json"], 1),
     "schouten_d1_d5": (["schouten", "samples/d1.op.json", "samples/d5.op.json"], 0),
     "schouten_d1_hand_checked_mutation": (
         ["schouten", "--witness-limit", "3", "samples/d1.op.json",
          "tests/fixtures/hand_checked_mutation.op.json"], 1),
+    "schouten_sparse_nonskew_self_all": (
+        ["schouten", "--witness-limit", "1000", "tests/fixtures/sparse_nonskew.op.json",
+         "tests/fixtures/sparse_nonskew.op.json"], 1),
 }
 
 
