@@ -295,19 +295,8 @@ class SuperPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, SuperPolynomial):
-            if not self._terms or not other._terms:
-                return SuperPolynomial({})
             acc: Dict[Monomial, Coeff] = {}
-            for m1, c1 in self._terms.items():
-                for m2, c2 in other._terms.items():
-                    mono, sign = _mul_monomials(m1, m2)
-                    if sign == 0:
-                        continue
-                    c = acc.get(mono, _ZERO) + (c1 * c2 if sign > 0 else -c1 * c2)
-                    if c:
-                        acc[mono] = c
-                    elif mono in acc:
-                        del acc[mono]
+            mul_into(acc, self, other)
             return SuperPolynomial(acc)
         if isinstance(other, (int, Fraction)):
             c0 = _exact(other)
@@ -361,6 +350,25 @@ class SuperPolynomial:
 
 ZERO = SuperPolynomial.zero()
 ONE = SuperPolynomial.one()
+
+
+def mul_into(acc: Dict[Monomial, Coeff], u: SuperPolynomial, v: SuperPolynomial) -> None:
+    """Add the product u * v into the term dict ``acc`` in place.
+
+    A sum of products accumulated this way builds one dict instead of a
+    polynomial per product and per partial sum; coefficients that cancel to
+    zero are removed as they arise, so ``acc`` stays canonical.
+    """
+    for m1, c1 in u._terms.items():
+        for m2, c2 in v._terms.items():
+            mono, sign = _mul_monomials(m1, m2)
+            if sign == 0:
+                continue
+            c = acc.get(mono, _ZERO) + (c1 * c2 if sign > 0 else -c1 * c2)
+            if c:
+                acc[mono] = c
+            elif mono in acc:
+                del acc[mono]
 
 
 def tower_partials(u: SuperPolynomial, gen: Generator) -> Dict[int, SuperPolynomial]:

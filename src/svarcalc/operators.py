@@ -19,11 +19,21 @@ Schouten super-bracket is [H1, H2] = B(H1, H2) + B(H2, H1), so its diagonal
 vanishing reproduces the Hamiltonian test and its mixed vanishing
 characterizes Hamiltonian pairs.  One configuration-scan engine
 (``ConfigurationScan``) runs every such scan.
+
+For super skew-symmetric operators the three-form is a functional trivector,
+graded skew-symmetric in its three covector slots modulo total derivatives,
+so the six configurations related by permuting the (family, parity) slots
+share one verdict.  The scan then decides one configuration per S3 orbit, the
+lexicographically least, and expands failing orbits into their members; the
+witnesses and certificates are those of the full lexicographic scan.  A
+Schouten scan involving an operator that is not skew-symmetric scans every
+configuration.
 """
 
 from __future__ import annotations
 
-from itertools import islice, product
+from heapq import heappop, heappush
+from itertools import combinations_with_replacement, islice, permutations, product
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -34,6 +44,7 @@ from .algebra import (
     _exact,
     covector,
     field,
+    mul_into,
     times_generator,
     tower_partials,
 )
@@ -344,6 +355,31 @@ def configurations(dim: int):
     return product(product(range(dim), repeat=3), product((0, 1), repeat=3))
 
 
+_SLOT_PERMUTATIONS = tuple(permutations(range(3)))
+
+
+def _orbit(families: Tuple[int, int, int], parities: Tuple[int, int, int]) -> List[Tuple]:
+    """The distinct configurations reached by permuting the three slots, in
+    lexicographic order; a slot carries its family and parity together."""
+    return sorted({(tuple(families[k] for k in perm), tuple(parities[k] for k in perm))
+                   for perm in _SLOT_PERMUTATIONS})
+
+
+def _orbit_representatives(dim: int) -> Iterator[Tuple]:
+    """The configurations that are lexicographically least in their S3 orbit,
+    in lexicographic order.
+
+    The least member has non-decreasing families, and among the permutations
+    that keep them so (those within runs of equal families) the least
+    parities are non-decreasing along each run.
+    """
+    for families in combinations_with_replacement(range(dim), 3):
+        for parities in product((0, 1), repeat=3):
+            if all(parities[k] <= parities[k + 1] for k in (0, 1)
+                   if families[k] == families[k + 1]):
+                yield families, parities
+
+
 def _config_signs(iota: int, parities: Tuple[int, int, int]) -> Tuple[int, int, int]:
     i1, i2, i3 = parities
     s1 = -1 if i1 & 1 else 1
@@ -387,6 +423,39 @@ class ConfigurationScan:
     configuration whose pairing terms all vanish structurally (no field
     family of the linearized entry meets a nonzero column of the applied
     operator) is skipped: its form is the zero polynomial.
+
+    Orbit reduction.  When every operator of the scan is super
+    skew-symmetric, the form is a functional trivector, graded skew-symmetric
+    in its three covector slots modulo Im D (Olver, *Applications of Lie
+    Groups to Differential Equations*, 7.1).  S3 acts on a configuration by
+    permuting its slots, each slot carrying its family and parity together.
+    The form of a permuted configuration is then +-1 times the form of the
+    original with its covector symbols renamed, modulo Im D, and renaming
+    generators does not change membership in Im D, so the members of an
+    orbit all get the same verdict.  The scan therefore decides only the
+    representatives, the lexicographically least members of their orbits, in
+    lexicographic order, and the result is the full scan's:
+
+    * If c is the lexicographically first failing configuration, the least
+      member of its orbit is <= c and fails too, so it is c itself: the first
+      failing representative is c.
+    * A structurally zero representative has form 0, which lies in Im D, so
+      its whole orbit passes and is skipped.  This holds whatever the zero
+      pattern of the other members.
+    * A failing orbit is expanded into its distinct members, which are merged
+      into the output in lexicographic order: a pending member m is emitted
+      once the next representative still to be scanned is greater than m,
+      because every member of a later orbit is at least its representative.
+      Each member's certificate is computed on its own form; a member of a
+      failing orbit without one breaks the symmetry and raises.
+
+    The gate: skew-symmetry is what makes the form a trivector.  Without it
+    the failing set need not be closed under S3 (the Schouten bracket of a
+    sparse non-skew operator with itself is an example), so a scan is reduced
+    only when every operator in it is skew, decided once per scan.  The
+    closedness scan has skew-symmetry as its precondition and is reduced
+    without a second check; any other scan checks its operators before its
+    first search and otherwise scans every configuration.
     """
 
     def __init__(self, pairs: Sequence[Tuple[MatrixDiffOperator, MatrixDiffOperator]]):
@@ -412,15 +481,21 @@ class ConfigurationScan:
         self._lin: Dict[Tuple[int, Generator], Dict[int, List[Tuple[int, Mapping]]]] = {}
         self._applied: Dict[Tuple[int, Generator], Dict[int, SuperPolynomial]] = {}
         self._towers: Dict[Tuple[int, Generator, int], List[SuperPolynomial]] = {}
+        # Whether the orbit reduction applies; None until decided.
+        self._symmetric: Optional[bool] = None
 
     @classmethod
     def closedness(cls, op: MatrixDiffOperator) -> "ConfigurationScan":
-        """Scan of the closedness defect B(op, op); assumes skew-symmetry."""
-        return cls(((op, op),))
+        """Scan of the closedness defect B(op, op); assumes skew-symmetry,
+        which also licenses the orbit reduction."""
+        scan = cls(((op, op),))
+        scan._symmetric = True
+        return scan
 
     @classmethod
     def schouten(cls, op1: MatrixDiffOperator, op2: MatrixDiffOperator) -> "ConfigurationScan":
-        """Scan of the Schouten bracket B(op1, op2) + B(op2, op1)."""
+        """Scan of the Schouten bracket B(op1, op2) + B(op2, op1); orbit-reduced
+        only when both operators are skew-symmetric."""
         return cls(((op1, op2), (op2, op1)))
 
     # -- memoised pieces -------------------------------------------------------
@@ -455,14 +530,14 @@ class ConfigurationScan:
     def _pairing(self, i: int, j: int, arg: Generator, operand: Generator,
                  closing: Generator) -> SuperPolynomial:
         """<closing, (Frechet_i arg)(op_j operand)> for basis covector symbols."""
-        acc = SuperPolynomial.zero()
+        acc: Dict = {}
         # The pairing with a basis covector at closing's family keeps that row only.
         for col, entries in self._linearization(i, arg).get(closing[1], ()):
             for m, coeff in entries.items():
                 w = self._derivative(j, operand, col, m)
                 if w:
-                    acc = acc + coeff * w
-        return times_generator(acc, closing)
+                    mul_into(acc, coeff, w)
+        return times_generator(SuperPolynomial(acc), closing)
 
     def is_structurally_zero(self, families: Tuple[int, int, int],
                              parities: Tuple[int, int, int]) -> bool:
@@ -491,32 +566,58 @@ class ConfigurationScan:
 
     # -- the scan ----------------------------------------------------------------
 
-    def _certified(self, configs) -> Iterator[Tuple]:
-        for families, parities in configs:
-            if self.is_structurally_zero(families, parities):
+    def _representatives(self) -> Iterator[Tuple]:
+        """The configurations to decide, in lexicographic order: the orbit
+        representatives when the reduction applies, else all of them."""
+        if self._symmetric is None:
+            self._symmetric = all(check_skew_symmetry(op)[0] for op in self.ops)
+        return _orbit_representatives(self.dim) if self._symmetric else configurations(self.dim)
+
+    def _certified(self, representatives) -> Iterator[Tuple]:
+        """Certified failures of the orbits of ``representatives`` (ascending),
+        merged in lexicographic order."""
+        pending: List[Tuple] = []  # heap of (member, certificate or None)
+        for rep in representatives:
+            while pending and pending[0][0] < rep:
+                yield self._member_failure(*heappop(pending))
+            if self.is_structurally_zero(*rep):
                 continue
-            certificate = non_membership_certificate(self.three_form(families, parities))
+            certificate = non_membership_certificate(self.three_form(*rep))
             if certificate is not None:
-                yield (families, parities) + certificate
+                members = _orbit(*rep) if self._symmetric else [rep]
+                for member in members:
+                    heappush(pending, (member, certificate if member == rep else None))
+        while pending:
+            yield self._member_failure(*heappop(pending))
+
+    def _member_failure(self, member: Tuple, certificate: Optional[Tuple]) -> Tuple:
+        if certificate is None:
+            certificate = non_membership_certificate(self.three_form(*member))
+            if certificate is None:
+                raise RuntimeError(f"configuration {member} passes although its S3 orbit "
+                                   "fails; the scanned form is not a trivector")
+        return member + certificate
 
     def failures(self, limit: Optional[int] = None, jobs: int = 1) -> Iterator[Tuple]:
         """Certified failures (families, parities, base, gradient), lexicographically
         first, at most ``limit`` (all when None).
 
         ``base`` and ``gradient`` certify that the form is not a total
-        derivative.  With jobs > 1 the configurations are split into
-        contiguous chunks scanned in worker processes, each with its own memo,
-        and the result is the lexicographic minimum of the union, so it does
-        not depend on scheduling.
+        derivative.  With jobs > 1 the representatives are dealt round-robin
+        to worker processes, each with its own memo (the nonzero
+        configurations cluster at small families, so contiguous chunks would
+        leave a worker idle); each worker returns the first ``limit`` failures
+        of its orbits, and the result is the lexicographic minimum of the
+        union, so it does not depend on scheduling.
         """
+        representatives = self._representatives()
         if jobs <= 1:
-            return islice(self._certified(configurations(self.dim)), limit)
+            return islice(self._certified(representatives), limit)
         from concurrent.futures import ProcessPoolExecutor
 
-        configs = list(configurations(self.dim))
-        size = -(-len(configs) // jobs)
-        tasks = [(self.pairs, configs[start:start + size], limit)
-                 for start in range(0, len(configs), size)]
+        representatives = list(representatives)
+        tasks = [(self.pairs, self._symmetric, representatives[start::jobs], limit)
+                 for start in range(min(jobs, len(representatives)))]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             merged = [f for chunk in pool.map(_scan_chunk, tasks) for f in chunk]
         merged.sort(key=lambda failure: failure[:2])
@@ -524,8 +625,10 @@ class ConfigurationScan:
 
 
 def _scan_chunk(task) -> List[Tuple]:
-    pairs, configs, limit = task
-    return list(islice(ConfigurationScan(pairs)._certified(configs), limit))
+    pairs, symmetric, representatives, limit = task
+    scan = ConfigurationScan(pairs)
+    scan._symmetric = symmetric
+    return list(islice(scan._certified(representatives), limit))
 
 
 def hamiltonian_defect(op: MatrixDiffOperator, families: Tuple[int, int, int],
@@ -549,7 +652,8 @@ def iter_closedness_failures(op: MatrixDiffOperator, limit: Optional[int] = None
     """Certified failures (families, parities, base, gradient) of the
     closedness defect, lexicographically first, at most ``limit``.
 
-    Assumes skew-symmetry has been checked; see ``ConfigurationScan.failures``.
+    Assumes skew-symmetry has been checked; the orbit reduction relies on
+    it.  See ``ConfigurationScan.failures``.
     """
     yield from ConfigurationScan.closedness(op).failures(limit, jobs)
 
@@ -609,9 +713,11 @@ def is_hamiltonian_pair(op1: MatrixDiffOperator, op2: MatrixDiffOperator):
         ok, witness = check_skew_symmetry(op)
         if not ok:
             raise SkewSymmetryError(f"{label} operator is not super skew-symmetric: {witness}")
+    mixed = ConfigurationScan.schouten(op1, op2)
+    mixed._symmetric = True  # both operators passed the skew check above
     for label, failures in (("[H1,H1]", iter_closedness_failures(op1, limit=1)),
                             ("[H2,H2]", iter_closedness_failures(op2, limit=1)),
-                            ("[H1,H2]", iter_schouten_failures(op1, op2, limit=1))):
+                            ("[H1,H2]", mixed.failures(limit=1))):
         for families, parities, _, _ in failures:
             return False, (label, families, parities)
     return True, None

@@ -10,12 +10,14 @@ from svarcalc import (
     EvolutionaryField,
     LinearOperatorData,
     SuperPolynomial,
+    configurations,
     covector,
     field,
     make_truncated_example,
     np_to_nx,
     parity,
 )
+from svarcalc.calculus import non_membership_certificate
 from svarcalc.structures import derived_dot_table
 
 
@@ -102,6 +104,16 @@ def linear_data(spec: AlgebraSpec) -> LinearOperatorData:
                               (spec.times,), spec.form)
 
 
+def bumped(spec, table, site, delta):
+    """Copy of ``spec`` with the constant at ``site`` of one table shifted by ``delta``."""
+    tab = [[list(cell) for cell in row] for row in getattr(spec, table)]
+    i, j, k = site
+    tab[i][j][k] += delta
+    parts = {name: getattr(spec, name) for name in ("circ", "times", "dot", "form", "grading")}
+    parts[table] = tab
+    return AlgebraSpec(dim=spec.dim, **parts)
+
+
 def truncated_mutations(rng: random.Random):
     """Every single-entry circ/times mutation of the truncated bialgebras
     d = 1, 2, each by a seeded delta from +-1, +-2."""
@@ -115,3 +127,19 @@ def truncated_mutations(rng: random.Random):
                         table[i][j][k] += rng.choice((1, -1, 2, -2))
                         parts = {"circ": base.circ, "times": base.times, name: table}
                         yield AlgebraSpec(dim=d, form=base.form, **parts)
+
+
+def full_scan_failures(scan, limit=None):
+    """Oracle for ``ConfigurationScan.failures``: every configuration in
+    lexicographic order, each one not structurally zero decided on its own
+    form, as (families, parities, base, gradient)."""
+    out = []
+    for families, parities in configurations(scan.dim):
+        if len(out) == limit:
+            break
+        if scan.is_structurally_zero(families, parities):
+            continue
+        certificate = non_membership_certificate(scan.three_form(families, parities))
+        if certificate is not None:
+            out.append((families, parities) + certificate)
+    return out

@@ -37,7 +37,7 @@ from svarcalc import (
     schouten_vanishes,
     superderive,
 )
-from helpers import field_pool, random_poly
+from helpers import bumped, field_pool, full_scan_failures, random_poly, truncated_mutations
 
 
 def gp(g):
@@ -333,6 +333,88 @@ class TestConfigurationScan:
         assert len(serial) == 3 and parallel == serial
         assert [f[:2] for f in serial] == [f[:2] for f in
                                            ConfigurationScan.closedness(bad).failures()][:3]
+
+
+def _as_lists(failures):
+    return [(families, parities, base, str(gradient))
+            for families, parities, base, gradient in failures]
+
+
+def _slot_orbit(config):
+    families, parities = config
+    return {(tuple(families[k] for k in perm), tuple(parities[k] for k in perm))
+            for perm in permutations(range(3))}
+
+
+class TestScanOracle:
+    """The orbit-reduced scan against the full scan of every configuration."""
+
+    def skew_mutations(self, seed):
+        """Skew operators of single-constant mutations: every circ/times one of
+        the truncated n = 1, 2 bialgebras, and a seeded sample of those of the
+        truncated n = 3 bialgebra and of the c34 exterior spec."""
+        rng = random.Random(seed)
+        ops = [build_type1_operator(spec) for spec in truncated_mutations(rng)]
+        truncated3 = np_to_nx(make_truncated_example(3), 0)
+        sites3 = [(name, site) for name in ("circ", "times")
+                  for site in product(range(3), repeat=3)]
+        for name, site in rng.sample(sites3, 4):
+            ops.append(build_type1_operator(
+                bumped(truncated3, name, site, rng.choice((1, -1, 2, -2)))))
+        exterior = make_exterior_example({(3, 4): 1})
+        for site in rng.sample(list(product(range(exterior.dim), repeat=3)), 4):
+            ops.append(build_type0_operator(
+                bumped(exterior, "circ", site, rng.choice((1, -1, 2)))))
+        return [op for op in ops if check_skew_symmetry(op)[0]]
+
+    def assert_matches_oracle(self, make_scan):
+        full = _as_lists(full_scan_failures(make_scan()))
+        for limit in (1, 3, None):
+            expected = full[:limit]
+            assert _as_lists(make_scan().failures(limit)) == expected
+            assert _as_lists(make_scan().failures(limit, jobs=2)) == expected
+        return full
+
+    def test_closedness_scan_matches_full_scan(self, seed):
+        failing = 0
+        for op in self.skew_mutations(seed):
+            full = self.assert_matches_oracle(lambda: ConfigurationScan.closedness(op))
+            failing += bool(full)
+            # the symmetry itself: every failing set is closed under S3
+            configs = {f[:2] for f in full}
+            assert all(_slot_orbit(config) <= configs for config in configs)
+        assert failing >= 10
+
+    def test_schouten_scan_matches_full_scan(self, seed):
+        # mixed_pairs involve a non-skew operator (full scan); the truncated
+        # n = 2 operator against skew mutations of it takes the reduced one
+        base = quintic_example(2)
+        mutants = [op for op in map(build_type1_operator, truncated_mutations(random.Random(seed)))
+                   if op.dim == 2 and check_skew_symmetry(op)[0]][:3]
+        failing = 0
+        for a, b in TestConfigurationScan().mixed_pairs() + tuple((base, op) for op in mutants):
+            failing += bool(self.assert_matches_oracle(lambda: ConfigurationScan.schouten(a, b)))
+        assert failing >= 4
+
+    def test_non_skew_schouten_scan_is_not_reduced(self):
+        _, sparse = TestConfigurationScan().mixed_pairs()[0]
+        assert not check_skew_symmetry(sparse)[0]
+        failures = [f[:2] for f in iter_schouten_failures(sparse, sparse)]
+        # the failing set is not closed under S3, so reducing it would drop
+        # failures; the gated scan keeps all of them
+        assert len(failures) == 15
+        assert not all(_slot_orbit(config) <= set(failures) for config in failures)
+        scan = ConfigurationScan.schouten(sparse, sparse)
+        assert [f[:2] for f in full_scan_failures(scan)] == failures
+
+    def test_passing_member_of_a_failing_orbit_raises(self):
+        # Forcing the reduction past the gate breaks the invariant; the scan
+        # must raise on it rather than report a pass or drop the member.
+        _, sparse = TestConfigurationScan().mixed_pairs()[0]
+        scan = ConfigurationScan.schouten(sparse, sparse)
+        scan._symmetric = True
+        with pytest.raises(RuntimeError, match="orbit fails"):
+            list(scan.failures())
 
 
 def coefficients(op):

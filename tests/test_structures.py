@@ -26,6 +26,7 @@ from svarcalc.structures import (
     iter_axiom_failures,
     multiply,
 )
+from helpers import bumped
 
 F = Fraction
 
@@ -414,15 +415,6 @@ def oracle_failures(spec, cls):
 def random_table(rng, dim, density):
     return [[[rng.choice((-2, -1, 1, 2, F(1, 2))) if rng.random() < density else 0
               for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
-
-
-def bumped(spec, table, site, delta):
-    tab = [[list(cell) for cell in row] for row in getattr(spec, table)]
-    i, j, k = site
-    tab[i][j][k] += delta
-    parts = {name: getattr(spec, name) for name in ("circ", "times", "dot", "form", "grading")}
-    parts[table] = tab
-    return AlgebraSpec(dim=spec.dim, **parts)
 
 
 class TestIdentityTableOracle:
