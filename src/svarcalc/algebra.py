@@ -89,11 +89,6 @@ def base_of(gen: Generator) -> Generator:
     return (gen[0], gen[1], 0, gen[3])
 
 
-def gen_order(gen: Generator) -> int:
-    """Display order: n for fields phi(n), derivative count for covectors."""
-    return gen[2] + 1 if gen[0] == FIELD_KIND else gen[2]
-
-
 def gen_name(gen: Generator) -> str:
     kind, family, derivs, base_parity = gen
     if kind == FIELD_KIND:
@@ -115,22 +110,18 @@ def normalize_monomial(gens: Sequence[Generator]) -> Tuple[Optional[Monomial], i
 
     Returns ``(monomial, sign)`` where sign is -1 to the number of odd-odd
     transpositions performed, or ``(None, 0)`` when an odd generator repeats
-    (its square vanishes).
+    (its square vanishes).  The product is built from the right, one
+    ``insert_generator`` per factor: an odd factor that passes an odd number
+    of odd generators on the way to its place flips the sign.
     """
-    odd_positions = [g for g in gens if parity(g)]
+    mono: Monomial = ()
     sign = 1
-    # Parity of the permutation sorting the odd subsequence; even generators
-    # commute freely and contribute nothing.
-    for i in range(len(odd_positions)):
-        for j in range(i + 1, len(odd_positions)):
-            if odd_positions[i] == odd_positions[j]:
-                return None, 0
-            if odd_positions[i] > odd_positions[j]:
-                sign = -sign
-    counts: Dict[Generator, int] = {}
-    for g in gens:
-        counts[g] = counts.get(g, 0) + 1
-    mono = tuple(sorted(counts.items()))
+    for gen in reversed(gens):
+        mono, crossed = insert_generator(mono, gen)
+        if mono is None:
+            return None, 0
+        if crossed & parity(gen):
+            sign = -sign
     return mono, sign
 
 
@@ -314,10 +305,6 @@ class SuperPolynomial:
         if not isinstance(other, SuperPolynomial):
             return NotImplemented
         return self._terms == other._terms
-
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     __hash__ = None  # mutable dict inside; equality is structural
 

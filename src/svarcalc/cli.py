@@ -3,9 +3,10 @@
 Every checker command reads a JSON input document, runs the check, prints a
 human summary (with wall-clock timing) and exits 0 on pass, 1 on fail, 2 on
 error.  ``--report PATH`` additionally writes a machine-readable report whose
-bytes depend only on the inputs; ``--jobs K`` fans independent configurations
-across worker processes with deterministic witness selection; and
-``--witness-limit K`` caps how many witnesses are collected.
+bytes depend only on the inputs, and ``--witness-limit K`` caps how many
+witnesses are collected.  Every check runs in this process; ``--jobs K`` is
+accepted for compatibility and echoed in the ``check-hamiltonian`` and
+``verify-paper-examples`` report configuration.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .modes import induce_bracket, render_table
 from .operators import (
     MatrixDiffOperator,
     SkewSymmetryError,
+    check_skew_symmetry,
     evolution_rhs,
     is_hamiltonian_pair,
     iter_closedness_failures,
@@ -74,13 +76,13 @@ def _cmd_check_hamiltonian(args) -> Report:
     _require_kind(doc, "operator", args.file)
     op = doc.payload
     config = {"input": input_echo(args.file), "jobs": args.jobs}
-    skew = list(islice(iter_skew_failures(op), args.witness_limit))
-    if skew:
+    if not check_skew_symmetry(op)[0]:
+        skew = islice(iter_skew_failures(op), args.witness_limit)
         return Report(check="check-hamiltonian", verdict=FAIL,
                       witnesses=[("skew",) + w for w in skew], configuration=config)
     failures = [("closedness", families, parities, gen_name(base), str(gradient))
                 for families, parities, base, gradient
-                in iter_closedness_failures(op, args.witness_limit, args.jobs)]
+                in iter_closedness_failures(op, args.witness_limit)]
     return Report(
         check="check-hamiltonian",
         verdict=PASS if not failures else FAIL,
@@ -100,7 +102,7 @@ def _load_operator_pair(args) -> Tuple[MatrixDiffOperator, MatrixDiffOperator]:
 def _cmd_schouten(args) -> Report:
     op_a, op_b = _load_operator_pair(args)
     witnesses = [failure[:2] for failure
-                 in iter_schouten_failures(op_a, op_b, args.witness_limit, args.jobs)]
+                 in iter_schouten_failures(op_a, op_b, args.witness_limit)]
     return Report(
         check="schouten",
         verdict=PASS if not witnesses else FAIL,
@@ -174,7 +176,7 @@ def _cmd_evolution(args) -> Report:
 
 
 def _cmd_verify_examples(args) -> Report:
-    results = verify_paper_examples(jobs=args.jobs)
+    results = verify_paper_examples()
     failing = [(name, witness) for name, verdict, witness in results if verdict != PASS]
     return Report(
         check="verify-paper-examples",
@@ -208,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--report", metavar="PATH",
                        help="write a machine-readable JSON report here")
         p.add_argument("--jobs", type=_positive_int, default=1, metavar="K",
-                       help="worker processes for independent configurations")
+                       help="accepted for compatibility; every check runs in this process")
         p.add_argument("--witness-limit", dest="witness_limit", type=_positive_int, default=1,
                        metavar="K", help="collect at most K witnesses")
 

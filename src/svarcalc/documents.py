@@ -71,8 +71,9 @@ def _rational(value, location: str) -> Fraction:
     return frac
 
 
-def _rational_str(value: Fraction) -> str:
-    return str(value)
+def _is_int(value) -> bool:
+    """A JSON integer; ``true`` and ``false`` are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _table_in(data, dim: int, location: str):
@@ -110,9 +111,9 @@ def _generator_in(data, dim: int, location: str) -> Generator:
     if kind == "field":
         family = data.get("family")
         order = data.get("order")
-        _expect(isinstance(family, int) and 0 <= family < dim, f"{location}.family",
+        _expect(_is_int(family) and 0 <= family < dim, f"{location}.family",
                 f"family index must be an integer in [0, {dim})")
-        _expect(isinstance(order, int) and order >= 1, f"{location}.order",
+        _expect(_is_int(order) and order >= 1, f"{location}.order",
                 "field order must be an integer >= 1")
         return field(family, order)
     if kind == "covector":
@@ -120,12 +121,13 @@ def _generator_in(data, dim: int, location: str) -> Generator:
         family = data.get("family")
         derivs = data.get("derivs", 0)
         base_parity = data.get("base_parity")
-        _expect(slot in (1, 2, 3), f"{location}.slot", "covector slot must be 1, 2 or 3")
-        _expect(isinstance(family, int) and 0 <= family < dim, f"{location}.family",
+        _expect(_is_int(slot) and slot in (1, 2, 3), f"{location}.slot",
+                "covector slot must be 1, 2 or 3")
+        _expect(_is_int(family) and 0 <= family < dim, f"{location}.family",
                 f"family index must be an integer in [0, {dim})")
-        _expect(isinstance(derivs, int) and derivs >= 0, f"{location}.derivs",
+        _expect(_is_int(derivs) and derivs >= 0, f"{location}.derivs",
                 "derivative count must be an integer >= 0")
-        _expect(base_parity in (0, 1), f"{location}.base_parity",
+        _expect(_is_int(base_parity) and base_parity in (0, 1), f"{location}.base_parity",
                 "base parity must be 0 or 1")
         return covector(slot, family, derivs, base_parity)
     raise DocumentError(f"{location}.kind", f"unknown generator kind {kind!r}")
@@ -158,7 +160,7 @@ def _polynomial_in(data, dim: int, location: str) -> SuperPolynomial:
                     "expected a [generator, exponent] pair")
             gen = _generator_in(factor[0], dim, f"{floc}[0]")
             exp = factor[1]
-            _expect(isinstance(exp, int) and exp >= 1, f"{floc}[1]",
+            _expect(_is_int(exp) and exp >= 1, f"{floc}[1]",
                     "exponent must be an integer >= 1")
             gens.extend([gen] * exp)
         terms.append((gens, coeff))
@@ -170,11 +172,11 @@ def _polynomial_out(poly: SuperPolynomial):
         return []
     terms = poly.terms()
     if len(terms) == 1 and () in terms:
-        return _rational_str(terms[()])
+        return str(terms[()])
     out = []
     for mono, coeff in sorted(terms.items()):
         out.append({
-            "coeff": _rational_str(coeff),
+            "coeff": str(coeff),
             "monomial": [[_generator_out(gen), exp] for gen, exp in mono],
         })
     return out
@@ -184,7 +186,7 @@ def _polynomial_out(poly: SuperPolynomial):
 
 def _algebra_in(data) -> AlgebraSpec:
     dim = data.get("dimension")
-    _expect(isinstance(dim, int) and dim >= 1, "dimension", "must be an integer >= 1")
+    _expect(_is_int(dim) and dim >= 1, "dimension", "must be an integer >= 1")
     products = data.get("products", {})
     _expect(isinstance(products, dict), "products", "expected an object")
     tables = {}
@@ -197,7 +199,8 @@ def _algebra_in(data) -> AlgebraSpec:
     grading = None
     if "grading" in data:
         g = data["grading"]
-        _expect(isinstance(g, list) and len(g) == dim and all(x in (0, 1) for x in g),
+        _expect(isinstance(g, list) and len(g) == dim
+                and all(_is_int(x) and x in (0, 1) for x in g),
                 "grading", f"expected a list of {dim} parities (0 or 1)")
         grading = tuple(g)
     return AlgebraSpec(dim=dim, form=form, grading=grading, **tables)
@@ -210,12 +213,12 @@ def _algebra_out(spec: AlgebraSpec) -> Dict[str, Any]:
         table = getattr(spec, name)
         if table is not None:
             products[name] = [
-                [[_rational_str(c) for c in cell] for cell in row] for row in table
+                [[str(c) for c in cell] for cell in row] for row in table
             ]
     if products:
         doc["products"] = products
     if spec.form is not None:
-        doc["form"] = [[_rational_str(c) for c in row] for row in spec.form]
+        doc["form"] = [[str(c) for c in row] for row in spec.form]
     if spec.grading is not None:
         doc["grading"] = list(spec.grading)
     return doc
@@ -225,9 +228,10 @@ def _algebra_out(spec: AlgebraSpec) -> Dict[str, Any]:
 
 def _operator_in(data) -> MatrixDiffOperator:
     type_parity = data.get("type")
-    _expect(type_parity in (0, 1), "type", "operator type must be 0 or 1")
+    _expect(_is_int(type_parity) and type_parity in (0, 1), "type",
+            "operator type must be 0 or 1")
     dim = data.get("dimension")
-    _expect(isinstance(dim, int) and dim >= 1, "dimension", "must be an integer >= 1")
+    _expect(_is_int(dim) and dim >= 1, "dimension", "must be an integer >= 1")
     entries = data.get("entries", [])
     _expect(isinstance(entries, list), "entries", "expected a list")
     blocks: Dict[Tuple[int, int, int], Dict[int, SuperPolynomial]] = {}
@@ -239,12 +243,12 @@ def _operator_in(data) -> MatrixDiffOperator:
         row = entry.get("row")
         col = entry.get("col")
         power = entry.get("power")
-        _expect(block in (0, 1), f"{loc}.block", "block must be 0 or 1")
-        _expect(isinstance(row, int) and 0 <= row < dim, f"{loc}.row",
+        _expect(_is_int(block) and block in (0, 1), f"{loc}.block", "block must be 0 or 1")
+        _expect(_is_int(row) and 0 <= row < dim, f"{loc}.row",
                 f"row must be an integer in [0, {dim})")
-        _expect(isinstance(col, int) and 0 <= col < dim, f"{loc}.col",
+        _expect(_is_int(col) and 0 <= col < dim, f"{loc}.col",
                 f"col must be an integer in [0, {dim})")
-        _expect(isinstance(power, int) and power >= 0, f"{loc}.power",
+        _expect(_is_int(power) and power >= 0, f"{loc}.power",
                 "power must be an integer >= 0")
         key = (block, row, col, power)
         _expect(key not in seen, loc, f"duplicate entry for {key}")
@@ -277,8 +281,8 @@ def _operator_out(op: MatrixDiffOperator) -> Dict[str, Any]:
 def _linear_in(data) -> LinearOperatorData:
     top = data.get("top_order")
     dim = data.get("dimension")
-    _expect(isinstance(top, int) and top >= 1, "top_order", "must be an integer >= 1")
-    _expect(isinstance(dim, int) and dim >= 1, "dimension", "must be an integer >= 1")
+    _expect(_is_int(top) and top >= 1, "top_order", "must be an integer >= 1")
+    _expect(_is_int(dim) and dim >= 1, "dimension", "must be an integer >= 1")
     even = data.get("even_tables")
     odd = data.get("odd_tables")
     _expect(isinstance(even, list) and len(even) == top + 1, "even_tables",
@@ -294,7 +298,7 @@ def _linear_in(data) -> LinearOperatorData:
 
 def _linear_out(data: LinearOperatorData) -> Dict[str, Any]:
     def table_out(table):
-        return [[[_rational_str(c) for c in cell] for cell in row] for row in table]
+        return [[[str(c) for c in cell] for cell in row] for row in table]
 
     doc: Dict[str, Any] = {
         "format": FORMAT, "kind": "linear_operator",
@@ -303,7 +307,7 @@ def _linear_out(data: LinearOperatorData) -> Dict[str, Any]:
         "odd_tables": [table_out(t) for t in data.odd_tables],
     }
     if data.constant is not None:
-        doc["constant"] = [[_rational_str(c) for c in row] for row in data.constant]
+        doc["constant"] = [[str(c) for c in row] for row in data.constant]
     return doc
 
 
@@ -311,7 +315,7 @@ def _linear_out(data: LinearOperatorData) -> Dict[str, Any]:
 
 def _density_in(data) -> Tuple[int, SuperPolynomial]:
     dim = data.get("dimension")
-    _expect(isinstance(dim, int) and dim >= 1, "dimension", "must be an integer >= 1")
+    _expect(_is_int(dim) and dim >= 1, "dimension", "must be an integer >= 1")
     poly = _polynomial_in(data.get("polynomial", []), dim, "polynomial")
     return (dim, poly)
 

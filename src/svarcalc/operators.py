@@ -25,9 +25,9 @@ graded skew-symmetric in its three covector slots modulo total derivatives,
 so the six configurations related by permuting the (family, parity) slots
 share one verdict.  The scan then decides one configuration per S3 orbit, the
 lexicographically least, and expands failing orbits into their members; the
-witnesses and certificates are those of the full lexicographic scan.  A
-Schouten scan involving an operator that is not skew-symmetric scans every
-configuration.
+witnesses and certificates are those of the full lexicographic scan.
+Skew-symmetry is decided once per operator and remembered on it; a scan
+involving an operator that is not skew-symmetric scans every configuration.
 """
 
 from __future__ import annotations
@@ -185,7 +185,7 @@ class MatrixDiffOperator:
     parity class (type + l) mod 2) is enforced at construction.
     """
 
-    __slots__ = ("type_parity", "dim", "_blocks")
+    __slots__ = ("type_parity", "dim", "_blocks", "_skew")
 
     def __init__(self, type_parity: int, dim: int,
                  blocks: Optional[Dict[Tuple[int, int, int], ScalarDiffOperator]] = None):
@@ -196,6 +196,8 @@ class MatrixDiffOperator:
         self.type_parity = type_parity
         self.dim = dim
         self._blocks: Dict[Tuple[int, int, int], ScalarDiffOperator] = {}
+        # check_skew_symmetry's (ok, first witness), decided on first use.
+        self._skew: Optional[Tuple[bool, Optional[Tuple]]] = None
         if blocks:
             for (block, row, col), op in blocks.items():
                 if block not in (0, 1):
@@ -278,10 +280,15 @@ def iter_skew_failures(op: MatrixDiffOperator):
 
 
 def check_skew_symmetry(op: MatrixDiffOperator):
-    """Decide super skew-symmetry; returns (ok, first witness or None)."""
-    for witness in iter_skew_failures(op):
-        return False, witness
-    return True, None
+    """Decide super skew-symmetry; returns (ok, first witness or None).
+
+    Operators do not change after construction, so the decision is made once
+    per operator and remembered on it.
+    """
+    if op._skew is None:
+        witness = next(iter_skew_failures(op), None)
+        op._skew = (witness is None, witness)
+    return op._skew
 
 
 def apply_matrix_operator(op: MatrixDiffOperator, xi: Mapping[int, SuperPolynomial],
@@ -452,18 +459,21 @@ class ConfigurationScan:
     The gate: skew-symmetry is what makes the form a trivector.  Without it
     the failing set need not be closed under S3 (the Schouten bracket of a
     sparse non-skew operator with itself is an example), so a scan is reduced
-    only when every operator in it is skew, decided once per scan.  The
-    closedness scan has skew-symmetry as its precondition and is reduced
-    without a second check; any other scan checks its operators before its
-    first search and otherwise scans every configuration.
+    only when every operator in it is skew, and otherwise scans every
+    configuration.  The gate is set before the first search from
+    ``check_skew_symmetry``, which decides each operator once, so the scan
+    has no precondition and checking skew-symmetry before it costs nothing.
     """
 
+    # Whether the orbit reduction applies; None until ``_representatives``
+    # decides it.
+    _symmetric: Optional[bool] = None
+
     def __init__(self, pairs: Sequence[Tuple[MatrixDiffOperator, MatrixDiffOperator]]):
-        self.pairs = tuple(pairs)
-        first = self.pairs[0][0]
+        first = pairs[0][0]
         self.ops: List[MatrixDiffOperator] = []
         index: List[Tuple[int, int]] = []
-        for pair in self.pairs:
+        for pair in pairs:
             slots = []
             for op in pair:
                 first._check_compatible(op)
@@ -481,21 +491,15 @@ class ConfigurationScan:
         self._lin: Dict[Tuple[int, Generator], Dict[int, List[Tuple[int, Mapping]]]] = {}
         self._applied: Dict[Tuple[int, Generator], Dict[int, SuperPolynomial]] = {}
         self._towers: Dict[Tuple[int, Generator, int], List[SuperPolynomial]] = {}
-        # Whether the orbit reduction applies; None until decided.
-        self._symmetric: Optional[bool] = None
 
     @classmethod
     def closedness(cls, op: MatrixDiffOperator) -> "ConfigurationScan":
-        """Scan of the closedness defect B(op, op); assumes skew-symmetry,
-        which also licenses the orbit reduction."""
-        scan = cls(((op, op),))
-        scan._symmetric = True
-        return scan
+        """Scan of the closedness defect B(op, op)."""
+        return cls(((op, op),))
 
     @classmethod
     def schouten(cls, op1: MatrixDiffOperator, op2: MatrixDiffOperator) -> "ConfigurationScan":
-        """Scan of the Schouten bracket B(op1, op2) + B(op2, op1); orbit-reduced
-        only when both operators are skew-symmetric."""
+        """Scan of the Schouten bracket B(op1, op2) + B(op2, op1)."""
         return cls(((op1, op2), (op2, op1)))
 
     # -- memoised pieces -------------------------------------------------------
@@ -598,37 +602,14 @@ class ConfigurationScan:
                                    "fails; the scanned form is not a trivector")
         return member + certificate
 
-    def failures(self, limit: Optional[int] = None, jobs: int = 1) -> Iterator[Tuple]:
+    def failures(self, limit: Optional[int] = None) -> Iterator[Tuple]:
         """Certified failures (families, parities, base, gradient), lexicographically
         first, at most ``limit`` (all when None).
 
         ``base`` and ``gradient`` certify that the form is not a total
-        derivative.  With jobs > 1 the representatives are dealt round-robin
-        to worker processes, each with its own memo (the nonzero
-        configurations cluster at small families, so contiguous chunks would
-        leave a worker idle); each worker returns the first ``limit`` failures
-        of its orbits, and the result is the lexicographic minimum of the
-        union, so it does not depend on scheduling.
+        derivative.
         """
-        representatives = self._representatives()
-        if jobs <= 1:
-            return islice(self._certified(representatives), limit)
-        from concurrent.futures import ProcessPoolExecutor
-
-        representatives = list(representatives)
-        tasks = [(self.pairs, self._symmetric, representatives[start::jobs], limit)
-                 for start in range(min(jobs, len(representatives)))]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            merged = [f for chunk in pool.map(_scan_chunk, tasks) for f in chunk]
-        merged.sort(key=lambda failure: failure[:2])
-        return iter(merged[:limit])
-
-
-def _scan_chunk(task) -> List[Tuple]:
-    pairs, symmetric, representatives, limit = task
-    scan = ConfigurationScan(pairs)
-    scan._symmetric = symmetric
-    return list(islice(scan._certified(representatives), limit))
+        return islice(self._certified(self._representatives()), limit)
 
 
 def hamiltonian_defect(op: MatrixDiffOperator, families: Tuple[int, int, int],
@@ -647,15 +628,13 @@ def hamiltonian_defect(op: MatrixDiffOperator, families: Tuple[int, int, int],
     return ConfigurationScan.closedness(op).three_form(families, parities)
 
 
-def iter_closedness_failures(op: MatrixDiffOperator, limit: Optional[int] = None,
-                             jobs: int = 1) -> Iterator[Tuple]:
+def iter_closedness_failures(op: MatrixDiffOperator,
+                             limit: Optional[int] = None) -> Iterator[Tuple]:
     """Certified failures (families, parities, base, gradient) of the
-    closedness defect, lexicographically first, at most ``limit``.
-
-    Assumes skew-symmetry has been checked; the orbit reduction relies on
-    it.  See ``ConfigurationScan.failures``.
+    closedness defect, lexicographically first, at most ``limit``.  See
+    ``ConfigurationScan.failures``.
     """
-    yield from ConfigurationScan.closedness(op).failures(limit, jobs)
+    yield from ConfigurationScan.closedness(op).failures(limit)
 
 
 def is_hamiltonian(op: MatrixDiffOperator):
@@ -686,10 +665,10 @@ def schouten_bracket(op1: MatrixDiffOperator, op2: MatrixDiffOperator,
 
 
 def iter_schouten_failures(op1: MatrixDiffOperator, op2: MatrixDiffOperator,
-                           limit: Optional[int] = None, jobs: int = 1) -> Iterator[Tuple]:
+                           limit: Optional[int] = None) -> Iterator[Tuple]:
     """Certified failures (families, parities, base, gradient) of the Schouten
     bracket, lexicographically first, at most ``limit``."""
-    yield from ConfigurationScan.schouten(op1, op2).failures(limit, jobs)
+    yield from ConfigurationScan.schouten(op1, op2).failures(limit)
 
 
 def schouten_vanishes(op1: MatrixDiffOperator, op2: MatrixDiffOperator):
@@ -713,11 +692,9 @@ def is_hamiltonian_pair(op1: MatrixDiffOperator, op2: MatrixDiffOperator):
         ok, witness = check_skew_symmetry(op)
         if not ok:
             raise SkewSymmetryError(f"{label} operator is not super skew-symmetric: {witness}")
-    mixed = ConfigurationScan.schouten(op1, op2)
-    mixed._symmetric = True  # both operators passed the skew check above
     for label, failures in (("[H1,H1]", iter_closedness_failures(op1, limit=1)),
                             ("[H2,H2]", iter_closedness_failures(op2, limit=1)),
-                            ("[H1,H2]", mixed.failures(limit=1))):
+                            ("[H1,H2]", iter_schouten_failures(op1, op2, limit=1))):
         for families, parities, _, _ in failures:
             return False, (label, families, parities)
     return True, None

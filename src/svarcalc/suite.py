@@ -185,23 +185,11 @@ _ENTRIES: Dict[str, Callable[[], Tuple[str, Optional[object]]]] = {
 }
 
 
-def suite_entry_names() -> List[str]:
-    return list(_ENTRIES)
-
-
 def run_suite_entry(name: str) -> SuiteResult:
     verdict, witness = _ENTRIES[name]()
     return (name, verdict, witness)
 
 
-def verify_paper_examples(jobs: int = 1) -> List[SuiteResult]:
-    """Run every bundled entry; order of results is fixed regardless of jobs."""
-    names = suite_entry_names()
-    if jobs and jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_suite_entry, names))
-    else:
-        results = [run_suite_entry(name) for name in names]
-    return sorted(results, key=lambda r: names.index(r[0]))
+def verify_paper_examples() -> List[SuiteResult]:
+    """Run every bundled entry, in order."""
+    return [run_suite_entry(name) for name in _ENTRIES]

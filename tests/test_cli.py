@@ -82,6 +82,16 @@ class TestExitCodes:
     def test_wrong_kind_is_error(self, docs, capsys):
         assert main(["check-hamiltonian", docs["nx2.alg.json"]]) == 2
 
+    def test_boolean_power_is_error(self, docs, tmp_path, capsys):
+        doc = json.loads(Path(docs["d5.op.json"]).read_text())
+        doc["entries"][0]["power"] = True
+        bad = tmp_path / "bool.op.json"
+        bad.write_text(json.dumps(doc))
+        report = tmp_path / "bool.json"
+        assert main(["check-hamiltonian", str(bad), "--report", str(report)]) == 2
+        witness, = json.loads(report.read_text())["witnesses"]
+        assert witness["location"] == "entries[0].power"
+
 
 class TestUsageErrors:
     FAILING = {
@@ -242,6 +252,30 @@ class TestCommands:
                      "--jobs", "3", "--report", str(r2)]) == 1
         a, b = json.loads(r1.read_text()), json.loads(r2.read_text())
         assert a["witnesses"] == b["witnesses"]
+
+    def test_jobs_runs_in_this_process(self, docs, tmp_path, monkeypatch, capsys):
+        # --jobs is accepted and echoed, but no worker process is started:
+        # the reports equal the serial ones apart from the echoed value.
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        cases = [(["check-hamiltonian", docs["d5.op.json"]], 0),
+                 (["check-hamiltonian", docs["broken.op.json"], "--witness-limit", "3"], 1),
+                 (["verify-paper-examples"], 0)]
+        for argv, code in cases:
+            reports = []
+            for jobs in ("1", "2"):
+                path = tmp_path / f"jobs{jobs}.json"
+                assert main(argv + ["--jobs", jobs, "--report", str(path)]) == code
+                reports.append(json.loads(path.read_text()))
+            serial, pooled = reports
+            assert pooled["configuration"].pop("jobs") == 2
+            assert serial["configuration"].pop("jobs") == 1
+            assert pooled == serial
+            assert serial["witnesses"] if code else not serial["witnesses"]
 
     def test_induce_prints_closed_form(self, docs, capsys):
         assert main(["induce", "--window", "2", docs["virasoro1.lop.json"]]) == 0

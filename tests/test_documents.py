@@ -83,6 +83,43 @@ class TestRoundTrip:
         assert poly == -(gp(field(0, 1)) * gp(field(1, 1)))
 
 
+def _operator_doc(**entry):
+    base = {"block": 0, "row": 0, "col": 0, "power": 1, "coeff": "1"}
+    return {"format": "svarcalc/1", "kind": "operator", "type": 1, "dimension": 1,
+            "entries": [dict(base, **entry)]}
+
+
+def _density_doc(generator, exponent=1):
+    return {"format": "svarcalc/1", "kind": "density", "dimension": 1,
+            "polynomial": [{"coeff": "1", "monomial": [[generator, exponent]]}]}
+
+
+_PHI = {"kind": "field", "family": 0, "order": 1}
+_XI = {"kind": "covector", "slot": 1, "family": 0, "derivs": 0, "base_parity": 0}
+
+# JSON true/false where a document expects an integer: Python reads them as
+# 1 and 0, so each must be rejected by name rather than parsed.
+BOOLEAN_INTEGERS = {
+    "dimension": ({"format": "svarcalc/1", "kind": "algebra", "dimension": True}, "dimension"),
+    "type": (dict(_operator_doc(), type=True), "type"),
+    "block": (_operator_doc(block=False), "entries[0].block"),
+    "row": (_operator_doc(row=False), "entries[0].row"),
+    "col": (_operator_doc(col=False), "entries[0].col"),
+    "power": (_operator_doc(power=True), "entries[0].power"),
+    "top_order": ({"format": "svarcalc/1", "kind": "linear_operator", "top_order": True,
+                   "dimension": 1}, "top_order"),
+    "field family": (_density_doc(dict(_PHI, family=False)), "[0][0].family"),
+    "field order": (_density_doc(dict(_PHI, order=True)), "[0][0].order"),
+    "covector slot": (_density_doc(dict(_XI, slot=True)), "[0][0].slot"),
+    "covector family": (_density_doc(dict(_XI, family=False)), "[0][0].family"),
+    "covector derivs": (_density_doc(dict(_XI, derivs=False)), "[0][0].derivs"),
+    "covector base_parity": (_density_doc(dict(_XI, base_parity=True)), "[0][0].base_parity"),
+    "exponent": (_density_doc(_PHI, True), "monomial[0][1]"),
+    "grading": ({"format": "svarcalc/1", "kind": "algebra", "dimension": 2,
+                 "grading": [0, True]}, "grading"),
+}
+
+
 class TestErrors:
     def run(self, data, fragment):
         with pytest.raises(DocumentError) as err:
@@ -136,3 +173,7 @@ class TestErrors:
                   "top_order": 1, "dimension": 1,
                   "even_tables": [[[["1"]]]], "odd_tables": [[[["1"]]]]},
                  "expected 2 tables")
+
+    @pytest.mark.parametrize("name", sorted(BOOLEAN_INTEGERS))
+    def test_booleans_are_not_integers(self, name):
+        self.run(*BOOLEAN_INTEGERS[name])

@@ -4,10 +4,12 @@ the Schouten bracket, pairs, and evolution right sides."""
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
-from svarcalc import operators
+from svarcalc import cli, operators
+from svarcalc.documents import InputDocument, parse_document, render_document
 from svarcalc.operators import iter_schouten_failures
 from svarcalc.suite import constant_type1, hand_checked_mutation, twisted_type0
 from svarcalc import (
@@ -38,6 +40,8 @@ from svarcalc import (
     superderive,
 )
 from helpers import bumped, field_pool, full_scan_failures, random_poly, truncated_mutations
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def gp(g):
@@ -326,13 +330,30 @@ class TestConfigurationScan:
         assert 0 < calls["frechet"] <= 6 * op.dim
         assert 0 < calls["apply"] <= 6 * op.dim
 
-    def test_parallel_scan_matches_serial(self):
-        bad = build_type1_operator(hand_checked_mutation())
-        serial = list(ConfigurationScan.closedness(bad).failures(limit=3))
-        parallel = list(ConfigurationScan.closedness(bad).failures(limit=3, jobs=2))
-        assert len(serial) == 3 and parallel == serial
-        assert [f[:2] for f in serial] == [f[:2] for f in
-                                           ConfigurationScan.closedness(bad).failures()][:3]
+    def test_skew_symmetry_is_decided_once_per_operator(self, monkeypatch, tmp_path, capsys):
+        calls = {}
+        real_skew = operators.iter_skew_failures
+
+        def counting_skew(op):
+            calls[id(op)] = calls.get(id(op), 0) + 1
+            return real_skew(op)
+
+        monkeypatch.setattr(operators, "iter_skew_failures", counting_skew)
+        monkeypatch.setattr(cli, "iter_skew_failures", counting_skew)
+        op = quintic_example(2)
+        assert is_hamiltonian(op) == (True, None)
+        assert calls == {id(op): 1}
+
+        calls.clear()
+        a, b = constant_type1(1), constant_type1(5)
+        assert is_hamiltonian_pair(a, b) == (True, None)
+        assert calls == {id(a): 1, id(b): 1}
+
+        calls.clear()
+        path = tmp_path / "op.json"
+        path.write_text(render_document(InputDocument("operator", quintic_example(2))))
+        assert cli.main(["check-hamiltonian", str(path)]) == 0
+        assert list(calls.values()) == [1]
 
 
 def _as_lists(failures):
@@ -372,7 +393,6 @@ class TestScanOracle:
         for limit in (1, 3, None):
             expected = full[:limit]
             assert _as_lists(make_scan().failures(limit)) == expected
-            assert _as_lists(make_scan().failures(limit, jobs=2)) == expected
         return full
 
     def test_closedness_scan_matches_full_scan(self, seed):
@@ -406,6 +426,15 @@ class TestScanOracle:
         assert not all(_slot_orbit(config) <= set(failures) for config in failures)
         scan = ConfigurationScan.schouten(sparse, sparse)
         assert [f[:2] for f in full_scan_failures(scan)] == failures
+
+    def test_non_skew_closedness_scan_matches_full_scan(self):
+        # The scan decides skew-symmetry itself, so a non-skew operator gets
+        # the full scan rather than an orbit reduction that raises.
+        op = parse_document(str(FIXTURES / "sparse_nonskew.op.json")).payload
+        assert not check_skew_symmetry(op)[0]
+        full = self.assert_matches_oracle(lambda: ConfigurationScan.closedness(op))
+        assert len(full) == 15
+        assert _as_lists(operators.iter_closedness_failures(op)) == full
 
     def test_passing_member_of_a_failing_orbit_raises(self):
         # Forcing the reduction past the gate breaks the invariant; the scan
