@@ -213,6 +213,26 @@ GOLDEN_REPORTS = {
          "tests/fixtures/sparse_nonskew.op.json"], 1),
 }
 
+# Every witness of a failing spec of each algebra class, written by the code
+# before the integer, term-major axiom evaluator.  Between them they cover a
+# non-integral residual, a failing Symmetric group of each component (times,
+# dot, form), and a novikov_super spec whose witnesses exist only through the
+# odd-odd Koszul sign (graded construction, half 2, weight 1, odd square e2 o e2
+# set to e0).
+GOLDEN_REPORTS.update({
+    f"check_algebra_{name}": (
+        ["check-algebra", "--witness-limit", "1000", "--class", cls,
+         f"tests/fixtures/{name}.alg.json"], 1)
+    for name, cls in (
+        ("novikov_truncated3_circ101_third", "novikov"),
+        ("novikov_super_graded2_odd_square", "novikov_super"),
+        ("nx_bialgebra_truncated3_times012_half", "nx_bialgebra"),
+        ("novikov_poisson_truncated3_dot102", "novikov_poisson"),
+        ("fermionic_novikov_exterior_circ121", "fermionic_novikov"),
+        ("form_compat_truncated2_form01", "form_compat"),
+    )
+})
+
 
 class TestGoldenReports:
     @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
