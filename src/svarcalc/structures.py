@@ -2,9 +2,10 @@
 
 An AlgebraSpec holds up to three bilinear products (circ, times, dot), an
 optional symmetric bilinear form and an optional Z2 grading, all over exact
-rationals.  Every axiom class is one entry of the table AXIOM_IDENTITIES,
-decided exhaustively on basis pairs and triples by one evaluator; the
-identities are multilinear, so basis coverage is complete.
+rationals: an ``int`` when integral and a ``Fraction`` otherwise, coerced once
+by ``algebra._exact``.  Every axiom class is one entry of the table
+AXIOM_IDENTITIES, decided exhaustively on basis pairs and triples by one
+evaluator; the identities are multilinear, so basis coverage is complete.
 
 The two builders realize the structure-constant dictionaries between algebras
 and matrix differential operators: a bialgebra with a compatible form yields
@@ -19,25 +20,26 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .algebra import SuperPolynomial, _exact, field
+from .algebra import Coeff, SuperPolynomial, _exact, field
 from .modes import LinearOperatorData
 from .operators import MatrixDiffOperator, ScalarDiffOperator
 
-Table = Tuple[Tuple[Tuple[Fraction, ...], ...], ...]
-Matrix = Tuple[Tuple[Fraction, ...], ...]
-Vector = Tuple[Fraction, ...]
+Table = Tuple[Tuple[Tuple[Coeff, ...], ...], ...]
+Matrix = Tuple[Tuple[Coeff, ...], ...]
+Vector = Tuple[Coeff, ...]
 
 
 def _as_table(dim: int, data) -> Table:
-    rows = tuple(
-        tuple(tuple(Fraction(data[i][j][k]) for k in range(dim)) for j in range(dim))
-        for i in range(dim)
-    )
-    return rows
+    return tuple(_as_matrix(dim, data[i]) for i in range(dim))
 
 
 def _as_matrix(dim: int, data) -> Matrix:
-    return tuple(tuple(Fraction(data[i][j]) for j in range(dim)) for i in range(dim))
+    return tuple(tuple(_exact(data[i][j]) for j in range(dim)) for i in range(dim))
+
+
+def _sparse(table):
+    """A table's [p][q] cells as lists of their nonzero (k, coefficient) pairs."""
+    return [[[(k, c) for k, c in enumerate(cell) if c] for cell in row] for row in table]
 
 
 @dataclass
@@ -71,7 +73,7 @@ class AlgebraSpec:
                 raise ValueError("grading must assign a parity to every basis vector")
 
     def basis(self, i: int) -> Vector:
-        return tuple(Fraction(1) if j == i else Fraction(0) for j in range(self.dim))
+        return tuple(int(j == i) for j in range(self.dim))
 
     def require(self, *names: str) -> None:
         for name in names:
@@ -80,8 +82,7 @@ class AlgebraSpec:
 
 
 def multiply(table: Table, x: Vector, y: Vector) -> Vector:
-    dim = len(table)
-    out = [Fraction(0)] * dim
+    out = [0] * len(table)
     for i, xi in enumerate(x):
         if not xi:
             continue
@@ -89,11 +90,10 @@ def multiply(table: Table, x: Vector, y: Vector) -> Vector:
         for j, yj in enumerate(y):
             if not yj:
                 continue
-            entry = row[j]
             scale = xi * yj
-            for k in range(dim):
-                if entry[k]:
-                    out[k] += scale * entry[k]
+            for k, c in enumerate(row[j]):
+                if c:
+                    out[k] += scale * c
     return tuple(out)
 
 
@@ -116,8 +116,9 @@ def iter_axiom_failures(spec: AlgebraSpec, algebra_class: str):
     The class's groups of ``AXIOM_IDENTITIES`` run in table order; within a
     group the basis pairs or triples run in lexicographic order, and on each
     tuple the identities in row order.  So ``nx_bialgebra`` yields every
-    ``times_commutative`` pair before any triple.  Form identities have
-    1-tuple residuals.
+    ``times_commutative`` pair before any triple.  Residual components are
+    ``Fraction``s; form identities have 1-tuple residuals.  A group of triples
+    is evaluated whole before its first witness is yielded.
     """
     if algebra_class not in AXIOM_IDENTITIES:
         raise ValueError(f"unknown algebra class '{algebra_class}'")
@@ -228,14 +229,11 @@ def _cells(spec: AlgebraSpec, name: str):
     return [[(v,) for v in row] for row in data] if name == "form" else data
 
 
-def _nested(spec: AlgebraSpec, outer: str, inner: str, nesting: str):
+def _nested(outer_nz, inner_nz, nesting: str, dim: int):
     """outer(inner(e_a, e_b), e_c) or outer(e_a, inner(e_b, e_c)) on every basis
-    triple, as sparse {(a, b, c): {k: coefficient}}."""
-    sparse = {name: [[[(k, c) for k, c in enumerate(cell) if c] for cell in row]
-                     for row in _cells(spec, name)] for name in (outer, inner)}
-    outer_nz, inner_nz = sparse[outer], sparse[inner]
-    dim = spec.dim
-    out: Dict[Tuple[int, int, int], Dict[int, Fraction]] = {}
+    triple, from the ``_sparse`` cells of both products, as sparse
+    {(a, b, c): {k: coefficient}}."""
+    out: Dict[Tuple[int, int, int], Dict[int, Coeff]] = {}
     for p, q in product(range(dim), repeat=2):
         for m, x in inner_nz[p][q]:
             for r in range(dim):
@@ -249,9 +247,10 @@ def _nested(spec: AlgebraSpec, outer: str, inner: str, nesting: str):
 
 
 def _failures(spec: AlgebraSpec, groups):
-    spec.require(*_required(groups))
+    required = _required(groups)
+    spec.require(*required)
     dim, grading = spec.dim, spec.grading
-    slots = lambda letters: tuple("xyz".index(s) for s in letters)
+    sparse = {name: _sparse(_cells(spec, name)) for name in required if name != "grading"}
     nested: Dict[Tuple[str, str, str], Dict] = {}
     for group in groups:
         if isinstance(group, Symmetric):
@@ -259,56 +258,52 @@ def _failures(spec: AlgebraSpec, groups):
             for i, j in product(range(dim), repeat=2):
                 if cells[i][j] != cells[j][i]:
                     yield (group.label, (i, j),
-                           tuple(a - b for a, b in zip(cells[i][j], cells[j][i])))
+                           tuple(Fraction(a - b) for a, b in zip(cells[i][j], cells[j][i])))
             continue
-        rows = []
-        for label, terms in group:
-            compiled = []
+        # Term-major: each term walks its tensor's nonzero cells once.  Cell
+        # (a, b, c) sits at the basis triple idx with (idx[p], idx[q], idx[r]) =
+        # (a, b, c) for the term's permutation p q r, so idx = (a, b, c) read
+        # through the inverse permutation.
+        residuals: Dict[Tuple[Tuple[int, int, int], int], Dict[int, Coeff]] = {}
+        for pos, (label, terms) in enumerate(group):
             for term in terms:
                 key = (term.outer, term.inner, term.nesting)
                 if key not in nested:
-                    nested[key] = _nested(spec, *key)
-                compiled.append((term.coeff, nested[key], slots(term.perm),
-                                 term.sign and slots(term.sign)))
-            rows.append((label, 1 if terms[0].outer == "form" else dim, compiled))
-        for idx in product(range(dim), repeat=3):
-            for label, width, compiled in rows:
-                residual: Dict[int, Fraction] = {}
-                for coeff, tensor, (p, q, r), sign in compiled:
-                    cell = tensor.get((idx[p], idx[q], idx[r]))
-                    if not cell:
-                        continue
-                    if sign and grading[idx[sign[0]]] & grading[idx[sign[1]]]:
+                    nested[key] = _nested(sparse[term.outer], sparse[term.inner], term.nesting, dim)
+                inv = tuple(term.perm.index(s) for s in "xyz")
+                sign = term.sign and tuple(inv["xyz".index(s)] for s in term.sign)
+                for abc, cell in nested[key].items():
+                    coeff = term.coeff
+                    if sign and grading[abc[sign[0]]] & grading[abc[sign[1]]]:
                         coeff = -coeff
+                    acc = residuals.setdefault(((abc[inv[0]], abc[inv[1]], abc[inv[2]]), pos), {})
                     for k, v in cell.items():
-                        residual[k] = residual.get(k, 0) + coeff * v
-                if any(residual.values()):
-                    yield label, idx, tuple(residual.get(k, Fraction(0)) for k in range(width))
+                        acc[k] = acc.get(k, 0) + coeff * v
+        for idx, pos in sorted(key for key, acc in residuals.items() if any(acc.values())):
+            label, terms = group[pos]
+            acc = residuals[idx, pos]
+            width = 1 if terms[0].outer == "form" else dim
+            yield label, idx, tuple(Fraction(acc.get(k, 0)) for k in range(width))
 
 
 def derived_dot_table(spec: AlgebraSpec) -> Table:
     """u . v = u o v + v o u - u x v, the product the quintic family carries."""
     spec.require("circ", "times")
     dim = spec.dim
-    return tuple(
-        tuple(
-            tuple(
-                spec.circ[i][j][k] + spec.circ[j][i][k] - spec.times[i][j][k]
-                for k in range(dim)
-            )
-            for j in range(dim)
-        )
-        for i in range(dim)
-    )
+    dot = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    circ, times = _sparse(spec.circ), _sparse(spec.times)
+    for i, j in product(range(dim), repeat=2):
+        for k, c in circ[i][j]:
+            dot[i][j][k] += c
+            dot[j][i][k] += c
+        for k, c in times[i][j]:
+            dot[i][j][k] -= c
+    return tuple(tuple(map(tuple, row)) for row in dot)
 
 
-def _linear_coeff(table: Table, row: int, col: int, order: int, dim: int) -> SuperPolynomial:
-    terms = {}
-    for gamma in range(dim):
-        c = table[row][col][gamma]
-        if c:
-            terms[((field(gamma, order), 1),)] = _exact(c)
-    return SuperPolynomial(terms)
+def _linear_coeff(cells, order: int) -> SuperPolynomial:
+    """sum_k c Phi_k(order) over the (k, c) pairs of one cell."""
+    return SuperPolynomial({((field(k, order), 1),): c for k, c in cells if c})
 
 
 def build_type1_operator(spec: AlgebraSpec) -> MatrixDiffOperator:
@@ -335,28 +330,18 @@ def build_type0_operator(spec: AlgebraSpec) -> MatrixDiffOperator:
     its negative.
     """
     spec.require("circ")
-    dim = spec.dim
-    times = tuple(
-        tuple(
-            tuple(spec.circ[j][i][k] - spec.circ[i][j][k] for k in range(dim))
-            for j in range(dim)
-        )
-        for i in range(dim)
-    )
+    circ = _sparse(spec.circ)
     blocks: Dict[Tuple[int, int, int], ScalarDiffOperator] = {}
-    for p, q in product(range(dim), repeat=2):
-        entries: Dict[int, SuperPolynomial] = {}
-        coeff0 = _linear_coeff(spec.circ, p, q, 2, dim)
-        if coeff0:
-            entries[0] = coeff0
-        coeff1 = _linear_coeff(times, p, q, 1, dim)
-        if coeff1:
-            entries[1] = coeff1
-        if entries:
-            op = ScalarDiffOperator(entries)
+    for p, q in product(range(spec.dim), repeat=2):
+        times: Dict[int, Coeff] = dict(circ[q][p])
+        for k, c in circ[p][q]:
+            times[k] = times.get(k, 0) - c
+        op = ScalarDiffOperator({0: _linear_coeff(circ[p][q], 2),
+                                 1: _linear_coeff(sorted(times.items()), 1)})
+        if op:
             blocks[(0, p, q)] = op
             blocks[(1, p, q)] = op.scaled(-1)
-    return MatrixDiffOperator(0, dim, blocks)
+    return MatrixDiffOperator(0, spec.dim, blocks)
 
 
 def np_to_nx(spec: AlgebraSpec, identity_index: int) -> AlgebraSpec:
@@ -396,25 +381,9 @@ def make_truncated_example(n: int) -> AlgebraSpec:
     """
     if n < 1:
         raise ValueError("truncation length must be >= 1")
-    zero = Fraction(0)
-    dot = tuple(
-        tuple(
-            tuple(Fraction(1) if i + j == k else zero for k in range(n))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    circ = tuple(
-        tuple(
-            tuple(Fraction(j + 2) if i + j == k else zero for k in range(n))
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    form = tuple(
-        tuple(Fraction(1) if i == 0 and j == 0 else zero for j in range(n))
-        for i in range(n)
-    )
+    dot = [[[int(i + j == k) for k in range(n)] for j in range(n)] for i in range(n)]
+    circ = [[[(j + 2) * (i + j == k) for k in range(n)] for j in range(n)] for i in range(n)]
+    form = [[int(i == j == 0) for j in range(n)] for i in range(n)]
     return AlgebraSpec(dim=n, circ=circ, dot=dot, form=form)
 
 
@@ -463,7 +432,7 @@ def make_exterior_example(c: Dict[Tuple[int, int], object]) -> AlgebraSpec:
     mono_to_index = dict(basis_monos)
 
     def project(poly: SuperPolynomial) -> Vector:
-        out = [Fraction(0)] * 6
+        out = [0] * 6
         for mono, coeff in poly.terms().items():
             idx = mono_to_index.get(mono)
             if idx is None:
@@ -471,7 +440,7 @@ def make_exterior_example(c: Dict[Tuple[int, int], object]) -> AlgebraSpec:
             out[idx] += coeff
         return tuple(out)
 
-    zero_vec = tuple([Fraction(0)] * 6)
+    zero_vec = (0,) * 6
     circ_cols: List[List[Vector]] = []
     for a in range(6):
         row: List[Vector] = []

@@ -114,6 +114,26 @@ def bumped(spec, table, site, delta):
     return AlgebraSpec(dim=spec.dim, **parts)
 
 
+def graded_spec(half: int, weight: int) -> AlgebraSpec:
+    """Novikov superalgebra x o y = x (t d/dt + weight) y on k[t]/(t^half) (x) Lambda[theta].
+
+    Basis t^i (even) then t^i theta (odd).  The Gelfand-Dorfman construction
+    on a supercommutative algebra with an even derivation makes it a Novikov
+    superalgebra for every weight.  The same construction as the benchmark's
+    ``axiom-tables`` graded specs.
+    """
+    dim = 2 * half
+    circ = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+    for a in range(dim):
+        i, a_odd = a % half, a // half
+        for b in range(dim):
+            j, b_odd = b % half, b // half
+            if (a_odd and b_odd) or i + j >= half:
+                continue
+            circ[a][b][i + j + half * (a_odd or b_odd)] = j + weight
+    return AlgebraSpec(dim=dim, circ=circ, grading=tuple([0] * half + [1] * half))
+
+
 def truncated_mutations(rng: random.Random):
     """Every single-entry circ/times mutation of the truncated bialgebras
     d = 1, 2, each by a seeded delta from +-1, +-2."""

@@ -1,6 +1,7 @@
 """Input document parsing, validation errors, and round-trip stability."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,7 @@ from svarcalc.documents import (
 )
 
 F = Fraction
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def gp(g):
@@ -60,6 +62,16 @@ class TestRoundTrip:
     def test_rendering_is_deterministic(self):
         for doc in corpus():
             assert render_document(doc) == render_document(doc)
+
+    def test_algebra_fixtures_render_byte_identical(self):
+        # These documents were rendered from Fraction-valued specs; now that
+        # integral coefficients are stored as int, str(int) must give the same
+        # bytes (entries such as "3/2", "-2", "7/3" and "0" among them).
+        paths = sorted(FIXTURES.glob("*.alg.json"))
+        texts = [path.read_text() for path in paths]
+        assert all(any(s in text for text in texts) for s in ('"3/2"', '"-2"', '"7/3"'))
+        for path, text in zip(paths, texts):
+            assert render_document(parse_document(str(path))) == text
 
     def test_covector_generators_round_trip(self, tmp_path):
         poly = gp(covector(2, 0, 3, 1)) * gp(field(0, 2))

@@ -26,7 +26,7 @@ from svarcalc.structures import (
     iter_axiom_failures,
     multiply,
 )
-from helpers import bumped
+from helpers import bumped, graded_spec
 
 F = Fraction
 
@@ -65,6 +65,22 @@ class TestTruncatedExample:
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ValueError):
             make_truncated_example(0)
+
+
+class TestCoefficientStorage:
+    def test_integral_entries_are_ints_and_the_rest_fractions(self):
+        spec = AlgebraSpec(dim=2, circ=[[[F(3, 2), F(-4, 2)], [5, "7/7"]], [[0, F(0)], ["-1/3", 2]]],
+                           form=[[F(6, 3), "3/2"], [-2, 0]])
+        flat = [c for row in spec.circ for cell in row for c in cell] + \
+            [c for row in spec.form for c in row]
+        assert flat == [F(3, 2), -2, 5, 1, 0, 0, F(-1, 3), 2, 2, F(3, 2), -2, 0]
+        assert [type(c) for c in flat] == [F, int, int, int, int, int, F, int, int, F, int, int]
+
+    def test_builders_store_ints(self):
+        nx = np_to_nx(make_truncated_example(3), 0)
+        tables = (nx.circ, nx.times, derived_dot_table(nx), make_exterior_example({(3, 4): 1}).circ)
+        assert all(type(c) is int for t in tables for row in t for cell in row for c in cell)
+        assert all(type(c) is int for row in nx.form for c in row)
 
 
 class TestAxiomCheckers:
@@ -435,7 +451,7 @@ class TestIdentityTableOracle:
         rng = random.Random(seed)
         failing = 0
         for _ in range(40):
-            dim = rng.randint(1, 3)
+            dim = rng.randint(1, 5)
             spec = AlgebraSpec(
                 dim=dim,
                 circ=random_table(rng, dim, rng.choice((0.2, 0.5, 0.9))),
@@ -472,8 +488,26 @@ class TestIdentityTableOracle:
             self.assert_matches_oracle(bumped(base, "circ", site, rng.choice((-1, 1, 2))),
                                        ("novikov", "fermionic_novikov"))
 
-    def test_large_truncated_mutation_first_witness(self):
+    def test_graded_construction_and_odd_mutations(self, seed):
+        # The Gel'fand-Dorfman specs pass novikov_super for every weight; a
+        # bump on a product of two odd basis vectors must fail it, with every
+        # witness and its Koszul signs matching the oracle.
+        rng = random.Random(seed)
+        for half, weight in product((2, 3), range(4)):
+            spec = graded_spec(half, weight)
+            self.assert_matches_oracle(spec)
+            assert check_axioms(spec, "novikov_super") == (True, None)
+            site = (rng.randrange(half, 2 * half), rng.randrange(half, 2 * half),
+                    rng.randrange(2 * half))
+            broken = bumped(spec, "circ", site, rng.choice((-1, 1, F(1, 2))))
+            self.assert_matches_oracle(broken)
+            assert not check_axioms(broken, "novikov_super")[0]
+
+    def test_large_truncated_mutation_every_witness(self):
+        # Term-major evaluation sorts a whole group's residuals at the end, so
+        # the full list, not just its head, must keep the oracle's order.
         spec = bumped(np_to_nx(make_truncated_example(12), 0), "circ", (5, 6, 0), 1)
+        self.assert_matches_oracle(spec, ("nx_bialgebra", "form_compat"))
         for cls in ("nx_bialgebra", "form_compat"):
             ok, witness = check_axioms(spec, cls)
             assert not ok
