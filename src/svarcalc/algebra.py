@@ -49,7 +49,10 @@ def _exact(value) -> Coeff:
     Integral coefficients stay ``int`` so that the common case runs on machine
     integers; mixed arithmetic promotes to ``Fraction`` once a denominator
     appears, and ``int`` and ``Fraction`` compare, hash and print alike.
+    An ``int`` is returned as it is; a ``bool`` becomes the ``int`` 0 or 1.
     """
+    if type(value) is int:
+        return value
     f = Fraction(value)
     return f.numerator if f.denominator == 1 else f
 

@@ -41,6 +41,12 @@ from .structures import (
 from .suite import verify_paper_examples
 
 
+# ``induce --window W`` expands every mode pair with |index| <= W, about
+# 16 W^2 per family pair, from distribution products of the same order; larger
+# windows are refused before any work.
+MAX_WINDOW = 32
+
+
 def _require_kind(doc: InputDocument, kind: str, path: str) -> None:
     if doc.kind != kind:
         raise DocumentError("kind", f"{path}: expected a {kind} document, got {doc.kind}")
@@ -251,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_build)
 
     p = sub.add_parser("induce", help="induce the mode bracket table of a linear operator")
-    p.add_argument("--window", type=int, required=True, metavar="W")
+    p.add_argument("--window", type=int, required=True, metavar="W",
+                   help=f"bracket the modes of index |n| <= W; W is 1 to {MAX_WINDOW}")
     p.add_argument("file")
     common(p)
     p.set_defaults(handler=_cmd_induce)
@@ -292,6 +299,10 @@ def _print_human(report: Report, elapsed: float) -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "induce" and args.window > MAX_WINDOW:
+        print(f"svarcalc: error: --window {args.window} exceeds the bound {MAX_WINDOW}",
+              file=sys.stderr)
+        return 2
     start = time.monotonic()
     try:
         report = args.handler(args)

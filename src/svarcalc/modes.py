@@ -359,6 +359,13 @@ def induce_bracket(data: LinearOperatorData, window: int,
     overridden) and reads each interior mode bracket off the four theta
     patterns.  Interior coefficients are exact, so enlarging the guard cannot
     change the result.  The realized operator must be super skew-symmetric.
+
+    Each D-power term (and the central term) is expanded once, with a
+    placeholder family: signs and parities depend on the doubled mode index
+    alone, so an entry is a sum of table constants times kernel coefficients
+    relabelled to each family.  A product term keeps its delta term's z2
+    exponent (the field lives in z1), so delta terms outside the window's z2
+    band are dropped first.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -370,67 +377,79 @@ def induce_bracket(data: LinearOperatorData, window: int,
         guard = window + n + 2
     elif guard < window + n + 2:
         raise ValueError("guard band too small for the requested window")
-    mode_bound = 2 * window + n + 2
-    delta = make_delta(1, 2, guard)
+    delta = FormalDistribution({key: c for key, c in make_delta(1, 2, guard).terms().items()
+                                if abs(key[0][1] + n) <= window})
     delta_derivs = [delta]
     for _ in range(2 * n + 3):
         delta_derivs.append(apply_Di(delta_derivs[-1], 1))
-    fields = {g: mode_field(g, 1, n, mode_bound) for g in range(d)}
-    field_derivs: Dict[int, List[FormalDistribution]] = {}
-    for g, f in fields.items():
-        derivs = [f]
-        for _ in range(2 * n):
-            derivs.append(apply_Di(derivs[-1], 1))
-        field_derivs[g] = derivs
-    z2_inv = z_shift(2, -1)
-    central_sym = FormalDistribution.monomial((0, 0, 0), (), CENTRAL)
+    field_derivs = [mode_field(0, 1, n, 2 * window + n + 2)]
+    for _ in range(2 * n):
+        field_derivs.append(apply_Di(field_derivs[-1], 1))
+    # (tables[a][b][g], product) per term; the central block is a table with
+    # one column.
+    terms = [(data.even_tables[m], field_derivs[2 * (n - m)] * delta_derivs[2 * m])
+             for m in range(n + 1)]
+    terms += [(data.odd_tables[m], field_derivs[2 * (n - m) - 1] * delta_derivs[2 * m + 1])
+              for m in range(n)]
+    if data.constant is not None:
+        central = FormalDistribution.monomial((0, 0, 0), (), CENTRAL)
+        terms.append((tuple(tuple((c,) for c in row) for row in data.constant),
+                      delta_derivs[2 * n + 3] * central))
+    kernels = [(tables, _extract_pairs(x, n, window)) for tables, x in terms]
+    # names[g] relabels a placeholder symbol to family g, one shared symbol
+    # per mode for every entry.
+    placeholders = {sym for _, kernel in kernels for kterms in kernel.values()
+                    for sym, _ in kterms}
+    names = [{sym: sym if sym == CENTRAL else phi_symbol(g, sym[2]) for sym in placeholders}
+             for g in range(d)]
 
     entries: Dict[Tuple[ModeKey, ModeKey], Combo] = {}
     for a in range(d):
         for b in range(d):
-            x = FormalDistribution.zero()
-            for g in range(d):
-                for m in range(n + 1):
-                    coeff = data.even_tables[m][a][b][g]
-                    if coeff:
-                        term = field_derivs[g][2 * (n - m)] * delta_derivs[2 * m]
-                        x = x + term.scaled(coeff)
-                for m in range(n):
-                    coeff = data.odd_tables[m][a][b][g]
-                    if coeff:
-                        term = field_derivs[g][2 * (n - m) - 1] * delta_derivs[2 * m + 1]
-                        x = x + term.scaled(coeff)
-            if data.constant is not None and data.constant[a][b]:
-                x = x + (delta_derivs[2 * n + 3] * central_sym).scaled(data.constant[a][b])
-            x = z2_inv * x
-            _extract_pairs(x, a, b, n, window, entries)
+            acc: Dict[Tuple[int, int], Combo] = {}
+            for tables, kernel in kernels:
+                for g, scale in enumerate(tables[a][b]):
+                    if not scale:
+                        continue
+                    name = names[g]
+                    for pair, kterms in kernel.items():
+                        out = acc.setdefault(pair, {})
+                        for sym, c in kterms:
+                            sym = name[sym]
+                            out[sym] = out.get(sym, _ZERO) + scale * c
+            for (k1, k2), combo in acc.items():
+                combo = {s: c for s, c in combo.items() if c}
+                if combo:
+                    entries[((a, k1), (b, k2))] = combo
     return ModeBracketTable(dim=d, window=window, entries=entries)
 
 
-def _extract_pairs(x: FormalDistribution, fam_a: int, fam_b: int, top_order: int,
-                   window: int, entries: Dict[Tuple[ModeKey, ModeKey], Combo]) -> None:
-    # One pass groups the terms by (z-exponent, theta pattern); each mode pair
-    # is then one lookup instead of a scan of every term.
-    index: Dict[Tuple[ZExp, Thetas], Combo] = {}
+def _extract_pairs(x: FormalDistribution, top_order: int, window: int):
+    """(symbol, coeff) terms of z2^{-1} x at each interior doubled mode pair
+    (k1, k2), read through one index keyed by (z-exponent, theta pattern);
+    the z2^{-1} shift is an offset of one in the z2 exponent."""
+    index: Dict[Tuple[ZExp, Thetas], List[Tuple[Symbol, Coeff]]] = {}
     for (z, th, sym), coeff in x.terms().items():
         if coeff:
-            index.setdefault((z, th), {})[sym] = coeff
+            index.setdefault((z, th), []).append((sym, coeff))
+    kernel = {}
     bound = 2 * window
     for k1 in range(-bound, bound + 1):
         for k2 in range(-bound, bound + 1):
-            zexp = (-(k1 // 2) - top_order - 1, -(k2 // 2) - top_order - 1, 0)
+            zexp = (-(k1 // 2) - top_order - 1, -(k2 // 2) - top_order, 0)
             if k1 % 2 == 0 and k2 % 2 == 0:
                 combo = index.get((zexp, (1, 2)))
             elif k1 % 2 == 0:
                 combo = index.get((zexp, (1,)))
                 if combo:
-                    combo = {s: -c for s, c in combo.items()}
+                    combo = [(s, -c) for s, c in combo]
             elif k2 % 2 == 0:
                 combo = index.get((zexp, (2,)))
             else:
                 combo = index.get((zexp, ()))
             if combo:
-                entries[((fam_a, k1), (fam_b, k2))] = combo
+                kernel[(k1, k2)] = combo
+    return kernel
 
 
 def check_super_skew(table: ModeBracketTable):
@@ -455,7 +474,8 @@ def check_super_skew(table: ModeBracketTable):
 
 def _combo_bracket(table: ModeBracketTable, combo: Combo, w: ModeKey) -> Optional[Combo]:
     """Bracket of a symbol combination with an interior mode; None if the
-    combination holds a mode outside the window."""
+    combination holds a mode outside the window.  ``check_super_jacobi``
+    evaluates the same nested bracket on the entries indexed by position."""
     out: Combo = {}
     entries, bound = table.entries, 2 * table.window
     for sym, coeff in combo.items():
@@ -483,6 +503,10 @@ def check_super_jacobi(table: ModeBracketTable):
     window.  Returns (ok, witness); the witness is the lexicographically first
     failing triple of ``mode_keys()`` cubed.
 
+    Whether [[x, y], w] stays inside the window depends on [x, y] alone, so
+    admissibility is decided once per ordered pair, on the entries indexed by
+    mode position.
+
     The sweep visits only triples that are lexicographically smallest among
     their rotations, a third of them.  With
     S(x, y, z) = [[x,y],z] + (-1)^{px(py+pz)} [[y,z],x] + (-1)^{pz(px+py)} [[z,x],y],
@@ -494,38 +518,59 @@ def check_super_jacobi(table: ModeBracketTable):
     other triples in the same order, so it returns the same witness.
     """
     keys = table.mode_keys()
-    entries = table.entries
     count = len(keys)
-    for i, x in enumerate(keys):
-        px = mode_parity(x)
+    bound = 2 * table.window
+    parity = [mode_parity(key) for key in keys]
+    # Positions: the interior modes, then the modes of a family >= ``dim``
+    # inside the window that the entries hold (admissible, and bracketing
+    # through the entries like any mode).
+    position = {key: i for i, key in enumerate(keys)}
+    for combo in table.entries.values():
+        for sym in combo:
+            if sym != CENTRAL and abs(sym[2]) <= bound:
+                position.setdefault((sym[1], sym[2]), len(position))
+    # value[s][w] is the entry [mode s, keys[w]]; inner[i][j] holds the
+    # terms of [keys[i], keys[j]] as (position, coeff), or None when that
+    # entry holds a mode outside the window (the pair is not admissible).
+    value = [[{}] * count for _ in range(len(position))]
+    inner = [[()] * count for _ in range(count)]
+    for (x, y), combo in table.entries.items():
+        s, j = position.get(x), position.get(y, count)
+        if s is None or j >= count:
+            continue
+        value[s][j] = combo
+        if s < count:
+            outside = any(m != CENTRAL and abs(m[2]) > bound for m in combo)
+            inner[s][j] = None if outside else tuple(
+                (position[(m[1], m[2])], c) for m, c in combo.items() if m != CENTRAL)
+
+    def accumulate(total, terms, w, flip):
+        for s, c in terms:
+            if flip:
+                c = -c
+            for sym, v in value[s][w].items():
+                total[sym] = total.get(sym, _ZERO) + c * v
+
+    for i in range(count):
+        px, inner_i = parity[i], inner[i]
         for j in range(i, count):
-            y = keys[j]
-            py = mode_parity(y)
-            bxy = entries.get((x, y), {})
+            ij = inner_i[j]
+            if ij is None:
+                continue
+            py, inner_j = parity[j], inner[j]
             # (i, j, k) is the least of its rotations iff k >= i, and k > i
             # when j > i.
             for k in range(i if j == i else i + 1, count):
-                z = keys[k]
-                pz = mode_parity(z)
-                t1 = _combo_bracket(table, bxy, z)
-                if t1 is None:
+                jk, ki = inner_j[k], inner[k][i]
+                if jk is None or ki is None or not (ij or jk or ki):
                     continue
-                t2 = _combo_bracket(table, entries.get((y, z), {}), x)
-                if t2 is None:
-                    continue
-                t3 = _combo_bracket(table, entries.get((z, x), {}), y)
-                if t3 is None:
-                    continue
-                total: Combo = dict(t1)
-                for combo, flip in ((t2, px & (py ^ pz)), (t3, pz & (px ^ py))):
-                    for sym, coeff in combo.items():
-                        c = total.get(sym, _ZERO) + (-coeff if flip else coeff)
-                        if c:
-                            total[sym] = c
-                        elif sym in total:
-                            del total[sym]
-                if total:
-                    return False, (x, y, z)
+                pz = parity[k]
+                total: Combo = {}
+                accumulate(total, ij, k, 0)
+                accumulate(total, jk, i, px & (py ^ pz))
+                accumulate(total, ki, j, pz & (px ^ py))
+                if any(total.values()):
+                    return False, (keys[i], keys[j], keys[k])
     return True, None
 
 

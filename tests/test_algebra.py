@@ -15,7 +15,7 @@ from svarcalc import (
     parity,
     partial_derive,
 )
-from svarcalc.algebra import times_generator, tower_partials
+from svarcalc.algebra import _exact, times_generator, tower_partials
 from helpers import KERNEL_POOL, field_pool, kernel_poly, mixed_pool, partial_by_scan, random_poly
 
 ONE = SuperPolynomial.one()
@@ -165,6 +165,13 @@ class TestExactCoefficients:
         assert (3 * u).terms() == {((field(0, 2), 1),): Fraction(3, 2)}
         assert str(Fraction(1, 3) * u) == "1/6*phi0(2)"
         assert (u + u) == gen_poly(field(0, 2))
+
+    def test_exact_keeps_int_and_converts_bool(self):
+        big = 10 ** 30 + 1
+        assert _exact(big) is big
+        for value, want in ((True, 1), (False, 0), (Fraction(6, 3), 2)):
+            assert _exact(value) == want and type(_exact(value)) is int
+        assert _exact(Fraction(3, 2)) == Fraction(3, 2) and _exact("-1/2") == Fraction(-1, 2)
 
     def test_int_and_fraction_render_and_compare_alike(self):
         as_int = SuperPolynomial({((field(0, 2), 1),): 2})

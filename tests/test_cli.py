@@ -18,7 +18,7 @@ from svarcalc import (
     super_virasoro_table,
     virasoro_operator_data,
 )
-from svarcalc.cli import main
+from svarcalc.cli import MAX_WINDOW, main
 from svarcalc.documents import InputDocument, render_document
 from svarcalc.modes import render_table
 
@@ -116,6 +116,22 @@ class TestUsageErrors:
             main(self.argv(docs, command) + [flag, value])
         assert exc.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
+
+    def test_window_above_the_bound_is_a_usage_error(self, docs, tmp_path, capsys):
+        report = tmp_path / "wide.json"
+        for window in (MAX_WINDOW + 1, 10 ** 6):
+            assert main(["induce", "--window", str(window), docs["virasoro1.lop.json"],
+                         "--report", str(report)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == (f"svarcalc: error: --window {window} exceeds "
+                                    f"the bound {MAX_WINDOW}\n")
+            assert not captured.out and not report.exists()
+
+    @pytest.mark.parametrize("window", [3, 4, 5, 6])
+    def test_windows_within_the_bound_pass(self, docs, window, capsys):
+        assert main(["induce", "--window", str(window), docs["virasoro1.lop.json"]]) == 0
+        out = capsys.readouterr().out
+        assert all(line in out for line in render_table(super_virasoro_table(1, window)))
 
     def test_unwritable_report_is_an_error(self, docs, tmp_path, capsys):
         path = tmp_path / "missing" / "report.json"

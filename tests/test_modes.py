@@ -328,6 +328,16 @@ def induce_by_scan(data, window):
     return entries
 
 
+def halved(data):
+    """``data`` with every table entry and the constant block halved."""
+    half = lambda tables: tuple(
+        tuple(tuple(tuple(c * F(1, 2) for c in cell) for cell in row) for row in t)
+        for t in tables)
+    constant = tuple(tuple(c * F(1, 2) for c in row) for row in data.constant)
+    return LinearOperatorData(data.top_order, data.dim, half(data.even_tables),
+                              half(data.odd_tables), constant)
+
+
 def perturbed_table(rng, families, window, mirrored):
     """A closed-form table with one entry shifted; ``mirrored`` also shifts
     the reverse entry so that super skew symmetry still holds."""
@@ -390,10 +400,49 @@ class TestSweepOracles:
         assert full_jacobi_sweep(table) == (False, (x, x, x))
         assert check_super_jacobi(table) == (False, (x, x, x))
 
+    def test_out_of_window_and_central_terms_count_in_nested_brackets(self):
+        # [[x, y], z] = [phi(0), z] + [phi(-1), z] carries phi(2), outside
+        # window 1, and the central symbol; only their full cancellation by
+        # [phi(-1), z] makes the triple pass.
+        x, y, z = (0, 1), (0, -1), (0, 2)
+        for cancel, ok in (({}, False), ({CENTRAL: -3}, False), ({phi_symbol(0, 4): -1}, False),
+                           ({phi_symbol(0, 4): -1, CENTRAL: -3}, True)):
+            entries = {(x, y): {phi_symbol(0, 0): 1, phi_symbol(0, -2): 1},
+                       ((0, 0), z): {phi_symbol(0, 4): 1, CENTRAL: 3}}
+            if cancel:
+                entries[((0, -2), z)] = cancel
+            table = ModeBracketTable(dim=1, window=1, entries=entries)
+            expected = full_jacobi_sweep(table)
+            assert expected == ((True, None) if ok else (False, (y, z, x)))
+            assert check_super_jacobi(table) == expected
+
+    def test_in_window_mode_beyond_the_families_is_admissible(self):
+        # [x, y] holds phi1(0) in a one-family table: the triple stays
+        # admissible, phi1(0) brackets through the entries like any mode
+        # (to zero when it has none), and the triple fails unless its
+        # bracket cancels [phi0(0), z].
+        x, y, z = (0, 1), (0, -1), (0, 2)
+        for extra, ok in ((None, False), ({phi_symbol(0, 2): F(-1, 5)}, True)):
+            entries = {(x, y): {phi_symbol(1, 0): 5, phi_symbol(0, 0): 1},
+                       ((0, 0), z): {phi_symbol(0, 2): 1}}
+            if extra:
+                entries[((1, 0), z)] = extra
+            table = ModeBracketTable(dim=1, window=1, entries=entries)
+            expected = full_jacobi_sweep(table)
+            assert expected == ((True, None) if ok else (False, (y, z, x)))
+            assert check_super_jacobi(table) == expected
+
     def test_induce_matches_scan_extraction_on_virasoro_data(self):
-        for families, window in ((1, 2), (1, 3), (2, 2), (2, 3)):
+        for families, window in ((1, 2), (1, 3), (1, 5), (1, 6), (2, 2), (2, 3), (3, 2), (3, 3)):
             data = virasoro_operator_data(families)
             assert induce_bracket(data, window).entries == induce_by_scan(data, window)
+
+    def test_induce_matches_scan_extraction_on_half_coefficients(self):
+        for families, window in ((1, 3), (2, 2), (3, 2)):
+            data = halved(virasoro_operator_data(families))
+            entries = induce_bracket(data, window).entries
+            assert entries == induce_by_scan(data, window)
+            assert any(type(c) is F for combo in entries.values() for c in combo.values())
 
     def test_induce_matches_scan_extraction_on_bialgebra_mutations(self, seed):
         rng = random.Random(seed)
@@ -426,12 +475,7 @@ class TestExactCoefficients:
         assert all(type(c) is int for combo in table.entries.values() for c in combo.values())
 
     def test_half_entry_gives_exact_fraction_bracket(self):
-        base = virasoro_operator_data(1)
-        half = lambda tables: tuple(
-            tuple(tuple(tuple(c * F(1, 2) for c in cell) for cell in row) for row in t)
-            for t in tables)
-        data = LinearOperatorData(1, 1, half(base.even_tables), half(base.odd_tables),
-                                  ((F(1, 2),),))
+        data = halved(virasoro_operator_data(1))
         assert data.constant[0][0] == F(1, 2) and type(data.constant[0][0]) is F
         induced = induce_bracket(data, 3).entries
         closed = super_virasoro_table(1, 3).entries

@@ -357,13 +357,26 @@ def _scale(c, x):
     return tuple(c * a for a in x)
 
 
-def oracle_failures(spec, cls):
+def oracle_products(spec):
+    """``multiply`` by circ, times and dot, each vector product computed once:
+    the identities of every class share most nested products of a spec."""
+    def memoised(table):
+        products = {}
+
+        def m(x, y):
+            if (x, y) not in products:
+                products[(x, y)] = multiply(table, x, y)
+            return products[(x, y)]
+        return m
+    return memoised(spec.circ), memoised(spec.times), memoised(spec.dot)
+
+
+def oracle_failures(spec, cls, products=None):
     """Every identity of the class as its textbook formula on basis vectors:
-    the same witnesses as iter_axiom_failures, built without its table."""
+    the same witnesses as iter_axiom_failures, built without its table.
+    ``products`` is ``oracle_products(spec)``, shared between classes."""
     e, g = spec.basis, spec.grading
-    c = lambda x, y: multiply(spec.circ, x, y)
-    t = lambda x, y: multiply(spec.times, x, y)
-    dt = lambda x, y: multiply(spec.dot, x, y)
+    c, t, dt = products or oracle_products(spec)
     f = lambda x, y: (sum(x[a] * y[b] * spec.form[a][b]
                           for a in range(spec.dim) for b in range(spec.dim)),)
     assoc = lambda m, x, y, z: _sub(m(m(x, y), z), m(x, m(y, z)))
@@ -437,6 +450,7 @@ class TestIdentityTableOracle:
     """iter_axiom_failures against the textbook formulas, witness for witness."""
 
     def assert_matches_oracle(self, spec, classes=ALGEBRA_CLASSES):
+        products = oracle_products(spec)
         for cls in classes:
             missing = [n for n in ORACLE_NEEDS[cls] if getattr(spec, n) is None]
             if missing:
@@ -444,7 +458,7 @@ class TestIdentityTableOracle:
                     list(iter_axiom_failures(spec, cls))
                 continue
             got = list(iter_axiom_failures(spec, cls))
-            assert got == list(oracle_failures(spec, cls)), cls
+            assert got == list(oracle_failures(spec, cls, products)), cls
             assert all(type(v) is F for _, _, residual in got for v in residual)
 
     def test_random_specs_with_gradings(self, seed):
