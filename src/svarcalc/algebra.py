@@ -414,16 +414,30 @@ def insert_generator(mono: Monomial, gen: Generator, lo: int = 0) -> Tuple[Optio
 
 
 def times_generator(u: SuperPolynomial, gen: Generator) -> SuperPolynomial:
-    """u * gen by one insertion per monomial.
+    """u * gen by one insertion per monomial; see ``times_generator_into``."""
+    out: Dict[Monomial, Coeff] = {}
+    times_generator_into(out, u._terms, gen)
+    return SuperPolynomial(out)
+
+
+def times_generator_into(acc: Dict[Monomial, Coeff], terms: Mapping[Monomial, Coeff],
+                         gen: Generator, sign: int = 1) -> None:
+    """Add sign * (u * gen) into the term dict ``acc`` in place, u given by its terms.
 
     gen enters from the right, so it passes the odd generators above its
     place: all odd generators of the monomial except the ``crossed`` below.
-    Distinct monomials stay distinct, so no coefficients merge.
+    Distinct monomials of u stay distinct; they merge only with what ``acc``
+    already holds, and coefficients that cancel are removed.
     """
     odd = parity(gen)
-    out: Dict[Monomial, Coeff] = {}
-    for mono, coeff in u._terms.items():
+    for mono, coeff in terms.items():
         new, crossed = insert_generator(mono, gen)
         if new is not None:
-            out[new] = -coeff if odd and (monomial_parity(mono) + crossed) & 1 else coeff
-    return SuperPolynomial(out)
+            flip = sign < 0
+            if odd and (monomial_parity(mono) + crossed) & 1:
+                flip = not flip
+            c = acc.get(new, _ZERO) + (-coeff if flip else coeff)
+            if c:
+                acc[new] = c
+            elif new in acc:
+                del acc[new]

@@ -16,7 +16,7 @@ sense; they are determined by their order-1 components.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .algebra import (
     FIELD_KIND,
@@ -114,7 +114,25 @@ def variational_derivative_field(u: SuperPolynomial, family: int) -> SuperPolyno
     return variational_derivative(u, field(family, 1))
 
 
-def _deciding_bases(u: SuperPolynomial) -> List[Generator]:
+def _linear_towers(u: SuperPolynomial) -> set:
+    """Bases of the covector towers in which every monomial of u has degree
+    exactly 1."""
+    linear = None
+    for mono in u.terms():
+        degree: Dict[Generator, int] = {}
+        for gen, exp in mono:
+            if gen[0] != FIELD_KIND:
+                base = base_of(gen)
+                degree[base] = degree.get(base, 0) + exp
+        ones = {base for base, count in degree.items() if count == 1}
+        linear = ones if linear is None else linear & ones
+        if not linear:
+            break
+    return linear or set()
+
+
+def _deciding_bases(u: SuperPolynomial,
+                    linear: Optional[Iterable[Generator]] = None) -> List[Generator]:
     """The bases whose variational derivatives decide membership of u in Im D.
 
     If every monomial has degree exactly 1 in some covector tower, u is
@@ -123,25 +141,20 @@ def _deciding_bases(u: SuperPolynomial) -> List[Generator]:
     derivative by xi, so that one derivative decides.  Among such towers the
     one with the lowest top derivative order is cheapest (ties go to the
     generator order).  Otherwise every base occurring decides, in generator
-    order.
+    order.  ``linear``, when given, names every such tower, and they are not
+    searched for.
     """
-    linear = None
-    top: Dict[Generator, int] = {}
+    if linear is None:
+        linear = _linear_towers(u)
+    if not (u and linear):
+        return sorted(u.bases())
+    top = dict.fromkeys(linear, -1)
     for mono in u.terms():
-        degree: Dict[Generator, int] = {}
-        for gen, exp in mono:
-            if gen[0] != FIELD_KIND:
-                base = base_of(gen)
-                degree[base] = degree.get(base, 0) + exp
-                if gen[2] > top.get(base, -1):
-                    top[base] = gen[2]
-        ones = {base for base, count in degree.items() if count == 1}
-        linear = ones if linear is None else linear & ones
-        if not linear:
-            break
-    if linear:
-        return [min(linear, key=lambda base: (top[base], base))]
-    return sorted(u.bases())
+        for gen, _ in mono:
+            base = base_of(gen)
+            if base in top and gen[2] > top[base]:
+                top[base] = gen[2]
+    return [min(top, key=lambda base: (top[base], base))]
 
 
 def _require_constant_free(u: SuperPolynomial) -> None:
@@ -164,16 +177,21 @@ def is_total_derivative(u: SuperPolynomial) -> bool:
     return not any(variational_derivative(u, base) for base in _deciding_bases(u))
 
 
-def non_membership_certificate(u: SuperPolynomial):
+def non_membership_certificate(u: SuperPolynomial, linear: Optional[Iterable[Generator]] = None):
     """Certificate that u is outside the image of the superderivation.
 
     Returns (base generator, its nonzero variational derivative) for the
     first deciding base (the single linear covector tower when there is
     one, else the first base in generator order with a nonzero derivative),
     or None when u is a total derivative.
+
+    ``linear`` optionally names the bases of the covector towers the caller
+    knows u to be linear in (degree exactly 1 in every monomial).  It must
+    name every such tower; they are then not searched for, and the
+    certificate is the same as without it.
     """
     _require_constant_free(u)
-    for base in _deciding_bases(u):
+    for base in _deciding_bases(u, linear):
         grad = variational_derivative(u, base)
         if grad:
             return base, grad

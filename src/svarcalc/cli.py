@@ -4,7 +4,8 @@ Every checker command reads a JSON input document, runs the check, prints a
 human summary (with wall-clock timing) and exits 0 on pass, 1 on fail, 2 on
 error.  ``--report PATH`` additionally writes a machine-readable report whose
 bytes depend only on the inputs, and ``--witness-limit K`` caps how many
-witnesses are collected.  Every check runs in this process; ``--jobs K`` is
+witnesses are collected.  The argument parser is built once per process and
+shared by every ``main`` call.  Every check runs in this process; ``--jobs K`` is
 accepted for compatibility and echoed in the ``check-hamiltonian`` and
 ``verify-paper-examples`` report configuration.
 """
@@ -12,6 +13,7 @@ accepted for compatibility and echoed in the ``check-hamiltonian`` and
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -277,6 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and reused by later calls in
+    the same process.  Parsing leaves it unchanged: every call gets a fresh
+    namespace filled from the arguments and the defaults."""
+    return build_parser()
+
+
 def _print_human(report: Report, elapsed: float) -> None:
     print(f"[{report.check}] verdict: {report.verdict} ({elapsed:.2f}s)")
     for witness in report.witnesses:
@@ -297,8 +307,7 @@ def _print_human(report: Report, elapsed: float) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "induce" and args.window > MAX_WINDOW:
         print(f"svarcalc: error: --window {args.window} exceeds the bound {MAX_WINDOW}",
               file=sys.stderr)

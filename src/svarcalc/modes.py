@@ -453,23 +453,39 @@ def _extract_pairs(x: FormalDistribution, top_order: int, window: int):
 
 
 def check_super_skew(table: ModeBracketTable):
-    """Graded skew-symmetry of the table; returns (ok, witness)."""
-    for x in table.mode_keys():
-        for y in table.mode_keys():
-            fwd = table.bracket(x, y)
-            back = table.bracket(y, x)
-            sign = -1 if (mode_parity(x) & mode_parity(y)) else 1
-            residue = dict(fwd)
-            for sym, coeff in back.items():
-                c = residue.get(sym, _ZERO) + (coeff if sign > 0 else -coeff)
-                if c:
-                    residue[sym] = c
-                elif sym in residue:
-                    del residue[sym]
-            # fwd + (-1)^{xy} back must vanish
-            if residue:
-                return False, (x, y)
-    return True, None
+    """Graded skew-symmetry of the table; returns (ok, witness).
+
+    The witness is the first failing pair (x, y) of ``mode_keys()`` squared
+    in row-major order.  A pair with neither bracket stored passes, and
+    (x, y) fails exactly when (y, x) does, so only the pairs with a stored
+    entry are decided, each as its key-ordered member: the first failure in
+    row-major order is such a member, the least one by key position.
+    """
+    position = {key: n for n, key in enumerate(table.mode_keys())}
+    entries = table.entries
+    first = None  # (positions, pair) of the least failing pair so far
+    for x, y in entries:
+        px, py = position.get(x), position.get(y)
+        if px is None or py is None:
+            continue
+        if px > py:
+            if (y, x) in entries:
+                continue  # decided from its own entry
+            x, y, px, py = y, x, py, px
+        if first is not None and (px, py) >= first[0]:
+            continue
+        sign = -1 if (mode_parity(x) & mode_parity(y)) else 1
+        residue = dict(entries.get((x, y), {}))
+        for sym, coeff in entries.get((y, x), {}).items():
+            c = residue.get(sym, _ZERO) + (coeff if sign > 0 else -coeff)
+            if c:
+                residue[sym] = c
+            elif sym in residue:
+                del residue[sym]
+        # [x, y] + (-1)^{xy} [y, x] must vanish
+        if residue:
+            first = ((px, py), (x, y))
+    return (True, None) if first is None else (False, first[1])
 
 
 def _combo_bracket(table: ModeBracketTable, combo: Combo, w: ModeKey) -> Optional[Combo]:

@@ -45,7 +45,7 @@ from .algebra import (
     covector,
     field,
     mul_into,
-    times_generator,
+    times_generator_into,
     tower_partials,
 )
 from .calculus import (
@@ -415,6 +415,21 @@ def _field_families(op: MatrixDiffOperator) -> Dict[Tuple[int, int, int], frozen
     return out
 
 
+_SLOT_ONE = COVECTOR_SLOTS[0]
+
+
+def _relabel(poly: SuperPolynomial, slot: int) -> SuperPolynomial:
+    """A polynomial whose covectors all lie in slot 1, with them moved to ``slot``.
+
+    Fields sort before covectors, and the covectors keep their order among
+    themselves, so every monomial stays sorted and keeps its sign.
+    """
+    return SuperPolynomial({
+        tuple((gen, exp) if gen[0] == FIELD_KIND else ((slot,) + gen[1:], exp)
+              for gen, exp in mono): coeff
+        for mono, coeff in poly.terms().items()})
+
+
 class ConfigurationScan:
     """The configuration-scan engine for the three-form sum of B(A, B) over pairs.
 
@@ -423,11 +438,25 @@ class ConfigurationScan:
     argument, so the closedness defect of H is B(H, H) and the Schouten
     bracket [H1, H2] is B(H1, H2) + B(H2, H1).
 
-    A scan memoises, per (operator index, covector symbol), the Frechet
-    linearization, the operator application and the derivative towers of the
-    applied columns: 6 d values per operator instead of three per
-    configuration.  The memo lives as long as the scan object.  A
-    configuration whose pairing terms all vanish structurally (no field
+    Memo.  A scan keeps, for the life of the scan object:
+
+    * per (operator, family, parity), the Frechet linearization, the
+      operator application and the derivative towers of the applied
+      columns.  Each is built once, on the slot-1 covector symbol, so a scan
+      makes at most 2 d ``frechet`` and 2 d ``apply_matrix_operator`` calls
+      per operator.  Slots 2 and 3 get a copy with the covector kind
+      relabelled.  That is exact: every memoised polynomial holds the
+      covectors of one slot only, and fields sort before covectors, so the
+      relabelled monomials keep their order and their signs.
+    * per (pair, arg symbol, operand symbol, row), the product
+      (Frechet_i xi_a)(op_j xi_b) before the closing covector.  The closing
+      symbol differs between the two closing parities only in its parity,
+      so both share the product.  The key holds every family of the
+      configuration, so only configurations with the same families share
+      a product; they are consecutive in the scan order, and the product
+      memo is emptied when the families change.
+
+    A configuration whose pairing terms all vanish structurally (no field
     family of the linearized entry meets a nonzero column of the applied
     operator) is skipped: its form is the zero polynomial.
 
@@ -463,6 +492,10 @@ class ConfigurationScan:
     configuration.  The gate is set before the first search from
     ``check_skew_symmetry``, which decides each operator once, so the scan
     has no precondition and checking skew-symmetry before it costs nothing.
+
+    Every form is linear in each of the three covector towers of its
+    configuration, so the scan hands those bases to
+    ``non_membership_certificate``.
     """
 
     # Whether the orbit reduction applies; None until ``_representatives``
@@ -489,8 +522,10 @@ class ConfigurationScan:
         self.dim = first.dim
         self._fields = [_field_families(op) for op in self.ops]
         self._lin: Dict[Tuple[int, Generator], Dict[int, List[Tuple[int, Mapping]]]] = {}
-        self._applied: Dict[Tuple[int, Generator], Dict[int, SuperPolynomial]] = {}
         self._towers: Dict[Tuple[int, Generator, int], List[SuperPolynomial]] = {}
+        # The families whose products ``_products`` holds.
+        self._families: Optional[Tuple[int, int, int]] = None
+        self._products: Dict[Tuple, Dict] = {}
 
     @classmethod
     def closedness(cls, op: MatrixDiffOperator) -> "ConfigurationScan":
@@ -509,39 +544,53 @@ class ConfigurationScan:
         key = (i, sym)
         rows = self._lin.get(key)
         if rows is None:
-            rows = {}
-            for (row, col), scalar in frechet(self.ops[i], sym, (sym[3] + 1) & 1).items():
-                rows.setdefault(row, []).append((col, scalar.entries()))
+            if sym[0] == _SLOT_ONE:
+                rows = {}
+                for (row, col), scalar in frechet(self.ops[i], sym, (sym[3] + 1) & 1).items():
+                    rows.setdefault(row, []).append((col, scalar.entries()))
+            else:
+                first = self._linearization(i, (_SLOT_ONE,) + sym[1:])
+                rows = {row: [(col, {m: _relabel(coeff, sym[0]) for m, coeff in entries.items()})
+                              for col, entries in cols]
+                        for row, cols in first.items()}
             self._lin[key] = rows
         return rows
 
     def _derivative(self, j: int, sym: Generator, col: int, m: int) -> SuperPolynomial:
         """D^m of column col of operator j applied to the basis covector sym."""
-        tower = self._towers.get((j, sym, col))
-        if tower is None:
-            applied = self._applied.get((j, sym))
-            if applied is None:
+        key = (j, sym, col)
+        if key not in self._towers:
+            if sym[0] == _SLOT_ONE:
                 applied = apply_matrix_operator(
                     self.ops[j], {sym[1]: SuperPolynomial.generator(sym)}, (sym[3] + 1) & 1)
-                self._applied[(j, sym)] = applied
-            tower = self._towers[(j, sym, col)] = [applied[col]]
+                for row, column in applied.items():
+                    self._towers[(j, sym, row)] = [column]
+            else:
+                self._towers[key] = []
+        tower = self._towers[key]
         while len(tower) <= m:
-            tower.append(superderive(tower[-1]))
+            if sym[0] == _SLOT_ONE:
+                tower.append(superderive(tower[-1]))
+            else:
+                first = self._derivative(j, (_SLOT_ONE,) + sym[1:], col, len(tower))
+                tower.append(_relabel(first, sym[0]))
         return tower[m]
 
-    # -- one configuration -------------------------------------------------------
+    def _product(self, i: int, j: int, arg: Generator, operand: Generator,
+                 row: int) -> Dict:
+        """Terms of (Frechet_i arg)(op_j operand) at ``row``, before the closing covector."""
+        key = (i, j, arg, operand, row)
+        acc = self._products.get(key)
+        if acc is None:
+            acc = self._products[key] = {}
+            for col, entries in self._linearization(i, arg).get(row, ()):
+                for m, coeff in entries.items():
+                    w = self._derivative(j, operand, col, m)
+                    if w:
+                        mul_into(acc, coeff, w)
+        return acc
 
-    def _pairing(self, i: int, j: int, arg: Generator, operand: Generator,
-                 closing: Generator) -> SuperPolynomial:
-        """<closing, (Frechet_i arg)(op_j operand)> for basis covector symbols."""
-        acc: Dict = {}
-        # The pairing with a basis covector at closing's family keeps that row only.
-        for col, entries in self._linearization(i, arg).get(closing[1], ()):
-            for m, coeff in entries.items():
-                w = self._derivative(j, operand, col, m)
-                if w:
-                    mul_into(acc, coeff, w)
-        return times_generator(SuperPolynomial(acc), closing)
+    # -- one configuration -------------------------------------------------------
 
     def is_structurally_zero(self, families: Tuple[int, int, int],
                              parities: Tuple[int, int, int]) -> bool:
@@ -558,15 +607,17 @@ class ConfigurationScan:
     def three_form(self, families: Tuple[int, int, int],
                    parities: Tuple[int, int, int]) -> SuperPolynomial:
         """The scanned three-form on one basis configuration."""
+        if families != self._families:
+            self._families, self._products = families, {}
         xi = _basis_symbols(families, parities)
         signs = _config_signs(self.type_parity, parities)
-        acc = SuperPolynomial.zero()
+        acc: Dict = {}
         for i, j in self._index:
             for (a, b, c), sign in zip(_CYCLIC, signs):
-                term = self._pairing(i, j, xi[a], xi[b], xi[c])
-                if term:
-                    acc = acc + (term if sign > 0 else -term)
-        return acc
+                # The pairing with a basis covector at family c keeps row c only.
+                product = self._product(i, j, xi[a], xi[b], families[c])
+                times_generator_into(acc, product, xi[c], sign)
+        return SuperPolynomial(acc)
 
     # -- the scan ----------------------------------------------------------------
 
@@ -586,7 +637,7 @@ class ConfigurationScan:
                 yield self._member_failure(*heappop(pending))
             if self.is_structurally_zero(*rep):
                 continue
-            certificate = non_membership_certificate(self.three_form(*rep))
+            certificate = self._certificate(rep)
             if certificate is not None:
                 members = _orbit(*rep) if self._symmetric else [rep]
                 for member in members:
@@ -594,9 +645,13 @@ class ConfigurationScan:
         while pending:
             yield self._member_failure(*heappop(pending))
 
+    def _certificate(self, config: Tuple) -> Optional[Tuple]:
+        return non_membership_certificate(self.three_form(*config),
+                                          linear=_basis_symbols(*config))
+
     def _member_failure(self, member: Tuple, certificate: Optional[Tuple]) -> Tuple:
         if certificate is None:
-            certificate = non_membership_certificate(self.three_form(*member))
+            certificate = self._certificate(member)
             if certificate is None:
                 raise RuntimeError(f"configuration {member} passes although its S3 orbit "
                                    "fails; the scanned form is not a trivector")

@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, reports, determinism, witness limits."""
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from svarcalc import (
     super_virasoro_table,
     virasoro_operator_data,
 )
+from svarcalc import cli
 from svarcalc.cli import MAX_WINDOW, main
 from svarcalc.documents import InputDocument, render_document
 from svarcalc.modes import render_table
@@ -336,3 +338,78 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "mutation-control: ok" in out
         assert "super-kdv-rhs: ok" in out
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; no call may see another's options."""
+
+    def sequence(self, docs):
+        """(argv, writes a report) for calls mixing subcommands, witness limits,
+        --jobs, usage errors and --help."""
+        return [
+            (["check-hamiltonian", docs["broken.op.json"], "--witness-limit", "3",
+              "--jobs", "2"], True),
+            (["check-hamiltonian", docs["broken.op.json"]], True),
+            (["check-algebra", "--class", "nx_bialgebra", docs["broken.alg.json"],
+              "--witness-limit", "3"], True),
+            (["check-skew", docs["noskew.op.json"], "--witness-limit", "0"], True),
+            (["check-skew", docs["noskew.op.json"]], True),
+            (["--help"], False),
+            (["check-algebra", docs["nx2.alg.json"]], False),
+            (["schouten", docs["broken.op.json"], docs["broken.op.json"],
+              "--witness-limit", "3"], True),
+            (["pair", docs["d.op.json"], docs["d5.op.json"], "--jobs", "2"], True),
+            (["check-hamiltonian", "--help"], False),
+            (["induce", "--window", "2", docs["virasoro1.lop.json"]], True),
+            (["check-hamiltonian", docs["d5.op.json"]], True),
+            (["schouten", docs["broken.op.json"], docs["broken.op.json"]], True),
+        ]
+
+    @staticmethod
+    def call(argv, report, capsys):
+        """Exit code, stdout and stderr (wall-clock time masked) and report bytes."""
+        extra = ["--report", str(report)] if report else []
+        try:
+            code = main(argv + extra)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        data = None
+        if report and report.exists():
+            data = report.read_bytes()
+            report.unlink()
+        mask = lambda text: re.sub(r"\(\d+\.\d+s\)", "(time)", text)
+        return code, mask(captured.out), mask(captured.err), data
+
+    def test_reused_parser_matches_fresh_parsers(self, docs, tmp_path, monkeypatch, capsys):
+        built = []
+        real_build = cli.build_parser
+
+        def counting_build():
+            built.append(1)
+            return real_build()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        report = tmp_path / "report.json"
+        runs = {}
+        for fresh in (True, False):
+            cli._parser.cache_clear()
+            built.clear()
+            outcomes = []
+            for argv, writes in self.sequence(docs):
+                if fresh:
+                    cli._parser.cache_clear()
+                outcomes.append(self.call(argv, report if writes else None, capsys))
+            runs[fresh] = outcomes
+            assert len(built) == (len(outcomes) if fresh else 1)
+        assert runs[False] == runs[True]
+        codes = [code for code, _, _, _ in runs[False]]
+        assert codes == [1, 1, 1, 2, 1, 0, 2, 1, 0, 0, 0, 0, 1]
+        # the defaults come back after a call that set the options
+        limited, default = (json.loads(data) for _, _, _, data in runs[False][:2])
+        assert (limited["configuration"]["jobs"], default["configuration"]["jobs"]) == (2, 1)
+        assert len(limited["witnesses"]) == 3 and len(default["witnesses"]) == 1
+        schouten_limited, schouten_default = runs[False][7][3], runs[False][12][3]
+        assert len(json.loads(schouten_limited)["witnesses"]) > 1
+        assert len(json.loads(schouten_default)["witnesses"]) == 1
+        assert "usage: svarcalc" in runs[False][5][1]

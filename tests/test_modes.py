@@ -293,6 +293,21 @@ def full_jacobi_sweep(table):
     return True, None
 
 
+def full_skew_sweep(table):
+    """Graded skew-symmetry over every ordered pair of interior modes, in order,
+    through ``table.bracket``."""
+    keys = table.mode_keys()
+    for x in keys:
+        for y in keys:
+            sign = -1 if mode_parity(x) & mode_parity(y) else 1
+            total = dict(table.bracket(x, y))
+            for s, c in table.bracket(y, x).items():
+                total[s] = total.get(s, 0) + sign * c
+            if any(total.values()):
+                return False, (x, y)
+    return True, None
+
+
 def induce_by_scan(data, window):
     """``induce_bracket`` entries with every mode pair read by ``coefficient``."""
     n, d = data.top_order, data.dim
@@ -375,6 +390,37 @@ class TestSweepOracles:
                         if mirrored:
                             assert check_super_skew(table) == (True, None)
         assert False in outcomes
+
+    def test_skew_matches_full_sweep(self, seed):
+        rng = random.Random(seed)
+        tables = [super_virasoro_table(families, window) for families, window
+                  in ((1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (3, 3))]
+        tables += [perturbed_table(rng, families, window, mirrored)
+                   for families in (1, 2, 3) for window in (2, 3)
+                   for mirrored in (False, True) for _ in range(3)]
+        outcomes = []
+        for table in tables:
+            expected = full_skew_sweep(table)
+            assert check_super_skew(table) == expected
+            outcomes.append(expected[0])
+        assert True in outcomes and False in outcomes
+
+    def test_skew_witness_is_first_in_row_major_order(self):
+        # [phi(1), phi(-1)] is stored only in reverse order, and a later pair
+        # fails too; entries of a family beyond dim or outside the window are
+        # not interior pairs and are ignored.
+        x, y = (0, -2), (0, 2)
+        entries = {((0, 0), (0, 1)): {phi_symbol(0, 1): 1},
+                   (y, x): {phi_symbol(0, 0): 1},
+                   ((1, 0), (0, 0)): {phi_symbol(0, 0): 1},
+                   ((0, 4), (0, 0)): {phi_symbol(0, 4): 1}}
+        table = ModeBracketTable(dim=1, window=1, entries=entries)
+        assert full_skew_sweep(table) == (False, (x, y))
+        assert check_super_skew(table) == (False, (x, y))
+        del entries[(y, x)]
+        assert check_super_skew(table) == full_skew_sweep(table) == (False, ((0, 0), (0, 1)))
+        del entries[((0, 0), (0, 1))]
+        assert check_super_skew(table) == full_skew_sweep(table) == (True, None)
 
     def test_jacobi_matches_full_sweep_on_closed_forms(self):
         for families, window in ((1, 2), (1, 3), (2, 2), (3, 2)):

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from svarcalc import cli, operators
+from svarcalc.algebra import COVECTOR_SLOTS, FIELD_KIND, base_of
+from svarcalc.calculus import non_membership_certificate, variational_derivative
 from svarcalc.documents import InputDocument, parse_document, render_document
 from svarcalc.operators import iter_schouten_failures
 from svarcalc.suite import constant_type1, hand_checked_mutation, twisted_type0
@@ -324,11 +326,49 @@ class TestConfigurationScan:
 
         monkeypatch.setattr(operators, "frechet", counting_frechet)
         monkeypatch.setattr(operators, "apply_matrix_operator", counting_apply)
-        op = quintic_example(2)
-        assert is_hamiltonian(op) == (True, None)
-        # three slots, two families, two parities: 6 d covector symbols
-        assert 0 < calls["frechet"] <= 6 * op.dim
-        assert 0 < calls["apply"] <= 6 * op.dim
+        # built once per family and parity on the slot-1 symbol, relabelled
+        # for slots 2 and 3
+        failing = build_type1_operator(hand_checked_mutation())
+        built = 0
+        for op in [*self.corpus(), failing]:
+            calls.update(frechet=0, apply=0)
+            assert is_hamiltonian(op)[0] == (op is not failing)
+            assert calls["frechet"] <= 2 * op.dim and calls["apply"] <= 2 * op.dim
+            built += calls["frechet"] > 0 and calls["apply"] > 0
+        # the constant operators and the exterior operator of the empty
+        # assignment skip every configuration and build nothing
+        assert built == 6
+
+    def test_certificate_from_slot_bases_matches_search(self):
+        # Every form is linear in exactly its three slot towers; handing them
+        # to the certificate must give what the search over all bases gives,
+        # and both must certify with the tower of lowest top order (ties to
+        # the generator order), found here by brute force.
+        scans = [ConfigurationScan.closedness(op) for op in self.corpus()]
+        scans += [ConfigurationScan.schouten(a, b) for a, b in self.mixed_pairs()]
+        certifying_slots = set()
+        for scan in scans:
+            for families, parities in configurations(scan.dim):
+                form = scan.three_form(families, parities)
+                slots = [covector(slot, fam, 0, (par + 1) & 1)
+                         for slot, fam, par in zip((1, 2, 3), families, parities)]
+                certificate = non_membership_certificate(form)
+                assert non_membership_certificate(form, linear=slots) == certificate
+                if not form:
+                    assert certificate is None
+                    continue
+                linear = [base for base in form.bases() if base[0] != FIELD_KIND and all(
+                    sum(exp for gen, exp in mono if base_of(gen) == base) == 1
+                    for mono in form.terms())]
+                assert sorted(linear) == slots
+                base = min(slots, key=lambda b: (form.max_derivs(b), b))
+                gradient = variational_derivative(form, base)
+                assert certificate == ((base, gradient) if gradient else None)
+                if certificate:
+                    certifying_slots.add(base[0])
+        assert certifying_slots == set(COVECTOR_SLOTS)
+        assert non_membership_certificate(SuperPolynomial.zero(),
+                                          linear=[covector(1, 0, 0, 1)]) is None
 
     def test_skew_symmetry_is_decided_once_per_operator(self, monkeypatch, tmp_path, capsys):
         calls = {}
@@ -435,6 +475,27 @@ class TestScanOracle:
         full = self.assert_matches_oracle(lambda: ConfigurationScan.closedness(op))
         assert len(full) == 15
         assert _as_lists(operators.iter_closedness_failures(op)) == full
+
+    def test_memo_matches_fresh_builds_on_every_slot(self, seed):
+        # The scan builds linearizations and towers on slot-1 symbols and
+        # relabels them for slots 2 and 3; each must equal a fresh build on
+        # the slot's own symbol.
+        ops = list(TestConfigurationScan().corpus()) + [TestConfigurationScan().mixed_pairs()[0][1]]
+        ops += random.Random(seed).sample(self.skew_mutations(seed), 3)
+        for op in ops:
+            scan = ConfigurationScan.closedness(op)
+            for slot, fam, par in product(reversed(COVECTOR_SLOTS), range(op.dim), (0, 1)):
+                sym = covector(slot, fam, 0, (par + 1) & 1)
+                rows = {}
+                for (row, col), scalar in frechet(op, sym, par).items():
+                    rows.setdefault(row, []).append((col, dict(scalar.entries())))
+                assert scan._linearization(0, sym) == rows
+                applied = apply_matrix_operator(op, {fam: gp(sym)}, par)
+                for col in range(op.dim):
+                    derivative = applied[col]
+                    for m in range(6):
+                        assert scan._derivative(0, sym, col, m) == derivative
+                        derivative = superderive(derivative)
 
     def test_passing_member_of_a_failing_orbit_raises(self):
         # Forcing the reduction past the gate breaks the invariant; the scan
