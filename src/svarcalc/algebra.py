@@ -413,13 +413,6 @@ def insert_generator(mono: Monomial, gen: Generator, lo: int = 0) -> Tuple[Optio
     return mono[:pos] + ((gen, 1),) + mono[pos:], crossed
 
 
-def times_generator(u: SuperPolynomial, gen: Generator) -> SuperPolynomial:
-    """u * gen by one insertion per monomial; see ``times_generator_into``."""
-    out: Dict[Monomial, Coeff] = {}
-    times_generator_into(out, u._terms, gen)
-    return SuperPolynomial(out)
-
-
 def times_generator_into(acc: Dict[Monomial, Coeff], terms: Mapping[Monomial, Coeff],
                          gen: Generator, sign: int = 1) -> None:
     """Add sign * (u * gen) into the term dict ``acc`` in place, u given by its terms.

@@ -114,25 +114,7 @@ def variational_derivative_field(u: SuperPolynomial, family: int) -> SuperPolyno
     return variational_derivative(u, field(family, 1))
 
 
-def _linear_towers(u: SuperPolynomial) -> set:
-    """Bases of the covector towers in which every monomial of u has degree
-    exactly 1."""
-    linear = None
-    for mono in u.terms():
-        degree: Dict[Generator, int] = {}
-        for gen, exp in mono:
-            if gen[0] != FIELD_KIND:
-                base = base_of(gen)
-                degree[base] = degree.get(base, 0) + exp
-        ones = {base for base, count in degree.items() if count == 1}
-        linear = ones if linear is None else linear & ones
-        if not linear:
-            break
-    return linear or set()
-
-
-def _deciding_bases(u: SuperPolynomial,
-                    linear: Optional[Iterable[Generator]] = None) -> List[Generator]:
+def _deciding_bases(u: SuperPolynomial) -> List[Generator]:
     """The bases whose variational derivatives decide membership of u in Im D.
 
     If every monomial has degree exactly 1 in some covector tower, u is
@@ -141,20 +123,46 @@ def _deciding_bases(u: SuperPolynomial,
     derivative by xi, so that one derivative decides.  Among such towers the
     one with the lowest top derivative order is cheapest (ties go to the
     generator order).  Otherwise every base occurring decides, in generator
-    order.  ``linear``, when given, names every such tower, and they are not
-    searched for.
+    order.
+
+    Only the covector towers of the first monomial can qualify.  One pass
+    over the generators follows each of them: the monomials it occurs in,
+    the last of those and its top order.  An exponent above 1 or a second
+    generator of the tower in one monomial rules it out; it qualifies when
+    it occurs in every monomial.
     """
-    if linear is None:
-        linear = _linear_towers(u)
-    if not (u and linear):
-        return sorted(u.bases())
-    top = dict.fromkeys(linear, -1)
-    for mono in u.terms():
-        for gen, _ in mono:
+    # base -> [monomials met, last monomial met, top order], None once ruled out
+    towers: Dict[Generator, Optional[List[int]]] = {}
+    live = 0
+    k = -1
+    for k, mono in enumerate(u.terms()):
+        if k and not live:
+            break
+        for gen, exp in mono:
+            if gen[0] == FIELD_KIND:
+                continue
             base = base_of(gen)
-            if base in top and gen[2] > top[base]:
-                top[base] = gen[2]
-    return [min(top, key=lambda base: (top[base], base))]
+            if base not in towers:
+                if k:
+                    continue
+                towers[base] = [0, -1, -1]
+                live += 1
+            tower = towers[base]
+            if tower is None:
+                continue
+            if exp != 1 or tower[1] == k:
+                towers[base] = None
+                live -= 1
+                continue
+            tower[0] += 1
+            tower[1] = k
+            if gen[2] > tower[2]:
+                tower[2] = gen[2]
+    top = {base: tower[2] for base, tower in towers.items()
+           if tower is not None and tower[0] == k + 1}
+    if top:
+        return [min(top, key=lambda base: (top[base], base))]
+    return sorted(u.bases())
 
 
 def _require_constant_free(u: SuperPolynomial) -> None:
@@ -177,21 +185,16 @@ def is_total_derivative(u: SuperPolynomial) -> bool:
     return not any(variational_derivative(u, base) for base in _deciding_bases(u))
 
 
-def non_membership_certificate(u: SuperPolynomial, linear: Optional[Iterable[Generator]] = None):
+def non_membership_certificate(u: SuperPolynomial):
     """Certificate that u is outside the image of the superderivation.
 
     Returns (base generator, its nonzero variational derivative) for the
     first deciding base (the single linear covector tower when there is
     one, else the first base in generator order with a nonzero derivative),
     or None when u is a total derivative.
-
-    ``linear`` optionally names the bases of the covector towers the caller
-    knows u to be linear in (degree exactly 1 in every monomial).  It must
-    name every such tower; they are then not searched for, and the
-    certificate is the same as without it.
     """
     _require_constant_free(u)
-    for base in _deciding_bases(u, linear):
+    for base in _deciding_bases(u):
         grad = variational_derivative(u, base)
         if grad:
             return base, grad

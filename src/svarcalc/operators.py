@@ -438,23 +438,15 @@ class ConfigurationScan:
     argument, so the closedness defect of H is B(H, H) and the Schouten
     bracket [H1, H2] is B(H1, H2) + B(H2, H1).
 
-    Memo.  A scan keeps, for the life of the scan object:
-
-    * per (operator, family, parity), the Frechet linearization, the
-      operator application and the derivative towers of the applied
-      columns.  Each is built once, on the slot-1 covector symbol, so a scan
-      makes at most 2 d ``frechet`` and 2 d ``apply_matrix_operator`` calls
-      per operator.  Slots 2 and 3 get a copy with the covector kind
-      relabelled.  That is exact: every memoised polynomial holds the
-      covectors of one slot only, and fields sort before covectors, so the
-      relabelled monomials keep their order and their signs.
-    * per (pair, arg symbol, operand symbol, row), the product
-      (Frechet_i xi_a)(op_j xi_b) before the closing covector.  The closing
-      symbol differs between the two closing parities only in its parity,
-      so both share the product.  The key holds every family of the
-      configuration, so only configurations with the same families share
-      a product; they are consecutive in the scan order, and the product
-      memo is emptied when the families change.
+    Memo.  A scan keeps, for the life of the scan object and per
+    (operator, family, parity), the Frechet linearization, the operator
+    application and the derivative towers of the applied columns.  Each is
+    built once, on the slot-1 covector symbol, so a scan makes at most 2 d
+    ``frechet`` and 2 d ``apply_matrix_operator`` calls per operator.
+    Slots 2 and 3 get a copy with the covector kind relabelled.  That is
+    exact: every memoised polynomial holds the covectors of one slot only,
+    and fields sort before covectors, so the relabelled monomials keep
+    their order and their signs.
 
     A configuration whose pairing terms all vanish structurally (no field
     family of the linearized entry meets a nonzero column of the applied
@@ -492,10 +484,6 @@ class ConfigurationScan:
     configuration.  The gate is set before the first search from
     ``check_skew_symmetry``, which decides each operator once, so the scan
     has no precondition and checking skew-symmetry before it costs nothing.
-
-    Every form is linear in each of the three covector towers of its
-    configuration, so the scan hands those bases to
-    ``non_membership_certificate``.
     """
 
     # Whether the orbit reduction applies; None until ``_representatives``
@@ -523,9 +511,6 @@ class ConfigurationScan:
         self._fields = [_field_families(op) for op in self.ops]
         self._lin: Dict[Tuple[int, Generator], Dict[int, List[Tuple[int, Mapping]]]] = {}
         self._towers: Dict[Tuple[int, Generator, int], List[SuperPolynomial]] = {}
-        # The families whose products ``_products`` holds.
-        self._families: Optional[Tuple[int, int, int]] = None
-        self._products: Dict[Tuple, Dict] = {}
 
     @classmethod
     def closedness(cls, op: MatrixDiffOperator) -> "ConfigurationScan":
@@ -576,21 +561,18 @@ class ConfigurationScan:
                 tower.append(_relabel(first, sym[0]))
         return tower[m]
 
+    # -- one configuration -------------------------------------------------------
+
     def _product(self, i: int, j: int, arg: Generator, operand: Generator,
                  row: int) -> Dict:
         """Terms of (Frechet_i arg)(op_j operand) at ``row``, before the closing covector."""
-        key = (i, j, arg, operand, row)
-        acc = self._products.get(key)
-        if acc is None:
-            acc = self._products[key] = {}
-            for col, entries in self._linearization(i, arg).get(row, ()):
-                for m, coeff in entries.items():
-                    w = self._derivative(j, operand, col, m)
-                    if w:
-                        mul_into(acc, coeff, w)
+        acc: Dict = {}
+        for col, entries in self._linearization(i, arg).get(row, ()):
+            for m, coeff in entries.items():
+                w = self._derivative(j, operand, col, m)
+                if w:
+                    mul_into(acc, coeff, w)
         return acc
-
-    # -- one configuration -------------------------------------------------------
 
     def is_structurally_zero(self, families: Tuple[int, int, int],
                              parities: Tuple[int, int, int]) -> bool:
@@ -607,8 +589,6 @@ class ConfigurationScan:
     def three_form(self, families: Tuple[int, int, int],
                    parities: Tuple[int, int, int]) -> SuperPolynomial:
         """The scanned three-form on one basis configuration."""
-        if families != self._families:
-            self._families, self._products = families, {}
         xi = _basis_symbols(families, parities)
         signs = _config_signs(self.type_parity, parities)
         acc: Dict = {}
@@ -637,7 +617,7 @@ class ConfigurationScan:
                 yield self._member_failure(*heappop(pending))
             if self.is_structurally_zero(*rep):
                 continue
-            certificate = self._certificate(rep)
+            certificate = non_membership_certificate(self.three_form(*rep))
             if certificate is not None:
                 members = _orbit(*rep) if self._symmetric else [rep]
                 for member in members:
@@ -645,13 +625,9 @@ class ConfigurationScan:
         while pending:
             yield self._member_failure(*heappop(pending))
 
-    def _certificate(self, config: Tuple) -> Optional[Tuple]:
-        return non_membership_certificate(self.three_form(*config),
-                                          linear=_basis_symbols(*config))
-
     def _member_failure(self, member: Tuple, certificate: Optional[Tuple]) -> Tuple:
         if certificate is None:
-            certificate = self._certificate(member)
+            certificate = non_membership_certificate(self.three_form(*member))
             if certificate is None:
                 raise RuntimeError(f"configuration {member} passes although its S3 orbit "
                                    "fails; the scanned form is not a trivector")

@@ -15,7 +15,7 @@ from svarcalc import (
     parity,
     partial_derive,
 )
-from svarcalc.algebra import _exact, times_generator, tower_partials
+from svarcalc.algebra import _exact, times_generator_into, tower_partials
 from helpers import KERNEL_POOL, field_pool, kernel_poly, mixed_pool, partial_by_scan, random_poly
 
 ONE = SuperPolynomial.one()
@@ -143,10 +143,20 @@ class TestAlgebraKernelOracle:
         rng = random.Random(seed + 1)
         for _ in range(200):
             u = kernel_poly(rng)
+            base = kernel_poly(rng)
             for gen in KERNEL_POOL:
                 product = u * SuperPolynomial.generator(gen)
-                got = times_generator(u, gen)
+                acc = {}
+                times_generator_into(acc, u.terms(), gen)
+                got = SuperPolynomial(acc)
                 assert got.terms() == product.terms() and str(got) == str(product)
+                # Into a nonempty dict with sign -1: terms merge and cancel.
+                acc = dict(base.terms())
+                times_generator_into(acc, u.terms(), gen, -1)
+                assert SuperPolynomial(acc).terms() == (base - product).terms()
+                acc = dict(product.terms())
+                times_generator_into(acc, u.terms(), gen, -1)
+                assert acc == {}
 
 
 class TestExactCoefficients:

@@ -24,6 +24,8 @@ from svarcalc import (
     variational_derivative,
     variational_derivative_field,
 )
+from svarcalc.algebra import FIELD_KIND, base_of
+from svarcalc.calculus import _deciding_bases
 from helpers import (
     field_pool,
     kernel_poly,
@@ -220,6 +222,47 @@ class TestTotalDerivativeMembership:
         assert is_total_derivative(superderive(gp(odd) * gp(even)))
         # xi * D(xi) for an odd base is not a total derivative (xi^2 = 0)
         assert not is_total_derivative(gp(odd) * gp(covector(1, 0, 1, 1)))
+
+    def test_deciding_bases_match_brute_force(self, seed):
+        # The tower search follows only the first monomial's covector towers;
+        # the oracle applies the definition to every tower occurring.
+        def linear_towers(u):
+            return [base for base in u.bases() if base[0] != FIELD_KIND and all(
+                sum(exp for gen, exp in mono if base_of(gen) == base) == 1
+                for mono in u.terms())]
+
+        def oracle(u):
+            linear = linear_towers(u)
+            if linear:
+                return [min(linear, key=lambda base: (u.max_derivs(base), base))]
+            return sorted(u.bases())
+
+        xi, eta = covector(1, 0, 0, 1), covector(2, 0, 0, 0)
+        fixed = [
+            gp(field(0, 1)) * gp(xi),
+            # xi is linear in the first monomial only; eta in both.
+            gp(xi) * gp(eta) + gp(covector(1, 0, 1, 1)) * gp(xi) * gp(covector(2, 0, 1, 0)),
+            # eta is absent from the second monomial.
+            gp(xi) * gp(eta) + gp(covector(1, 0, 2, 1)),
+            # eta squared, then eta linear: no linear tower.
+            gp(eta) * gp(eta) * gp(field(0, 2)) + gp(eta) * gp(field(0, 1)),
+            gp(field(0, 1)) * gp(field(1, 2)),
+            SuperPolynomial.zero(),
+        ]
+        rng = random.Random(seed)
+        polys = fixed + [random_poly(rng, mixed_pool(2, 2), max_terms=4, max_factors=5)
+                         for _ in range(1500)]
+        rng = random.Random(seed + 1)
+        polys += [kernel_poly(rng) for _ in range(1500)]
+        linear = dropped = 0
+        for u in polys:
+            assert _deciding_bases(u) == oracle(u)
+            towers = linear_towers(u)
+            first = next(iter(u.terms()), ())
+            candidates = {base_of(gen) for gen, exp in first if gen[0] != FIELD_KIND}
+            linear += bool(towers)
+            dropped += bool(candidates - set(towers)) and len(u.terms()) > 1
+        assert linear > 500 and dropped > 500
 
 
 class TestEvolutionaryFields:

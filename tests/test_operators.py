@@ -339,11 +339,10 @@ class TestConfigurationScan:
         # assignment skip every configuration and build nothing
         assert built == 6
 
-    def test_certificate_from_slot_bases_matches_search(self):
-        # Every form is linear in exactly its three slot towers; handing them
-        # to the certificate must give what the search over all bases gives,
-        # and both must certify with the tower of lowest top order (ties to
-        # the generator order), found here by brute force.
+    def test_certificate_uses_the_least_linear_slot_tower(self):
+        # Every form is linear in exactly its three slot towers; the
+        # certificate must use the one of lowest top order (ties to the
+        # generator order), found here by brute force.
         scans = [ConfigurationScan.closedness(op) for op in self.corpus()]
         scans += [ConfigurationScan.schouten(a, b) for a, b in self.mixed_pairs()]
         certifying_slots = set()
@@ -353,7 +352,6 @@ class TestConfigurationScan:
                 slots = [covector(slot, fam, 0, (par + 1) & 1)
                          for slot, fam, par in zip((1, 2, 3), families, parities)]
                 certificate = non_membership_certificate(form)
-                assert non_membership_certificate(form, linear=slots) == certificate
                 if not form:
                     assert certificate is None
                     continue
@@ -367,8 +365,6 @@ class TestConfigurationScan:
                 if certificate:
                     certifying_slots.add(base[0])
         assert certifying_slots == set(COVECTOR_SLOTS)
-        assert non_membership_certificate(SuperPolynomial.zero(),
-                                          linear=[covector(1, 0, 0, 1)]) is None
 
     def test_skew_symmetry_is_decided_once_per_operator(self, monkeypatch, tmp_path, capsys):
         calls = {}
