@@ -166,20 +166,84 @@ def _mul_monomials(m1: Monomial, m2: Monomial) -> Tuple[Optional[Monomial], int]
     return tuple(out), sign
 
 
-class SuperPolynomial:
-    """Canonical sparse polynomial: mapping from monomials to rationals."""
+class Sparse:
+    """A finite linear combination: a dict from keys to nonzero coefficients.
+
+    Polynomials, scalar operators and formal distributions share this storage
+    and its linear-space operations.  Sums delete the coefficients that cancel,
+    so every instance stays canonical and equality is dict equality.  A
+    coefficient is an exact rational or, for operators, a polynomial; either
+    adds, negates and multiplies by a rational.  Combinations of different
+    classes neither compare equal nor add.
+    """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Optional[Dict[Monomial, Coeff]] = None):
+    def __init__(self, terms: Optional[Dict] = None):
         # Trusted constructor: terms must already be canonical with no zeros.
         self._terms = terms if terms is not None else {}
 
-    # -- constructors -------------------------------------------------------
-
     @classmethod
-    def zero(cls) -> "SuperPolynomial":
+    def zero(cls):
         return cls({})
+
+    def terms(self) -> Mapping:
+        return self._terms
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._terms == other._terms
+
+    __hash__ = None  # mutable dict inside; equality is structural
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if not self._terms:
+            return other
+        if not other._terms:
+            return self
+        out = dict(self._terms)
+        for key, coeff in other._terms.items():
+            prev = out.get(key)
+            if prev is None:
+                out[key] = coeff
+            else:
+                coeff = prev + coeff
+                if coeff:
+                    out[key] = coeff
+                else:
+                    del out[key]
+        return type(self)(out)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self._terms.items()})
+
+    def scaled(self, factor):
+        f = _exact(factor)
+        if not f:
+            return type(self)({})
+        return type(self)({k: c * f for k, c in self._terms.items()})
+
+
+class SuperPolynomial(Sparse):
+    """Canonical sparse polynomial: mapping from monomials to rationals."""
+
+    __slots__ = ()
+
+    # -- constructors -------------------------------------------------------
 
     @classmethod
     def scalar(cls, value) -> "SuperPolynomial":
@@ -210,15 +274,6 @@ class SuperPolynomial:
         return cls(acc)
 
     # -- inspection ----------------------------------------------------------
-
-    def terms(self) -> Mapping[Monomial, Coeff]:
-        return self._terms
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
 
     def constant_term(self) -> Coeff:
         return self._terms.get((), _ZERO)
@@ -263,53 +318,19 @@ class SuperPolynomial:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other: "SuperPolynomial") -> "SuperPolynomial":
-        if not isinstance(other, SuperPolynomial):
-            return NotImplemented
-        if not self._terms:
-            return other
-        if not other._terms:
-            return self
-        out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            c = out.get(mono, _ZERO) + coeff
-            if c:
-                out[mono] = c
-            elif mono in out:
-                del out[mono]
-        return SuperPolynomial(out)
-
-    def __sub__(self, other: "SuperPolynomial") -> "SuperPolynomial":
-        if not isinstance(other, SuperPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "SuperPolynomial":
-        return SuperPolynomial({m: -c for m, c in self._terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, SuperPolynomial):
             acc: Dict[Monomial, Coeff] = {}
             mul_into(acc, self, other)
             return SuperPolynomial(acc)
         if isinstance(other, (int, Fraction)):
-            c0 = _exact(other)
-            if not c0:
-                return SuperPolynomial({})
-            return SuperPolynomial({m: c * c0 for m, c in self._terms.items()})
+            return self.scaled(other)
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.__mul__(other)
         return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SuperPolynomial):
-            return NotImplemented
-        return self._terms == other._terms
-
-    __hash__ = None  # mutable dict inside; equality is structural
 
     # -- rendering -----------------------------------------------------------
 
@@ -336,10 +357,6 @@ class SuperPolynomial:
 
     def __repr__(self) -> str:
         return f"SuperPolynomial({self})"
-
-
-ZERO = SuperPolynomial.zero()
-ONE = SuperPolynomial.one()
 
 
 def mul_into(acc: Dict[Monomial, Coeff], u: SuperPolynomial, v: SuperPolynomial) -> None:

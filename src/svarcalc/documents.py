@@ -22,9 +22,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Tuple
 
-from .algebra import FIELD_KIND, Generator, SuperPolynomial, covector, field
+from .algebra import (
+    FIELD_KIND,
+    Coeff,
+    Generator,
+    Monomial,
+    SuperPolynomial,
+    covector,
+    field,
+    mul_into,
+    parity,
+)
 from .modes import LinearOperatorData
 from .operators import MatrixDiffOperator, ScalarDiffOperator
 from .structures import AlgebraSpec
@@ -146,14 +156,14 @@ def _polynomial_in(data, dim: int, location: str) -> SuperPolynomial:
         return SuperPolynomial.scalar(_rational(data, location))
     _expect(isinstance(data, list), location,
             "expected a rational string or a list of terms")
-    terms = []
+    acc: Dict[Monomial, Coeff] = {}
     for t, term in enumerate(data):
         loc = f"{location}[{t}]"
         _expect(isinstance(term, dict), loc, "expected a term object")
         coeff = _rational(term.get("coeff"), f"{loc}.coeff")
         mono = term.get("monomial", [])
         _expect(isinstance(mono, list), f"{loc}.monomial", "expected a list of factors")
-        gens: List[Generator] = []
+        product = SuperPolynomial.one()
         for f_idx, factor in enumerate(mono):
             floc = f"{loc}.monomial[{f_idx}]"
             _expect(isinstance(factor, list) and len(factor) == 2, floc,
@@ -162,9 +172,12 @@ def _polynomial_in(data, dim: int, location: str) -> SuperPolynomial:
             exp = factor[1]
             _expect(_is_int(exp) and exp >= 1, f"{floc}[1]",
                     "exponent must be an integer >= 1")
-            gens.extend([gen] * exp)
-        terms.append((gens, coeff))
-    return SuperPolynomial.from_terms(terms)
+            # One factor gen^exp, so the cost does not grow with exp; the
+            # square of an odd generator vanishes.
+            product = product * SuperPolynomial(
+                {((gen, exp),): 1} if exp == 1 or not parity(gen) else {})
+        mul_into(acc, SuperPolynomial.scalar(coeff), product)
+    return SuperPolynomial(acc)
 
 
 def _polynomial_out(poly: SuperPolynomial):
@@ -352,6 +365,8 @@ def parse_document(path: str) -> InputDocument:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError("", f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise DocumentError("", "malformed JSON: nested too deeply") from None
     return parse_document_data(data)
 
 

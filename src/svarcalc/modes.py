@@ -17,9 +17,9 @@ interior coefficient exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .algebra import Coeff, SuperPolynomial, _exact, field
+from .algebra import Coeff, Sparse, SuperPolynomial, _exact, field
 from .operators import MatrixDiffOperator, ScalarDiffOperator, check_skew_symmetry
 
 # Symbols carried by distribution coefficients.
@@ -48,61 +48,16 @@ def mode_parity(key: ModeKey) -> int:
     return key[1] & 1
 
 
-class FormalDistribution:
+class FormalDistribution(Sparse):
     """Sparse truncated Laurent object with graded symbol coefficients."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Optional[Dict[MonoKey, Coeff]] = None):
-        self._terms = terms if terms is not None else {}
-
-    @classmethod
-    def zero(cls) -> "FormalDistribution":
-        return cls({})
+    __slots__ = ()
 
     @classmethod
     def monomial(cls, zexp: ZExp, thetas: Thetas, sym: Symbol = NUM,
                  coeff=1) -> "FormalDistribution":
         c = _exact(coeff)
         return cls({(zexp, tuple(thetas), sym): c} if c else {})
-
-    def terms(self) -> Mapping[MonoKey, Coeff]:
-        return self._terms
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FormalDistribution):
-            return NotImplemented
-        return self._terms == other._terms
-
-    __hash__ = None
-
-    def __add__(self, other: "FormalDistribution") -> "FormalDistribution":
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            tot = out.get(key, _ZERO) + coeff
-            if tot:
-                out[key] = tot
-            elif key in out:
-                del out[key]
-        return FormalDistribution(out)
-
-    def __neg__(self) -> "FormalDistribution":
-        return FormalDistribution({k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other: "FormalDistribution") -> "FormalDistribution":
-        return self + (-other)
-
-    def scaled(self, factor) -> "FormalDistribution":
-        f = _exact(factor)
-        if not f:
-            return FormalDistribution()
-        return FormalDistribution({k: c * f for k, c in self._terms.items()})
 
     def __mul__(self, other: "FormalDistribution") -> "FormalDistribution":
         acc: Dict[MonoKey, Coeff] = {}
@@ -486,29 +441,6 @@ def check_super_skew(table: ModeBracketTable):
         if residue:
             first = ((px, py), (x, y))
     return (True, None) if first is None else (False, first[1])
-
-
-def _combo_bracket(table: ModeBracketTable, combo: Combo, w: ModeKey) -> Optional[Combo]:
-    """Bracket of a symbol combination with an interior mode; None if the
-    combination holds a mode outside the window.  ``check_super_jacobi``
-    evaluates the same nested bracket on the entries indexed by position."""
-    out: Combo = {}
-    entries, bound = table.entries, 2 * table.window
-    for sym, coeff in combo.items():
-        if sym == CENTRAL:
-            continue
-        if abs(sym[2]) > bound:
-            return None
-        inner = entries.get(((sym[1], sym[2]), w))
-        if not inner:
-            continue
-        for s, c in inner.items():
-            tot = out.get(s, _ZERO) + coeff * c
-            if tot:
-                out[s] = tot
-            elif s in out:
-                del out[s]
-    return out
 
 
 def check_super_jacobi(table: ModeBracketTable):

@@ -40,8 +40,8 @@ from .algebra import (
     COVECTOR_SLOTS,
     FIELD_KIND,
     Generator,
+    Sparse,
     SuperPolynomial,
-    _exact,
     covector,
     field,
     mul_into,
@@ -60,23 +60,20 @@ class SkewSymmetryError(ValueError):
     """Raised when an operation requires a super skew-symmetric operator."""
 
 
-class ScalarDiffOperator:
+class ScalarDiffOperator(Sparse):
     """Normal-ordered scalar operator sum_l coeff_l * D^l."""
 
-    __slots__ = ("_entries",)
+    __slots__ = ()
 
     def __init__(self, entries: Optional[Dict[int, SuperPolynomial]] = None):
-        self._entries = {}
+        terms = {}
         if entries:
             for power, coeff in entries.items():
                 if power < 0:
                     raise ValueError("negative powers of D are not supported")
                 if coeff:
-                    self._entries[power] = coeff
-
-    @classmethod
-    def zero(cls) -> "ScalarDiffOperator":
-        return cls()
+                    terms[power] = coeff
+        super().__init__(terms)
 
     @classmethod
     def single(cls, coeff: SuperPolynomial, power: int) -> "ScalarDiffOperator":
@@ -86,60 +83,27 @@ class ScalarDiffOperator:
     def d_power(cls, power: int, scale=1) -> "ScalarDiffOperator":
         return cls({power: SuperPolynomial.scalar(scale)})
 
-    def entries(self) -> Mapping[int, SuperPolynomial]:
-        return self._entries
-
-    def is_zero(self) -> bool:
-        return not self._entries
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ScalarDiffOperator):
-            return NotImplemented
-        return self._entries == other._entries
-
-    __hash__ = None
-
-    def __add__(self, other: "ScalarDiffOperator") -> "ScalarDiffOperator":
-        out = dict(self._entries)
-        for power, coeff in other._entries.items():
-            tot = out.get(power, SuperPolynomial.zero()) + coeff
-            if tot:
-                out[power] = tot
-            elif power in out:
-                del out[power]
-        return ScalarDiffOperator(out)
-
-    def __neg__(self) -> "ScalarDiffOperator":
-        return ScalarDiffOperator({p: -c for p, c in self._entries.items()})
-
-    def scaled(self, factor) -> "ScalarDiffOperator":
-        f = _exact(factor)
-        if not f:
-            return ScalarDiffOperator()
-        return ScalarDiffOperator({p: c * f for p, c in self._entries.items()})
+    entries = Sparse.terms
 
     def apply(self, u: SuperPolynomial) -> SuperPolynomial:
         """Evaluate on a polynomial: sum_l coeff_l * D^l(u)."""
         acc = SuperPolynomial.zero()
         if not u:
             return acc
-        top = max(self._entries) if self._entries else -1
+        top = max(self._terms) if self._terms else -1
         derivs = [u]
         for _ in range(top):
             derivs.append(superderive(derivs[-1]))
-        for power, coeff in self._entries.items():
+        for power, coeff in self._terms.items():
             acc = acc + coeff * derivs[power]
         return acc
 
     def __str__(self) -> str:
-        if not self._entries:
+        if not self._terms:
             return "0"
         parts = []
-        for power in sorted(self._entries):
-            coeff = self._entries[power]
+        for power in sorted(self._terms):
+            coeff = self._terms[power]
             body = f"({coeff})" if len(coeff.terms()) > 1 else f"{coeff}"
             parts.append(body if power == 0 else f"{body}*D^{power}")
         return " + ".join(parts)
@@ -154,21 +118,11 @@ def compose_D_left(op: ScalarDiffOperator) -> ScalarDiffOperator:
     Uses the operator identity D o u = D(u) + (-1)^{|u|} u D on homogeneous
     coefficients; mixed coefficients split into parity parts.
     """
-    out: Dict[int, SuperPolynomial] = {}
-
-    def bump(power: int, coeff: SuperPolynomial) -> None:
-        if not coeff:
-            return
-        tot = out.get(power, SuperPolynomial.zero()) + coeff
-        if tot:
-            out[power] = tot
-        elif power in out:
-            del out[power]
-
+    out = ScalarDiffOperator()
     for power, coeff in op.entries().items():
-        bump(power, superderive(coeff))
-        bump(power + 1, coeff.even_part() - coeff.odd_part())
-    return ScalarDiffOperator(out)
+        out = out + ScalarDiffOperator({power: superderive(coeff),
+                                        power + 1: coeff.even_part() - coeff.odd_part()})
+    return out
 
 
 def compose_D_power_left(op: ScalarDiffOperator, times: int) -> ScalarDiffOperator:
@@ -267,14 +221,14 @@ def iter_skew_failures(op: MatrixDiffOperator):
             lhs = lhs + term
         rhs = op.entry(0, col, row)
         if lhs != rhs:
-            diff = lhs + (-rhs)
+            diff = lhs - rhs
             power = min(diff.entries())
             yield ("transpose", row, col, power, str(diff.entries()[power]))
         block0 = op.entry(0, row, col)
         block1 = op.entry(1, row, col)
         want = block1.scaled(1 if iota else -1)
         if block0 != want:
-            diff = block0 + (-want)
+            diff = block0 - want
             power = min(diff.entries())
             yield ("block", row, col, power, str(diff.entries()[power]))
 
@@ -335,25 +289,18 @@ def frechet(op: MatrixDiffOperator, cov_base: Generator,
     out: Dict[Tuple[int, int], ScalarDiffOperator] = {}
     sign_flip = (omega_parity + iota) & 1
     for row in range(op.dim):
-        shifted: Dict[int, SuperPolynomial] = {}
-        for power, coeff in op.entry(omega_parity, row, fam).entries().items():
-            term = coeff * superderive_n(xi_poly, power)
-            tot = shifted.get(power, SuperPolynomial.zero()) + term
-            if tot:
-                shifted[power] = tot
+        shifted = [coeff * superderive_n(xi_poly, power)
+                   for power, coeff in op.entry(omega_parity, row, fam).entries().items()]
         for col in range(op.dim):
             entries: Dict[int, SuperPolynomial] = {}
-            for power, coeff in shifted.items():
+            for coeff in shifted:
                 for m, part in tower_partials(coeff, field(col, 1)).items():
                     if sign_flip and (m & 1):
                         part = -part
-                    tot = entries.get(m, SuperPolynomial.zero()) + part
-                    if tot:
-                        entries[m] = tot
-                    elif m in entries:
-                        del entries[m]
-            if entries:
-                out[(row, col)] = ScalarDiffOperator(entries)
+                    entries[m] = entries[m] + part if m in entries else part
+            entry = ScalarDiffOperator(entries)
+            if entry:
+                out[(row, col)] = entry
     return out
 
 

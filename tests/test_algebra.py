@@ -16,6 +16,8 @@ from svarcalc import (
     partial_derive,
 )
 from svarcalc.algebra import _exact, times_generator_into, tower_partials
+from svarcalc.modes import CENTRAL, NUM, FormalDistribution, phi_symbol
+from svarcalc.operators import ScalarDiffOperator
 from helpers import KERNEL_POOL, field_pool, kernel_poly, mixed_pool, partial_by_scan, random_poly
 
 ONE = SuperPolynomial.one()
@@ -277,11 +279,42 @@ def test_parity_decomposition_recomposes(u):
     assert u.even_part() + u.odd_part() == u
 
 
+def _random_combinations(rng):
+    """One seeded combination of each ``Sparse`` subclass."""
+    pool = mixed_pool(2, 3)
+    poly = random_poly(rng, pool)
+    op = ScalarDiffOperator({power: random_poly(rng, pool)
+                             for power in rng.sample(range(6), rng.randint(1, 4))})
+    dist = FormalDistribution({
+        ((rng.randint(-2, 2), rng.randint(-2, 2), 0), thetas, sym):
+            Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+        for thetas in ((), (1,), (1, 2)) for sym in (NUM, CENTRAL, phi_symbol(0, 3))})
+    return poly, op, dist
+
+
 def test_canonical_form_has_no_zero_coefficients(seed):
     rng = random.Random(seed)
-    pool = mixed_pool(2, 3)
     for _ in range(50):
-        p = random_poly(rng, pool)
-        assert all(c != 0 for c in p.terms().values())
-        q = p - p
-        assert q.is_zero() and not q.terms()
+        combos = _random_combinations(rng)
+        for x in combos:
+            assert all(c for c in x.terms().values())
+            # subtracting every other term cancels exactly those terms
+            keys = list(x.terms())
+            half = type(x)({k: x.terms()[k] for k in keys[1::2]})
+            rest = x - half
+            assert list(rest.terms()) == keys[::2]
+            assert all(c for c in rest.terms().values())
+            assert rest + half == x
+            y = (x + x.scaled(3)) - x.scaled(4)
+            assert y.is_zero() and not y.terms() and not y
+            assert (x - x).is_zero() and not (x - x).terms()
+            assert x.scaled(0).is_zero() and not x.scaled(0).terms()
+            assert -(-x) == x and x.scaled(-1) == -x
+            for other in combos:
+                if other is not x:
+                    assert x != other and not x == other
+                    assert type(x).zero() != type(other).zero()
+                    with pytest.raises(TypeError):
+                        x + other
+                    with pytest.raises(TypeError):
+                        x - other

@@ -81,6 +81,13 @@ class TestExitCodes:
         assert main(["check-skew", str(bad)]) == 2
         assert "verdict: error" in capsys.readouterr().out
 
+    def test_deeply_nested_json_is_error(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200000 + "]" * 200000)
+        assert main(["check-skew", str(deep)]) == 2
+        out = capsys.readouterr().out
+        assert "verdict: error" in out and "nested too deeply" in out
+
     def test_wrong_kind_is_error(self, docs, capsys):
         assert main(["check-hamiltonian", docs["nx2.alg.json"]]) == 2
 

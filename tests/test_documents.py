@@ -1,5 +1,7 @@
 """Input document parsing, validation errors, and round-trip stability."""
 
+import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,6 +23,7 @@ from svarcalc import (
 from svarcalc.documents import (
     DocumentError,
     InputDocument,
+    _generator_out,
     parse_document,
     parse_document_data,
     render_document,
@@ -93,6 +96,33 @@ class TestRoundTrip:
         }
         _, poly = parse_document_data(data).payload
         assert poly == -(gp(field(0, 1)) * gp(field(1, 1)))
+
+    def test_exponents_match_repeated_factors(self, seed):
+        rng = random.Random(seed)
+        pool = [field(0, 1), field(0, 2), field(1, 3), covector(1, 0, 0, 0),
+                covector(1, 0, 1, 0), covector(2, 1, 0, 1)]
+        for _ in range(200):
+            terms, data = [], []
+            for _ in range(rng.randint(1, 3)):
+                factors = [(rng.choice(pool), rng.randint(1, 3))
+                           for _ in range(rng.randint(0, 4))]
+                coeff = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                terms.append(([g for g, exp in factors for _ in range(exp)], coeff))
+                data.append({"coeff": str(coeff),
+                             "monomial": [[_generator_out(g), exp] for g, exp in factors]})
+            doc = {"format": "svarcalc/1", "kind": "density", "dimension": 2,
+                   "polynomial": data}
+            _, poly = parse_document_data(doc).payload
+            assert poly == SuperPolynomial.from_terms(terms)
+
+    def test_huge_exponents_parse_in_constant_time(self):
+        even, odd = {"kind": "field", "family": 0, "order": 2}, dict(_PHI)
+        start = time.perf_counter()
+        _, power = parse_document_data(_density_doc(even, 10 ** 9)).payload
+        _, square = parse_document_data(_density_doc(odd, 10 ** 9)).payload
+        assert time.perf_counter() - start < 0.1
+        assert power.terms() == {((field(0, 2), 10 ** 9),): 1}
+        assert square.is_zero()
 
 
 def _operator_doc(**entry):

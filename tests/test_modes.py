@@ -239,10 +239,9 @@ class TestTableChecks:
     def test_central_element_is_inert(self):
         # brackets never pair against the central symbol; combinations
         # containing it contribute nothing to nested brackets
-        from svarcalc.modes import _combo_bracket
         table = super_virasoro_table(1, 3)
         combo = {CENTRAL: F(5)}
-        assert _combo_bracket(table, combo, (0, 2)) == {}
+        assert nested_bracket(table, combo, (0, 2)) == {}
 
 
 class TestRendering:
