@@ -63,7 +63,7 @@ def _cmd_check_algebra(args) -> Report:
         check="check-algebra",
         verdict=PASS if not witnesses else FAIL,
         witnesses=witnesses,
-        configuration={"class": args.algebra_class, "input": input_echo(args.file)},
+        configuration={"class": args.algebra_class, "input": input_echo(args.file, doc)},
     )
 
 
@@ -75,7 +75,7 @@ def _cmd_check_skew(args) -> Report:
         check="check-skew",
         verdict=PASS if not witnesses else FAIL,
         witnesses=witnesses,
-        configuration={"input": input_echo(args.file)},
+        configuration={"input": input_echo(args.file, doc)},
     )
 
 
@@ -83,7 +83,7 @@ def _cmd_check_hamiltonian(args) -> Report:
     doc = parse_document(args.file)
     _require_kind(doc, "operator", args.file)
     op = doc.payload
-    config = {"input": input_echo(args.file), "jobs": args.jobs}
+    config = {"input": input_echo(args.file, doc), "jobs": args.jobs}
     if not check_skew_symmetry(op)[0]:
         skew = islice(iter_skew_failures(op), args.witness_limit)
         return Report(check="check-hamiltonian", verdict=FAIL,
@@ -99,34 +99,36 @@ def _cmd_check_hamiltonian(args) -> Report:
     )
 
 
-def _load_operator_pair(args) -> Tuple[MatrixDiffOperator, MatrixDiffOperator]:
+def _load_operator_pair(args) -> Tuple[MatrixDiffOperator, MatrixDiffOperator, dict]:
+    """The two operators and the report configuration that echoes them."""
     doc_a = parse_document(args.first)
     doc_b = parse_document(args.second)
     _require_kind(doc_a, "operator", args.first)
     _require_kind(doc_b, "operator", args.second)
-    return doc_a.payload, doc_b.payload
+    echo = {"first": input_echo(args.first, doc_a), "second": input_echo(args.second, doc_b)}
+    return doc_a.payload, doc_b.payload, echo
 
 
 def _cmd_schouten(args) -> Report:
-    op_a, op_b = _load_operator_pair(args)
+    op_a, op_b, echo = _load_operator_pair(args)
     witnesses = [failure[:2] for failure
                  in iter_schouten_failures(op_a, op_b, args.witness_limit)]
     return Report(
         check="schouten",
         verdict=PASS if not witnesses else FAIL,
         witnesses=witnesses,
-        configuration={"first": input_echo(args.first), "second": input_echo(args.second)},
+        configuration=echo,
     )
 
 
 def _cmd_pair(args) -> Report:
-    op_a, op_b = _load_operator_pair(args)
+    op_a, op_b, echo = _load_operator_pair(args)
     ok, witness = is_hamiltonian_pair(op_a, op_b)
     return Report(
         check="pair",
         verdict=PASS if ok else FAIL,
         witnesses=[] if ok else [witness],
-        configuration={"first": input_echo(args.first), "second": input_echo(args.second)},
+        configuration=echo,
     )
 
 
@@ -147,7 +149,7 @@ def _cmd_build(args) -> Report:
     return Report(
         check="build",
         verdict=PASS,
-        configuration={"from": args.source_class, "input": input_echo(args.file),
+        configuration={"from": args.source_class, "input": input_echo(args.file, doc),
                        "output": args.output},
         detail={"operator_document": rendered},
     )
@@ -160,7 +162,7 @@ def _cmd_induce(args) -> Report:
     return Report(
         check="induce",
         verdict=PASS,
-        configuration={"window": args.window, "input": input_echo(args.file)},
+        configuration={"window": args.window, "input": input_echo(args.file, doc)},
         detail={"brackets": render_table(table)},
     )
 
@@ -178,7 +180,8 @@ def _cmd_evolution(args) -> Report:
     return Report(
         check="evolution",
         verdict=PASS,
-        configuration={"operator": input_echo(args.file), "density": input_echo(args.density)},
+        configuration={"operator": input_echo(args.file, op_doc),
+                       "density": input_echo(args.density, density_doc)},
         detail={"components": {str(fam): str(poly) for fam, poly in sorted(rhs.items())}},
     )
 

@@ -1,9 +1,15 @@
 """Input documents: parsing, validation and deterministic rendering.
 
-The concrete syntax is JSON with every rational encoded as a string ("p/q" or
-an integer string); floats are rejected outright so no value ever passes
-through binary floating point.  Rendering sorts keys and is byte-stable:
-parse(render(doc)) == doc for every valid document.
+The concrete syntax is JSON.  A rational is a string ("p/q", an integer
+string, or any other form ``Fraction`` reads) or a JSON integer; floats are
+rejected outright so no value ever passes through binary floating point.
+Rendering sorts keys and writes every rational as a string, and is
+byte-stable: parse(render(doc)) == doc for every valid document.
+
+Parsing costs about one ``json.loads`` plus one pass over the values: integer
+strings become ``int`` without ``Fraction``, each distinct string of a table
+is converted once, and a field location such as ``products.circ[1][2][3]`` is
+built only for the error that names it.
 
 Document kinds:
 
@@ -19,10 +25,11 @@ Document kinds:
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from .algebra import (
     FIELD_KIND,
@@ -56,6 +63,9 @@ class DocumentError(ValueError):
 class InputDocument:
     kind: str
     payload: Any  # AlgebraSpec | MatrixDiffOperator | LinearOperatorData | (dim, SuperPolynomial)
+    # The sha256 of the bytes parsed, for a document read from a file; not
+    # part of equality.
+    sha256: Optional[str] = None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, InputDocument):
@@ -68,17 +78,62 @@ def _expect(cond: bool, location: str, message: str) -> None:
         raise DocumentError(location, message)
 
 
-def _rational(value, location: str) -> Fraction:
+def _location(where: Tuple) -> str:
+    """A field location from its parts, built only for an error: an ``int``
+    part ``n`` is the index ``[n]``, a string part is appended as it is."""
+    return "".join(f"[{part}]" if type(part) is int else part for part in where)
+
+
+def _rational(value, where: Tuple = ()) -> Coeff:
+    """A JSON rational as an ``int`` or a ``Fraction``; errors are located at ``where``.
+
+    A JSON integer and an ASCII integer string (an optional ``-``, then
+    digits) become an ``int`` directly.  Every other string goes through
+    ``Fraction``, which decides what is accepted and words the error.  Every
+    consumer applies ``algebra._exact``, so an integral ``Fraction`` and an
+    ``int`` give the same payload.
+    """
+    if isinstance(value, str):
+        digits = value[1:] if value[:1] == "-" else value
+        if digits.isascii() and digits.isdigit():
+            try:
+                return int(value)
+            except ValueError:
+                pass  # past the int digit limit: Fraction raises the same error
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DocumentError(_location(where),
+                                f"not a valid rational: {value!r} ({exc})") from None
     if isinstance(value, bool) or isinstance(value, float):
-        raise DocumentError(location, f"rationals must be strings, got {value!r}")
+        raise DocumentError(_location(where), f"rationals must be strings, got {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
-    _expect(isinstance(value, str), location, f"expected a rational string, got {type(value).__name__}")
-    try:
-        frac = Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DocumentError(location, f"not a valid rational: {value!r} ({exc})") from None
-    return frac
+        return value
+    raise DocumentError(_location(where),
+                        f"expected a rational string, got {type(value).__name__}")
+
+
+class _Rationals(dict):
+    """The rational strings of one document, each converted once by ``_rational``.
+
+    Only strings are kept: a JSON integer, boolean or float misses every time
+    and is judged by ``_rational`` (as keys, ``True == 1`` and ``1.0 == 1``).
+    """
+
+    def __missing__(self, value):
+        rational = _rational(value)
+        if isinstance(value, str):
+            self[value] = rational
+        return rational
+
+    def vector(self, values: list, where: Tuple) -> Tuple[Coeff, ...]:
+        """The rationals of a JSON list; a bad value is located at ``where[k]``."""
+        try:
+            return tuple(map(self.__getitem__, values))
+        except (DocumentError, TypeError):  # TypeError: an unhashable value
+            for k, value in enumerate(values):
+                _rational(value, (*where, k))
+            raise
 
 
 def _is_int(value) -> bool:
@@ -86,61 +141,60 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _table_in(data, dim: int, location: str):
-    _expect(isinstance(data, list) and len(data) == dim, location,
-            f"expected a list of {dim} rows")
+def _sized(value, dim: int, what: str, where: Tuple) -> list:
+    """``value`` when it is a list of ``dim`` items; else the error at ``where``."""
+    if isinstance(value, list) and len(value) == dim:
+        return value
+    raise DocumentError(_location(where), f"expected a list of {dim} {what}")
+
+
+def _table_in(data, dim: int, location: str, rationals: _Rationals):
     out = []
-    for i, row in enumerate(data):
-        _expect(isinstance(row, list) and len(row) == dim, f"{location}[{i}]",
-                f"expected a list of {dim} columns")
-        cols = []
-        for j, cell in enumerate(row):
-            _expect(isinstance(cell, list) and len(cell) == dim, f"{location}[{i}][{j}]",
-                    f"expected a list of {dim} coefficients")
-            cols.append(tuple(
-                _rational(cell[k], f"{location}[{i}][{j}][{k}]") for k in range(dim)
-            ))
-        out.append(tuple(cols))
+    for i, row in enumerate(_sized(data, dim, "rows", (location,))):
+        out.append(tuple(
+            rationals.vector(_sized(cell, dim, "coefficients", (location, i, j)),
+                             (location, i, j))
+            for j, cell in enumerate(_sized(row, dim, "columns", (location, i)))))
     return tuple(out)
 
 
-def _matrix_in(data, dim: int, location: str):
-    _expect(isinstance(data, list) and len(data) == dim, location,
-            f"expected a list of {dim} rows")
-    out = []
-    for i, row in enumerate(data):
-        _expect(isinstance(row, list) and len(row) == dim, f"{location}[{i}]",
-                f"expected a list of {dim} entries")
-        out.append(tuple(_rational(row[j], f"{location}[{i}][{j}]") for j in range(dim)))
-    return tuple(out)
+def _matrix_in(data, dim: int, location: str, rationals: _Rationals):
+    return tuple(rationals.vector(_sized(row, dim, "entries", (location, i)), (location, i))
+                 for i, row in enumerate(_sized(data, dim, "rows", (location,))))
 
 
-def _generator_in(data, dim: int, location: str) -> Generator:
-    _expect(isinstance(data, dict), location, "expected a generator object")
+def _generator_in(data, dim: int, where: Tuple) -> Generator:
+    if not isinstance(data, dict):
+        raise DocumentError(_location(where), "expected a generator object")
     kind = data.get("kind")
     if kind == "field":
         family = data.get("family")
         order = data.get("order")
-        _expect(_is_int(family) and 0 <= family < dim, f"{location}.family",
-                f"family index must be an integer in [0, {dim})")
-        _expect(_is_int(order) and order >= 1, f"{location}.order",
-                "field order must be an integer >= 1")
+        if not (_is_int(family) and 0 <= family < dim):
+            raise DocumentError(_location((*where, ".family")),
+                                f"family index must be an integer in [0, {dim})")
+        if not (_is_int(order) and order >= 1):
+            raise DocumentError(_location((*where, ".order")),
+                                "field order must be an integer >= 1")
         return field(family, order)
     if kind == "covector":
         slot = data.get("slot")
         family = data.get("family")
         derivs = data.get("derivs", 0)
         base_parity = data.get("base_parity")
-        _expect(_is_int(slot) and slot in (1, 2, 3), f"{location}.slot",
-                "covector slot must be 1, 2 or 3")
-        _expect(_is_int(family) and 0 <= family < dim, f"{location}.family",
-                f"family index must be an integer in [0, {dim})")
-        _expect(_is_int(derivs) and derivs >= 0, f"{location}.derivs",
-                "derivative count must be an integer >= 0")
-        _expect(_is_int(base_parity) and base_parity in (0, 1), f"{location}.base_parity",
-                "base parity must be 0 or 1")
+        if not (_is_int(slot) and slot in (1, 2, 3)):
+            raise DocumentError(_location((*where, ".slot")), "covector slot must be 1, 2 or 3")
+        if not (_is_int(family) and 0 <= family < dim):
+            raise DocumentError(_location((*where, ".family")),
+                                f"family index must be an integer in [0, {dim})")
+        if not (_is_int(derivs) and derivs >= 0):
+            raise DocumentError(_location((*where, ".derivs")),
+                                "derivative count must be an integer >= 0")
+        if not (_is_int(base_parity) and base_parity in (0, 1)):
+            raise DocumentError(_location((*where, ".base_parity")),
+                                "base parity must be 0 or 1")
         return covector(slot, family, derivs, base_parity)
-    raise DocumentError(f"{location}.kind", f"unknown generator kind {kind!r}")
+    raise DocumentError(_location((*where, ".kind")), f"unknown generator kind {kind!r}")
 
 
 def _generator_out(gen: Generator) -> Dict[str, Any]:
@@ -151,27 +205,29 @@ def _generator_out(gen: Generator) -> Dict[str, Any]:
             "derivs": derivs, "base_parity": base_parity}
 
 
-def _polynomial_in(data, dim: int, location: str) -> SuperPolynomial:
+def _polynomial_in(data, dim: int, where: Tuple) -> SuperPolynomial:
     if isinstance(data, (str, int)):
-        return SuperPolynomial.scalar(_rational(data, location))
-    _expect(isinstance(data, list), location,
-            "expected a rational string or a list of terms")
+        return SuperPolynomial.scalar(_rational(data, where))
+    if not isinstance(data, list):
+        raise DocumentError(_location(where), "expected a rational string or a list of terms")
     acc: Dict[Monomial, Coeff] = {}
     for t, term in enumerate(data):
-        loc = f"{location}[{t}]"
-        _expect(isinstance(term, dict), loc, "expected a term object")
-        coeff = _rational(term.get("coeff"), f"{loc}.coeff")
+        if not isinstance(term, dict):
+            raise DocumentError(_location((*where, t)), "expected a term object")
+        coeff = _rational(term.get("coeff"), (*where, t, ".coeff"))
         mono = term.get("monomial", [])
-        _expect(isinstance(mono, list), f"{loc}.monomial", "expected a list of factors")
+        if not isinstance(mono, list):
+            raise DocumentError(_location((*where, t, ".monomial")), "expected a list of factors")
         product = SuperPolynomial.one()
         for f_idx, factor in enumerate(mono):
-            floc = f"{loc}.monomial[{f_idx}]"
-            _expect(isinstance(factor, list) and len(factor) == 2, floc,
-                    "expected a [generator, exponent] pair")
-            gen = _generator_in(factor[0], dim, f"{floc}[0]")
+            if not (isinstance(factor, list) and len(factor) == 2):
+                raise DocumentError(_location((*where, t, ".monomial", f_idx)),
+                                    "expected a [generator, exponent] pair")
+            gen = _generator_in(factor[0], dim, (*where, t, ".monomial", f_idx, 0))
             exp = factor[1]
-            _expect(_is_int(exp) and exp >= 1, f"{floc}[1]",
-                    "exponent must be an integer >= 1")
+            if not (_is_int(exp) and exp >= 1):
+                raise DocumentError(_location((*where, t, ".monomial", f_idx, 1)),
+                                    "exponent must be an integer >= 1")
             # One factor gen^exp, so the cost does not grow with exp; the
             # square of an odd generator vanishes.
             product = product * SuperPolynomial(
@@ -202,13 +258,14 @@ def _algebra_in(data) -> AlgebraSpec:
     _expect(_is_int(dim) and dim >= 1, "dimension", "must be an integer >= 1")
     products = data.get("products", {})
     _expect(isinstance(products, dict), "products", "expected an object")
+    rationals = _Rationals()
     tables = {}
     for name in ("circ", "times", "dot"):
         if name in products:
-            tables[name] = _table_in(products[name], dim, f"products.{name}")
+            tables[name] = _table_in(products[name], dim, f"products.{name}", rationals)
     unknown = set(products) - {"circ", "times", "dot"}
     _expect(not unknown, "products", f"unknown product names {sorted(unknown)}")
-    form = _matrix_in(data["form"], dim, "form") if "form" in data else None
+    form = _matrix_in(data["form"], dim, "form", rationals) if "form" in data else None
     grading = None
     if "grading" in data:
         g = data["grading"]
@@ -250,23 +307,25 @@ def _operator_in(data) -> MatrixDiffOperator:
     blocks: Dict[Tuple[int, int, int], Dict[int, SuperPolynomial]] = {}
     seen = set()
     for idx, entry in enumerate(entries):
-        loc = f"entries[{idx}]"
-        _expect(isinstance(entry, dict), loc, "expected an entry object")
+        if not isinstance(entry, dict):
+            raise DocumentError(f"entries[{idx}]", "expected an entry object")
         block = entry.get("block")
         row = entry.get("row")
         col = entry.get("col")
         power = entry.get("power")
-        _expect(_is_int(block) and block in (0, 1), f"{loc}.block", "block must be 0 or 1")
-        _expect(_is_int(row) and 0 <= row < dim, f"{loc}.row",
-                f"row must be an integer in [0, {dim})")
-        _expect(_is_int(col) and 0 <= col < dim, f"{loc}.col",
-                f"col must be an integer in [0, {dim})")
-        _expect(_is_int(power) and power >= 0, f"{loc}.power",
-                "power must be an integer >= 0")
+        if not (_is_int(block) and block in (0, 1)):
+            raise DocumentError(f"entries[{idx}].block", "block must be 0 or 1")
+        if not (_is_int(row) and 0 <= row < dim):
+            raise DocumentError(f"entries[{idx}].row", f"row must be an integer in [0, {dim})")
+        if not (_is_int(col) and 0 <= col < dim):
+            raise DocumentError(f"entries[{idx}].col", f"col must be an integer in [0, {dim})")
+        if not (_is_int(power) and power >= 0):
+            raise DocumentError(f"entries[{idx}].power", "power must be an integer >= 0")
         key = (block, row, col, power)
-        _expect(key not in seen, loc, f"duplicate entry for {key}")
+        if key in seen:
+            raise DocumentError(f"entries[{idx}]", f"duplicate entry for {key}")
         seen.add(key)
-        coeff = _polynomial_in(entry.get("coeff"), dim, f"{loc}.coeff")
+        coeff = _polynomial_in(entry.get("coeff"), dim, ("entries", idx, ".coeff"))
         if coeff:
             blocks.setdefault((block, row, col), {})[power] = coeff
     ops = {key: ScalarDiffOperator(powers) for key, powers in blocks.items()}
@@ -302,9 +361,13 @@ def _linear_in(data) -> LinearOperatorData:
             f"expected {top + 1} tables")
     _expect(isinstance(odd, list) and len(odd) == top, "odd_tables",
             f"expected {top} tables")
-    even_tables = tuple(_table_in(even[m], dim, f"even_tables[{m}]") for m in range(top + 1))
-    odd_tables = tuple(_table_in(odd[m], dim, f"odd_tables[{m}]") for m in range(top))
-    constant = _matrix_in(data["constant"], dim, "constant") if "constant" in data else None
+    rationals = _Rationals()
+    even_tables = tuple(_table_in(even[m], dim, f"even_tables[{m}]", rationals)
+                        for m in range(top + 1))
+    odd_tables = tuple(_table_in(odd[m], dim, f"odd_tables[{m}]", rationals)
+                       for m in range(top))
+    constant = (_matrix_in(data["constant"], dim, "constant", rationals)
+                if "constant" in data else None)
     return LinearOperatorData(top_order=top, dim=dim, even_tables=even_tables,
                               odd_tables=odd_tables, constant=constant)
 
@@ -329,7 +392,7 @@ def _linear_out(data: LinearOperatorData) -> Dict[str, Any]:
 def _density_in(data) -> Tuple[int, SuperPolynomial]:
     dim = data.get("dimension")
     _expect(_is_int(dim) and dim >= 1, "dimension", "must be an integer >= 1")
-    poly = _polynomial_in(data.get("polynomial", []), dim, "polynomial")
+    poly = _polynomial_in(data.get("polynomial", []), dim, ("polynomial",))
     return (dim, poly)
 
 
@@ -356,18 +419,28 @@ def parse_document_data(data) -> InputDocument:
 
 
 def parse_document(path: str) -> InputDocument:
+    """The document in the file at ``path``, with the sha256 of the bytes parsed.
+
+    The file is opened once; its text is what text-mode reading gives: UTF-8
+    with universal newlines.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            raw = handle.read()
     except OSError as exc:
         raise DocumentError("", f"cannot read {path}: {exc.strerror}") from None
+    text = raw.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError("", f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except RecursionError:
         raise DocumentError("", "malformed JSON: nested too deeply") from None
-    return parse_document_data(data)
+    doc = parse_document_data(data)
+    doc.sha256 = hashlib.sha256(raw).hexdigest()
+    return doc
 
 
 def render_document(doc: InputDocument) -> str:

@@ -185,12 +185,11 @@ class MatrixDiffOperator:
 
     def __add__(self, other: "MatrixDiffOperator") -> "MatrixDiffOperator":
         self._check_compatible(other)
-        keys = set(self._blocks) | set(other._blocks)
-        out = {}
-        for key in keys:
-            tot = self.entry(*key) + other.entry(*key)
-            if tot:
-                out[key] = tot
+        # Only the shared keys are summed; the constructor drops the blocks
+        # that cancel.
+        out = dict(self._blocks)
+        for key, op in other._blocks.items():
+            out[key] = out[key] + op if key in out else op
         return MatrixDiffOperator(self.type_parity, self.dim, out)
 
     def scaled(self, factor) -> "MatrixDiffOperator":

@@ -8,7 +8,6 @@ the human console only.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -56,13 +55,7 @@ class Report:
         return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def sha256_file(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def input_echo(path: str) -> Dict[str, str]:
-    return {"path": path, "sha256": sha256_file(path)}
+def input_echo(path: str, doc) -> Dict[str, str]:
+    """The path of an input and the sha256 of the bytes ``parse_document``
+    read from it, so the echo names exactly what was checked."""
+    return {"path": path, "sha256": doc.sha256}

@@ -1,5 +1,7 @@
 """Command-line behaviour: exit codes, reports, determinism, witness limits."""
 
+import builtins
+import hashlib
 import json
 import re
 from fractions import Fraction
@@ -205,6 +207,59 @@ class TestReports:
         main(["check-algebra", "--class", "nx_bialgebra", docs["bent2.alg.json"],
               "--report", str(rpt)])
         assert len(json.loads(rpt.read_text())["witnesses"]) == 1
+
+
+class TestInputEcho:
+    """Each input is read once; its echoed sha256 is that of the bytes parsed.
+    An ``@name`` argument is the path of that input document."""
+
+    @pytest.mark.parametrize("argv, inputs", [
+        (["check-algebra", "--class", "nx_bialgebra", "@nx2.alg.json"], {"input": "nx2.alg.json"}),
+        (["check-skew", "@d5.op.json"], {"input": "d5.op.json"}),
+        (["check-hamiltonian", "@noskew.op.json"], {"input": "noskew.op.json"}),
+        (["schouten", "@d.op.json", "@d5.op.json"],
+         {"first": "d.op.json", "second": "d5.op.json"}),
+        (["pair", "@d.op.json", "@d5.op.json"], {"first": "d.op.json", "second": "d5.op.json"}),
+        (["build", "--from", "nx_bialgebra", "@nx1.alg.json", "-o", "@built.op.json"],
+         {"input": "nx1.alg.json"}),
+        (["induce", "--window", "2", "@virasoro1.lop.json"], {"input": "virasoro1.lop.json"}),
+        (["evolution", "@d.op.json", "--density", "@kdv.den.json"],
+         {"operator": "d.op.json", "density": "kdv.den.json"}),
+    ], ids=lambda value: value[0] if isinstance(value, list) else None)
+    def test_one_open_and_the_parsed_digest(self, docs, tmp_path, monkeypatch, capsys,
+                                            argv, inputs):
+        paths = dict(docs, **{"built.op.json": str(tmp_path / "built.op.json")})
+        argv = [paths[arg[1:]] if arg.startswith("@") else arg for arg in argv]
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        report = tmp_path / "report.json"
+        monkeypatch.setattr(builtins, "open", counting_open)
+        main(argv + ["--report", str(report)])
+        monkeypatch.undo()
+        echo = json.loads(report.read_text())["configuration"]
+        for key, name in inputs.items():
+            path = docs[name]
+            assert opened.count(path) == 1
+            with open(path, "rb") as handle:
+                digest = hashlib.sha256(handle.read()).hexdigest()
+            assert echo[key] == {"path": path, "sha256": digest}
+
+    def test_crlf_document_hashes_its_bytes(self, docs, tmp_path, capsys):
+        source = Path(docs["d5.op.json"]).read_bytes()
+        crlf = tmp_path / "crlf.op.json"
+        crlf.write_bytes(source.replace(b"\n", b"\r\n"))
+        reports = [tmp_path / "lf.json", tmp_path / "crlf.json"]
+        for path, report in zip((docs["d5.op.json"], str(crlf)), reports):
+            assert main(["check-skew", path, "--report", str(report)]) == 0
+        lf_echo, crlf_echo = (json.loads(r.read_text())["configuration"]["input"]
+                              for r in reports)
+        assert crlf_echo["sha256"] == hashlib.sha256(crlf.read_bytes()).hexdigest()
+        assert crlf_echo["sha256"] != lf_echo["sha256"]
 
 
 REPO = Path(__file__).resolve().parent.parent

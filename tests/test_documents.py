@@ -1,5 +1,7 @@
 """Input document parsing, validation errors, and round-trip stability."""
 
+import copy
+import json
 import random
 import time
 from fractions import Fraction
@@ -20,10 +22,13 @@ from svarcalc import (
     build_type0_operator,
     build_type1_operator,
 )
+from svarcalc.algebra import _exact
 from svarcalc.documents import (
     DocumentError,
     InputDocument,
+    _Rationals,
     _generator_out,
+    _rational,
     parse_document,
     parse_document_data,
     render_document,
@@ -31,6 +36,7 @@ from svarcalc.documents import (
 
 F = Fraction
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def gp(g):
@@ -206,6 +212,22 @@ class TestErrors:
             parse_document(str(path))
         assert "line 2" in str(err.value)
 
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    def test_json_errors_count_lines_as_text_mode_reading_does(self, tmp_path, newline):
+        # Files are read as bytes (for their digest) and decoded with
+        # universal newlines, so CRLF and CR-only files report the line and
+        # column of their LF form.
+        source = b'{"format": "svarcalc/1",\n  "kind": "density",\n  "dimension": }\n'
+        messages = []
+        for name, data in (("lf.json", source), ("other.json", source.replace(b"\n", newline))):
+            path = tmp_path / name
+            path.write_bytes(data)
+            with pytest.raises(DocumentError) as err:
+                parse_document(str(path))
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == \
+            "malformed JSON at line 3, column 16: Expecting value"
+
     def test_missing_file(self):
         with pytest.raises(DocumentError):
             parse_document("/nonexistent/path.json")
@@ -219,3 +241,168 @@ class TestErrors:
     @pytest.mark.parametrize("name", sorted(BOOLEAN_INTEGERS))
     def test_booleans_are_not_integers(self, name):
         self.run(*BOOLEAN_INTEGERS[name])
+
+    def test_bad_cell_message_is_pinned(self):
+        table = [[["0"] * 4 for _ in range(4)] for _ in range(4)]
+        table[1][2][3] = "1/0"
+        with pytest.raises(DocumentError) as err:
+            parse_document_data({"format": "svarcalc/1", "kind": "algebra", "dimension": 4,
+                                 "products": {"circ": table}})
+        assert err.value.location == "products.circ[1][2][3]"
+        assert str(err.value) == ("products.circ[1][2][3]: not a valid rational: '1/0' "
+                                  "(Fraction(1, 0))")
+
+    @pytest.mark.parametrize("where, edit, message", [
+        ("products.circ[1]", lambda t: t[1].pop(), "expected a list of 3 columns"),
+        ("products.circ[2][0]", lambda t: t[2][0].append("1"),
+         "expected a list of 3 coefficients"),
+        ("products.circ[0][1][2]", lambda t: t[0][1].__setitem__(2, ["1"]),
+         "expected a rational string, got list"),
+        ("products.circ[2][2][0]", lambda t: t[2][2].__setitem__(0, True),
+         "rationals must be strings, got True"),
+    ])
+    def test_table_errors_are_located(self, where, edit, message):
+        table = [[["1"] * 3 for _ in range(3)] for _ in range(3)]
+        edit(table)
+        with pytest.raises(DocumentError) as err:
+            parse_document_data({"format": "svarcalc/1", "kind": "algebra", "dimension": 3,
+                                 "products": {"circ": table}})
+        assert (err.value.location, err.value.message) == (where, message)
+
+    def test_polynomial_errors_are_located(self):
+        bad_family = _density_doc(dict(_PHI, family=3))
+        bad_family["polynomial"].insert(0, {"coeff": "2", "monomial": []})
+        with pytest.raises(DocumentError) as err:
+            parse_document_data(bad_family)
+        assert str(err.value) == ("polynomial[1].monomial[0][0].family: "
+                                  "family index must be an integer in [0, 1)")
+        with pytest.raises(DocumentError) as err:
+            parse_document_data(_operator_doc(coeff=[{"coeff": "1/x", "monomial": []}]))
+        assert err.value.location == "entries[0].coeff[0].coeff"
+
+
+def rational_oracle(value):
+    """One rational parsed as before the integer fast path, every string
+    through ``Fraction``: (exact value, None) or (None, error message)."""
+    if isinstance(value, (bool, float)):
+        return None, f"rationals must be strings, got {value!r}"
+    if isinstance(value, int):
+        return _exact(Fraction(value)), None
+    if not isinstance(value, str):
+        return None, f"expected a rational string, got {type(value).__name__}"
+    try:
+        return _exact(Fraction(value)), None
+    except (ValueError, ZeroDivisionError) as exc:
+        return None, f"not a valid rational: {value!r} ({exc})"
+
+
+def rational_outcome(value):
+    try:
+        result = _exact(_rational(value, ("cell", 4)))
+    except DocumentError as exc:
+        assert exc.location == "cell[4]"
+        return None, exc.message
+    return result, None
+
+
+# Strings the integer fast path must hand to Fraction, or parse to the same
+# value: leading zeros, signs, blanks, fractions, decimals, exponents,
+# underscores, non-ASCII digits (Arabic-Indic three, superscript two), and an
+# integer past the default int digit limit.
+RATIONAL_CASES = ["007", "-0", "+3", " 3 ", "3/6", "1.5", "1e3", "1_0", "\u0663", "\u00b2",
+                  "9" * 5000, "-" + "9" * 5000, "", "-", "--1", "1-", "1/0", "-12/-3", "0x10",
+                  "\u00a03", True, False, 1.5, 0.0, None, [], {}, 0, -7, 10 ** 40]
+RATIONAL_ALPHABET = "0123456789-+/._ e\u0663\u00b2\u00a0"
+
+
+def mutate_document(rng: random.Random, doc):
+    """A copy of a parsed JSON document with one to three random edits: a
+    node replaced by a value from a pool of valid and invalid ones, a key or
+    list item removed, or a list item doubled."""
+    pool = RATIONAL_CASES[:-3] + ["0", "1", "-1", "1/2", 1, 2, 3, 10 ** 6, [], {}, [1],
+                                 "field", "covector", "algebra", "operator"]
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.randint(1, 3)):
+        paths, stack = [], [((), doc)]
+        while stack:
+            path, node = stack.pop()
+            items = node.items() if isinstance(node, dict) else \
+                enumerate(node) if isinstance(node, list) else ()
+            for key, child in items:
+                paths.append(path + (key,))
+                stack.append((path + (key,), child))
+        if not paths:
+            break
+        path = rng.choice(paths)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key, roll = path[-1], rng.random()
+        if roll < 0.6:
+            parent[key] = copy.deepcopy(rng.choice(pool))
+        elif roll < 0.8:
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+    return doc
+
+
+class TestParseOracle:
+    """``_rational`` against ``Fraction``, and seeded mutations of the bundled
+    documents through ``parse_document_data``."""
+
+    @pytest.mark.parametrize("value", RATIONAL_CASES, ids=repr)
+    def test_listed_values_match_fraction(self, value):
+        outcome = rational_outcome(value)
+        assert outcome == rational_oracle(value)
+        assert type(outcome[0]) is type(rational_oracle(value)[0])
+
+    def test_random_strings_match_fraction(self, seed):
+        rng = random.Random(seed)
+        for _ in range(3000):
+            text = "".join(rng.choice(RATIONAL_ALPHABET) for _ in range(rng.randint(0, 7)))
+            outcome, expected = rational_outcome(text), rational_oracle(text)
+            assert outcome == expected and type(outcome[0]) is type(expected[0]), text
+
+    def test_vectors_match_values_and_locate_the_first_bad_one(self, seed):
+        rng = random.Random(seed)
+        for _ in range(500):
+            values = [rng.choice(RATIONAL_CASES) for _ in range(rng.randint(1, 6))]
+            outcomes = [rational_oracle(v) for v in values]
+            bad = [k for k, (_, message) in enumerate(outcomes) if message]
+            if bad:
+                with pytest.raises(DocumentError) as err:
+                    _Rationals().vector(values, ("t", 1))
+                assert err.value.location == f"t[1][{bad[0]}]"
+                assert err.value.message == outcomes[bad[0]][1]
+            else:
+                got = [_exact(v) for v in _Rationals().vector(values, ("t", 1))]
+                assert [(v, type(v)) for v in got] == [(v, type(v)) for v, _ in outcomes]
+
+    def test_memo_keeps_booleans_and_floats_apart(self):
+        rationals = _Rationals()
+        assert rationals.vector(["1", 1, "0"], ("t",)) == (1, 1, 0)
+        for values, message in ((["1", True], "rationals must be strings, got True"),
+                                ([1, 1.0], "rationals must be strings, got 1.0"),
+                                (["0", False], "rationals must be strings, got False")):
+            with pytest.raises(DocumentError) as err:
+                rationals.vector(values, ("t",))
+            assert (err.value.location, err.value.message) == ("t[1]", message)
+
+    def test_mutated_documents_parse_or_raise_and_round_trip(self, seed):
+        paths = sorted(SAMPLES.glob("*.json")) + sorted(FIXTURES.glob("*.json"))
+        bases = [json.loads(path.read_text()) for path in paths]
+        rng = random.Random(seed)
+        parsed = 0
+        for case in range(2000):
+            data = bases[case] if case < len(bases) else mutate_document(rng, rng.choice(bases))
+            try:
+                doc = parse_document_data(data)
+            except DocumentError:
+                assert case >= len(bases)
+                continue
+            parsed += 1
+            text = render_document(doc)
+            again = parse_document_data(json.loads(text))
+            assert again == doc and render_document(again) == text
+        assert parsed > len(bases)

@@ -104,6 +104,40 @@ class TestTypeConstraint:
             MatrixDiffOperator(1, 1, {(0, 0, 1): ScalarDiffOperator.d_power(1)})
 
 
+class TestOperatorSum:
+    """``MatrixDiffOperator.__add__`` against an entry-wise sum."""
+
+    @staticmethod
+    def entrywise(a, b):
+        sums = {key: a.entry(*key) + b.entry(*key) for key in set(a.blocks()) | set(b.blocks())}
+        return {key: op for key, op in sums.items() if op}
+
+    def test_matches_entrywise_sum(self, seed):
+        rng = random.Random(seed)
+        ops = [quintic_example(2)] + [build_type1_operator(spec)
+                                      for spec in truncated_mutations(rng) if spec.dim == 2]
+        for a in ops:
+            b = rng.choice(ops)
+            # Part of -a cancels those blocks of a exactly; the rest is b.
+            negated = {key: op.scaled(-1) for key, op in a.blocks().items() if rng.random() < 0.5}
+            for other in (b, MatrixDiffOperator(1, 2, negated), b.scaled(Fraction(1, 2))):
+                total = a + other
+                assert total.blocks() == self.entrywise(a, other)
+                assert all(op for op in total.blocks().values())
+                assert total == other + a
+
+    def test_full_cancellation_has_no_blocks(self):
+        h = quintic_example(2)
+        assert (h + h.scaled(-1)).blocks() == {}
+        assert h + h.scaled(-1) == MatrixDiffOperator(1, 2)
+
+    def test_mismatched_operators_are_rejected(self):
+        with pytest.raises(ValueError):
+            quintic_example(1) + quintic_example(2)
+        with pytest.raises(ValueError):
+            constant_type1(5) + MatrixDiffOperator(0, 1)
+
+
 class TestSkewSymmetry:
     def test_quintic_power_is_skew(self):
         assert check_skew_symmetry(constant_type1(5)) == (True, None)
