@@ -54,29 +54,26 @@ def _require_kind(doc: InputDocument, kind: str, path: str) -> None:
         raise DocumentError("kind", f"{path}: expected a {kind} document, got {doc.kind}")
 
 
+def _verdict(check: str, witnesses: list, configuration: dict) -> Report:
+    """The report of a check that fails exactly when it has witnesses."""
+    return Report(check=check, verdict=FAIL if witnesses else PASS,
+                  witnesses=witnesses, configuration=configuration)
+
+
 def _cmd_check_algebra(args) -> Report:
     doc = parse_document(args.file)
     _require_kind(doc, "algebra", args.file)
     witnesses = list(islice(iter_axiom_failures(doc.payload, args.algebra_class),
                             args.witness_limit))
-    return Report(
-        check="check-algebra",
-        verdict=PASS if not witnesses else FAIL,
-        witnesses=witnesses,
-        configuration={"class": args.algebra_class, "input": input_echo(args.file, doc)},
-    )
+    return _verdict("check-algebra", witnesses,
+                    {"class": args.algebra_class, "input": input_echo(args.file, doc)})
 
 
 def _cmd_check_skew(args) -> Report:
     doc = parse_document(args.file)
     _require_kind(doc, "operator", args.file)
     witnesses = list(islice(iter_skew_failures(doc.payload), args.witness_limit))
-    return Report(
-        check="check-skew",
-        verdict=PASS if not witnesses else FAIL,
-        witnesses=witnesses,
-        configuration={"input": input_echo(args.file, doc)},
-    )
+    return _verdict("check-skew", witnesses, {"input": input_echo(args.file, doc)})
 
 
 def _cmd_check_hamiltonian(args) -> Report:
@@ -86,17 +83,11 @@ def _cmd_check_hamiltonian(args) -> Report:
     config = {"input": input_echo(args.file, doc), "jobs": args.jobs}
     if not check_skew_symmetry(op)[0]:
         skew = islice(iter_skew_failures(op), args.witness_limit)
-        return Report(check="check-hamiltonian", verdict=FAIL,
-                      witnesses=[("skew",) + w for w in skew], configuration=config)
+        return _verdict("check-hamiltonian", [("skew",) + w for w in skew], config)
     failures = [("closedness", families, parities, gen_name(base), str(gradient))
                 for families, parities, base, gradient
                 in iter_closedness_failures(op, args.witness_limit)]
-    return Report(
-        check="check-hamiltonian",
-        verdict=PASS if not failures else FAIL,
-        witnesses=failures,
-        configuration=config,
-    )
+    return _verdict("check-hamiltonian", failures, config)
 
 
 def _load_operator_pair(args) -> Tuple[MatrixDiffOperator, MatrixDiffOperator, dict]:
@@ -113,23 +104,13 @@ def _cmd_schouten(args) -> Report:
     op_a, op_b, echo = _load_operator_pair(args)
     witnesses = [failure[:2] for failure
                  in iter_schouten_failures(op_a, op_b, args.witness_limit)]
-    return Report(
-        check="schouten",
-        verdict=PASS if not witnesses else FAIL,
-        witnesses=witnesses,
-        configuration=echo,
-    )
+    return _verdict("schouten", witnesses, echo)
 
 
 def _cmd_pair(args) -> Report:
     op_a, op_b, echo = _load_operator_pair(args)
     ok, witness = is_hamiltonian_pair(op_a, op_b)
-    return Report(
-        check="pair",
-        verdict=PASS if ok else FAIL,
-        witnesses=[] if ok else [witness],
-        configuration=echo,
-    )
+    return _verdict("pair", [] if ok else [witness], echo)
 
 
 _BUILDERS = {
@@ -326,11 +307,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         return _os_error(exc)
     elapsed = time.monotonic() - start
+    try:
+        rendered = report.to_json()
+    except ValueError as exc:  # a value past the int digit limit has no decimal form
+        report = Report(check=args.command, verdict=ERROR, witnesses=[str(exc)])
+        rendered = report.to_json()
     _print_human(report, elapsed)
     if getattr(args, "report", None):
         try:
             with open(_report_path(args.report), "w", encoding="utf-8") as handle:
-                handle.write(report.to_json())
+                handle.write(rendered)
         except OSError as exc:
             return _os_error(exc)
     return report.exit_code()

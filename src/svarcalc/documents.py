@@ -2,9 +2,10 @@
 
 The concrete syntax is JSON.  A rational is a string ("p/q", an integer
 string, or any other form ``Fraction`` reads) or a JSON integer; floats are
-rejected outright so no value ever passes through binary floating point.
-Rendering sorts keys and writes every rational as a string, and is
-byte-stable: parse(render(doc)) == doc for every valid document.
+rejected outright so no value ever passes through binary floating point,
+and numerators and denominators stay within the int digit limit.  Rendering
+sorts keys and writes every rational as a string, and is byte-stable:
+parse(render(doc)) == doc for every valid document.
 
 Parsing costs about one ``json.loads`` plus one pass over the values: integer
 strings become ``int`` without ``Fraction``, each distinct string of a table
@@ -27,6 +28,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Dict, Optional, Tuple
@@ -89,9 +92,9 @@ def _rational(value, where: Tuple = ()) -> Coeff:
 
     A JSON integer and an ASCII integer string (an optional ``-``, then
     digits) become an ``int`` directly.  Every other string goes through
-    ``Fraction``, which decides what is accepted and words the error.  Every
-    consumer applies ``algebra._exact``, so an integral ``Fraction`` and an
-    ``int`` give the same payload.
+    ``_fraction``, and ``Fraction`` decides what is accepted and words the
+    error.  Every consumer applies ``algebra._exact``, so an integral
+    ``Fraction`` and an ``int`` give the same payload.
     """
     if isinstance(value, str):
         digits = value[1:] if value[:1] == "-" else value
@@ -101,7 +104,7 @@ def _rational(value, where: Tuple = ()) -> Coeff:
             except ValueError:
                 pass  # past the int digit limit: Fraction raises the same error
         try:
-            return Fraction(value)
+            return _fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise DocumentError(_location(where),
                                 f"not a valid rational: {value!r} ({exc})") from None
@@ -111,6 +114,33 @@ def _rational(value, where: Tuple = ()) -> Coeff:
         return value
     raise DocumentError(_location(where),
                         f"expected a rational string, got {type(value).__name__}")
+
+
+# The exponent of a decimal string, as ``Fraction`` reads it.
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _fraction(value: str) -> Fraction:
+    """``Fraction(value)``, refused when its numerator or denominator has more
+    digits than the int digit limit.  ``Fraction`` expands an exponent in
+    full, so a large one is judged first: past a mantissa of at most
+    ``limit`` digits, a magnitude of ``2 limit`` puts any nonzero value past it.
+    """
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    match = _EXPONENT.search(value)
+    if match and abs(int(match[1])) >= 2 * limit:
+        try:  # the mantissa, with the exponent written as 0
+            mantissa = Fraction(value[:match.start(1)] + "0" + value[match.end(1):])
+        except ValueError:
+            return Fraction(value)  # not a rational either: Fraction words the error
+        if mantissa:
+            raise ValueError(f"more than {limit} digits")
+        return mantissa
+    result = Fraction(value)
+    size = max(abs(result.numerator), result.denominator)
+    if size.bit_length() > 3 * limit and size >= 10 ** limit:
+        raise ValueError(f"more than {limit} digits")
+    return result
 
 
 class _Rationals(dict):
@@ -163,36 +193,31 @@ def _matrix_in(data, dim: int, location: str, rationals: _Rationals):
                  for i, row in enumerate(_sized(data, dim, "rows", (location,))))
 
 
+def _int_key(data: dict, key: str, low: int, high: Optional[int], where: Tuple,
+             message: str, default=None) -> int:
+    """``data[key]`` when it is an integer in [low, high) (unbounded above when
+    ``high`` is None); else the error at ``where`` + ``.key``."""
+    value = data.get(key, default)
+    if _is_int(value) and low <= value and (high is None or value < high):
+        return value
+    raise DocumentError(_location((*where, "." + key)), message)
+
+
 def _generator_in(data, dim: int, where: Tuple) -> Generator:
     if not isinstance(data, dict):
         raise DocumentError(_location(where), "expected a generator object")
     kind = data.get("kind")
+    families = f"family index must be an integer in [0, {dim})"
     if kind == "field":
-        family = data.get("family")
-        order = data.get("order")
-        if not (_is_int(family) and 0 <= family < dim):
-            raise DocumentError(_location((*where, ".family")),
-                                f"family index must be an integer in [0, {dim})")
-        if not (_is_int(order) and order >= 1):
-            raise DocumentError(_location((*where, ".order")),
-                                "field order must be an integer >= 1")
-        return field(family, order)
+        family = _int_key(data, "family", 0, dim, where, families)
+        return field(family, _int_key(data, "order", 1, None, where,
+                                      "field order must be an integer >= 1"))
     if kind == "covector":
-        slot = data.get("slot")
-        family = data.get("family")
-        derivs = data.get("derivs", 0)
-        base_parity = data.get("base_parity")
-        if not (_is_int(slot) and slot in (1, 2, 3)):
-            raise DocumentError(_location((*where, ".slot")), "covector slot must be 1, 2 or 3")
-        if not (_is_int(family) and 0 <= family < dim):
-            raise DocumentError(_location((*where, ".family")),
-                                f"family index must be an integer in [0, {dim})")
-        if not (_is_int(derivs) and derivs >= 0):
-            raise DocumentError(_location((*where, ".derivs")),
-                                "derivative count must be an integer >= 0")
-        if not (_is_int(base_parity) and base_parity in (0, 1)):
-            raise DocumentError(_location((*where, ".base_parity")),
-                                "base parity must be 0 or 1")
+        slot = _int_key(data, "slot", 1, 4, where, "covector slot must be 1, 2 or 3")
+        family = _int_key(data, "family", 0, dim, where, families)
+        derivs = _int_key(data, "derivs", 0, None, where,
+                          "derivative count must be an integer >= 0", default=0)
+        base_parity = _int_key(data, "base_parity", 0, 2, where, "base parity must be 0 or 1")
         return covector(slot, family, derivs, base_parity)
     raise DocumentError(_location((*where, ".kind")), f"unknown generator kind {kind!r}")
 
@@ -309,18 +334,11 @@ def _operator_in(data) -> MatrixDiffOperator:
     for idx, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise DocumentError(f"entries[{idx}]", "expected an entry object")
-        block = entry.get("block")
-        row = entry.get("row")
-        col = entry.get("col")
-        power = entry.get("power")
-        if not (_is_int(block) and block in (0, 1)):
-            raise DocumentError(f"entries[{idx}].block", "block must be 0 or 1")
-        if not (_is_int(row) and 0 <= row < dim):
-            raise DocumentError(f"entries[{idx}].row", f"row must be an integer in [0, {dim})")
-        if not (_is_int(col) and 0 <= col < dim):
-            raise DocumentError(f"entries[{idx}].col", f"col must be an integer in [0, {dim})")
-        if not (_is_int(power) and power >= 0):
-            raise DocumentError(f"entries[{idx}].power", "power must be an integer >= 0")
+        where = ("entries", idx)
+        block = _int_key(entry, "block", 0, 2, where, "block must be 0 or 1")
+        row = _int_key(entry, "row", 0, dim, where, f"row must be an integer in [0, {dim})")
+        col = _int_key(entry, "col", 0, dim, where, f"col must be an integer in [0, {dim})")
+        power = _int_key(entry, "power", 0, None, where, "power must be an integer >= 0")
         key = (block, row, col, power)
         if key in seen:
             raise DocumentError(f"entries[{idx}]", f"duplicate entry for {key}")
@@ -429,7 +447,11 @@ def parse_document(path: str) -> InputDocument:
             raw = handle.read()
     except OSError as exc:
         raise DocumentError("", f"cannot read {path}: {exc.strerror}") from None
-    text = raw.decode("utf-8")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DocumentError("", f"cannot decode {path} as UTF-8: {exc.reason} "
+                                f"at byte {exc.start}") from None
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:

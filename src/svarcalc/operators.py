@@ -18,7 +18,9 @@ three-form is B(H, H) for a form B(A, B) linear in both operators, and the
 Schouten super-bracket is [H1, H2] = B(H1, H2) + B(H2, H1), so its diagonal
 vanishing reproduces the Hamiltonian test and its mixed vanishing
 characterizes Hamiltonian pairs.  One configuration-scan engine
-(``ConfigurationScan``) runs every such scan.
+(``ConfigurationScan``) runs every such scan.  The skew check, the
+linearization and the scan visit the stored entries only, so their work
+follows the operator's nonzero pattern, not its declared dimension.
 
 For super skew-symmetric operators the three-form is a functional trivector,
 graded skew-symmetric in its three covector slots modulo total derivatives,
@@ -33,7 +35,7 @@ involving an operator that is not skew-symmetric scans every configuration.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from itertools import combinations_with_replacement, islice, permutations, product
+from itertools import islice, permutations, product
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -209,27 +211,21 @@ def iter_skew_failures(op: MatrixDiffOperator):
     Condition "transpose" marks the normal-ordering identity on the even
     block, "block" the relation between the two parity blocks; the residual
     is the canonical rendering of the coefficient mismatch at that power.
+    Only the stored (row, col) pairs and their transposes are visited, in
+    row-major order: at every other pair both sides of both conditions are 0.
     """
     iota = op.type_parity
-    for row, col in product(range(op.dim), repeat=2):
+    for row, col in sorted({pair for _, row, col in op.blocks() for pair in ((row, col), (col, row))}):
+        entry = op.entry(0, row, col)
         lhs = ScalarDiffOperator.zero()
-        for power, coeff in op.entry(0, row, col).entries().items():
+        for power, coeff in entry.entries().items():
             sign = -1 if ((2 * iota + power) * (power - 1) // 2) & 1 else 1
-            term = compose_D_power_left(
-                ScalarDiffOperator.single(coeff, 0), power).scaled(sign)
-            lhs = lhs + term
-        rhs = op.entry(0, col, row)
-        if lhs != rhs:
-            diff = lhs - rhs
-            power = min(diff.entries())
-            yield ("transpose", row, col, power, str(diff.entries()[power]))
-        block0 = op.entry(0, row, col)
-        block1 = op.entry(1, row, col)
-        want = block1.scaled(1 if iota else -1)
-        if block0 != want:
-            diff = block0 - want
-            power = min(diff.entries())
-            yield ("block", row, col, power, str(diff.entries()[power]))
+            lhs = lhs + compose_D_power_left(ScalarDiffOperator.single(coeff, 0), power).scaled(sign)
+        for condition, diff in (("transpose", lhs - op.entry(0, col, row)),
+                                ("block", entry - op.entry(1, row, col).scaled(1 if iota else -1))):
+            if diff:
+                power = min(diff.entries())
+                yield (condition, row, col, power, str(diff.entries()[power]))
 
 
 def check_skew_symmetry(op: MatrixDiffOperator):
@@ -287,10 +283,11 @@ def frechet(op: MatrixDiffOperator, cov_base: Generator,
     xi_poly = SuperPolynomial.generator(cov_base)
     out: Dict[Tuple[int, int], ScalarDiffOperator] = {}
     sign_flip = (omega_parity + iota) & 1
-    for row in range(op.dim):
+    for row in sorted(row for block, row, col in op.blocks() if (block, col) == (omega_parity, fam)):
+        scalar = op.entry(omega_parity, row, fam)
         shifted = [coeff * superderive_n(xi_poly, power)
-                   for power, coeff in op.entry(omega_parity, row, fam).entries().items()]
-        for col in range(op.dim):
+                   for power, coeff in scalar.entries().items()]
+        for col in _field_families(scalar, op.dim):
             entries: Dict[int, SuperPolynomial] = {}
             for coeff in shifted:
                 for m, part in tower_partials(coeff, field(col, 1)).items():
@@ -301,6 +298,13 @@ def frechet(op: MatrixDiffOperator, cov_base: Generator,
             if entry:
                 out[(row, col)] = entry
     return out
+
+
+def _field_families(scalar: ScalarDiffOperator, dim: int) -> List[int]:
+    """The field families below ``dim`` that the coefficients of ``scalar``
+    contain, ascending."""
+    return sorted({gen[1] for coeff in scalar.entries().values() for gen in coeff.generators()
+                   if gen[0] == FIELD_KIND and gen[1] < dim})
 
 
 def configurations(dim: int):
@@ -318,19 +322,15 @@ def _orbit(families: Tuple[int, int, int], parities: Tuple[int, int, int]) -> Li
                    for perm in _SLOT_PERMUTATIONS})
 
 
-def _orbit_representatives(dim: int) -> Iterator[Tuple]:
-    """The configurations that are lexicographically least in their S3 orbit,
-    in lexicographic order.
+def _least_in_orbit(config: Tuple) -> bool:
+    """Whether a configuration is lexicographically least in its S3 orbit.
 
     The least member has non-decreasing families, and among the permutations
     that keep them so (those within runs of equal families) the least
     parities are non-decreasing along each run.
     """
-    for families in combinations_with_replacement(range(dim), 3):
-        for parities in product((0, 1), repeat=3):
-            if all(parities[k] <= parities[k + 1] for k in (0, 1)
-                   if families[k] == families[k + 1]):
-                yield families, parities
+    (f1, f2, f3), (p1, p2, p3) = config
+    return f1 <= f2 <= f3 and (f1 < f2 or p1 <= p2) and (f2 < f3 or p2 <= p3)
 
 
 def _config_signs(iota: int, parities: Tuple[int, int, int]) -> Tuple[int, int, int]:
@@ -350,15 +350,6 @@ def _basis_symbols(families: Tuple[int, int, int],
 
 # (arg, operand, closing) slots of the three cyclic pairing terms.
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-
-
-def _field_families(op: MatrixDiffOperator) -> Dict[Tuple[int, int, int], frozenset]:
-    """Per nonzero block entry, the field families its coefficients contain."""
-    out = {}
-    for key, scalar in op.blocks().items():
-        out[key] = frozenset(gen[1] for coeff in scalar.entries().values()
-                             for gen in coeff.generators() if gen[0] == FIELD_KIND)
-    return out
 
 
 _SLOT_ONE = COVECTOR_SLOTS[0]
@@ -384,19 +375,19 @@ class ConfigurationScan:
     argument, so the closedness defect of H is B(H, H) and the Schouten
     bracket [H1, H2] is B(H1, H2) + B(H2, H1).
 
-    Memo.  A scan keeps, for the life of the scan object and per
-    (operator, family, parity), the Frechet linearization, the operator
-    application and the derivative towers of the applied columns.  Each is
-    built once, on the slot-1 covector symbol, so a scan makes at most 2 d
-    ``frechet`` and 2 d ``apply_matrix_operator`` calls per operator.
-    Slots 2 and 3 get a copy with the covector kind relabelled.  That is
-    exact: every memoised polynomial holds the covectors of one slot only,
-    and fields sort before covectors, so the relabelled monomials keep
-    their order and their signs.
+    Memo.  For the life of the scan, the Frechet linearization is kept per
+    (operator, family, parity) and the derivative tower of each applied
+    column per (operator, family, parity, column), built once on the slot-1
+    covector symbol; slots 2 and 3 get a copy with the covector kind
+    relabelled.  That is exact: every memoised polynomial holds the
+    covectors of one slot only, and fields sort before covectors, so the
+    relabelled monomials keep their order and their signs.
 
-    A configuration whose pairing terms all vanish structurally (no field
-    family of the linearized entry meets a nonzero column of the applied
-    operator) is skipped: its form is the zero polynomial.
+    The configurations.  The pairing term of slots (a, b, c) is nonzero only
+    if a field family g of entry (p_a, f_c, f_a) of the linearized operator
+    is the row of a stored block (p_b, g, f_b) of the applied one.  The scan
+    decides, in lexicographic order, the configurations with such a term in
+    one of their three cyclic slot rotations; every other one has form 0.
 
     Orbit reduction.  When every operator of the scan is super
     skew-symmetric, the form is a functional trivector, graded skew-symmetric
@@ -413,9 +404,9 @@ class ConfigurationScan:
     * If c is the lexicographically first failing configuration, the least
       member of its orbit is <= c and fails too, so it is c itself: the first
       failing representative is c.
-    * A structurally zero representative has form 0, which lies in Im D, so
-      its whole orbit passes and is skipped.  This holds whatever the zero
-      pattern of the other members.
+    * A representative that is not listed has form 0, which lies in Im D, so
+      its whole orbit passes.  This holds whatever the zero pattern of the
+      other members, so only the listed representatives are decided.
     * A failing orbit is expanded into its distinct members, which are merged
       into the output in lexicographic order: a pending member m is emitted
       once the next representative still to be scanned is greater than m,
@@ -432,7 +423,7 @@ class ConfigurationScan:
     has no precondition and checking skew-symmetry before it costs nothing.
     """
 
-    # Whether the orbit reduction applies; None until ``_representatives``
+    # Whether the orbit reduction applies; None until ``_configurations``
     # decides it.
     _symmetric: Optional[bool] = None
 
@@ -454,7 +445,6 @@ class ConfigurationScan:
         self._index = index
         self.type_parity = first.type_parity
         self.dim = first.dim
-        self._fields = [_field_families(op) for op in self.ops]
         self._lin: Dict[Tuple[int, Generator], Dict[int, List[Tuple[int, Mapping]]]] = {}
         self._towers: Dict[Tuple[int, Generator, int], List[SuperPolynomial]] = {}
 
@@ -490,15 +480,14 @@ class ConfigurationScan:
     def _derivative(self, j: int, sym: Generator, col: int, m: int) -> SuperPolynomial:
         """D^m of column col of operator j applied to the basis covector sym."""
         key = (j, sym, col)
-        if key not in self._towers:
+        tower = self._towers.get(key)
+        if tower is None:
             if sym[0] == _SLOT_ONE:
-                applied = apply_matrix_operator(
-                    self.ops[j], {sym[1]: SuperPolynomial.generator(sym)}, (sym[3] + 1) & 1)
-                for row, column in applied.items():
-                    self._towers[(j, sym, row)] = [column]
+                entry = self.ops[j].entry((sym[3] + 1) & 1, col, sym[1])
+                tower = [entry.apply(SuperPolynomial.generator(sym))]
             else:
-                self._towers[key] = []
-        tower = self._towers[key]
+                tower = []
+            self._towers[key] = tower
         while len(tower) <= m:
             if sym[0] == _SLOT_ONE:
                 tower.append(superderive(tower[-1]))
@@ -520,18 +509,6 @@ class ConfigurationScan:
                     mul_into(acc, coeff, w)
         return acc
 
-    def is_structurally_zero(self, families: Tuple[int, int, int],
-                             parities: Tuple[int, int, int]) -> bool:
-        """True when every pairing term of the configuration vanishes by the
-        nonzero pattern alone, so its form is the zero polynomial."""
-        for i, j in self._index:
-            fields, blocks = self._fields[i], self.ops[j].blocks()
-            for a, b, c in _CYCLIC:
-                cols = fields.get((parities[a], families[c], families[a]))
-                if cols and any((parities[b], col, families[b]) in blocks for col in cols):
-                    return False
-        return True
-
     def three_form(self, families: Tuple[int, int, int],
                    parities: Tuple[int, int, int]) -> SuperPolynomial:
         """The scanned three-form on one basis configuration."""
@@ -547,22 +524,32 @@ class ConfigurationScan:
 
     # -- the scan ----------------------------------------------------------------
 
-    def _representatives(self) -> Iterator[Tuple]:
-        """The configurations to decide, in lexicographic order: the orbit
-        representatives when the reduction applies, else all of them."""
+    def _configurations(self) -> List[Tuple]:
+        """The configurations to decide, in lexicographic order: those with a
+        pairing term that meets a stored block, and only the orbit
+        representatives among them when the reduction applies."""
         if self._symmetric is None:
             self._symmetric = all(check_skew_symmetry(op)[0] for op in self.ops)
-        return _orbit_representatives(self.dim) if self._symmetric else configurations(self.dim)
+        listed = set()
+        for i, j in self._index:
+            rows: Dict[Tuple[int, int], List[int]] = {}
+            for p_b, g, f_b in self.ops[j].blocks():
+                rows.setdefault((p_b, g), []).append(f_b)
+            for (p_a, f_c, f_a), scalar in self.ops[i].blocks().items():
+                for g, p_b, p_c in product(_field_families(scalar, self.dim), (0, 1), (0, 1)):
+                    for f_b in rows.get((p_b, g), ()):  # the three cyclic placements
+                        listed.update((((f_a, f_b, f_c), (p_a, p_b, p_c)),
+                                       ((f_c, f_a, f_b), (p_c, p_a, p_b)),
+                                       ((f_b, f_c, f_a), (p_b, p_c, p_a))))
+        return sorted(filter(_least_in_orbit, listed) if self._symmetric else listed)
 
-    def _certified(self, representatives) -> Iterator[Tuple]:
-        """Certified failures of the orbits of ``representatives`` (ascending),
+    def _certified(self, configs: List[Tuple]) -> Iterator[Tuple]:
+        """Certified failures of the orbits of ``configs`` (ascending),
         merged in lexicographic order."""
         pending: List[Tuple] = []  # heap of (member, certificate or None)
-        for rep in representatives:
+        for rep in configs:
             while pending and pending[0][0] < rep:
                 yield self._member_failure(*heappop(pending))
-            if self.is_structurally_zero(*rep):
-                continue
             certificate = non_membership_certificate(self.three_form(*rep))
             if certificate is not None:
                 members = _orbit(*rep) if self._symmetric else [rep]
@@ -586,7 +573,7 @@ class ConfigurationScan:
         ``base`` and ``gradient`` certify that the form is not a total
         derivative.
         """
-        return islice(self._certified(self._representatives()), limit)
+        return islice(self._certified(self._configurations()), limit)
 
 
 def hamiltonian_defect(op: MatrixDiffOperator, families: Tuple[int, int, int],

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import copy
 import random
 from fractions import Fraction
+from itertools import product
 
 from svarcalc import (
     AlgebraSpec,
     EvolutionaryField,
     LinearOperatorData,
+    ScalarDiffOperator,
     SuperPolynomial,
     configurations,
     covector,
@@ -17,7 +20,9 @@ from svarcalc import (
     np_to_nx,
     parity,
 )
-from svarcalc.calculus import non_membership_certificate
+from svarcalc.algebra import tower_partials
+from svarcalc.calculus import non_membership_certificate, superderive_n
+from svarcalc.operators import compose_D_power_left
 from svarcalc.structures import derived_dot_table
 
 
@@ -151,15 +156,92 @@ def truncated_mutations(rng: random.Random):
 
 def full_scan_failures(scan, limit=None):
     """Oracle for ``ConfigurationScan.failures``: every configuration in
-    lexicographic order, each one not structurally zero decided on its own
-    form, as (families, parities, base, gradient)."""
+    lexicographic order, each one decided on its own form, as (families,
+    parities, base, gradient)."""
     out = []
     for families, parities in configurations(scan.dim):
         if len(out) == limit:
             break
-        if scan.is_structurally_zero(families, parities):
-            continue
         certificate = non_membership_certificate(scan.three_form(families, parities))
         if certificate is not None:
             out.append((families, parities) + certificate)
     return out
+
+
+def dense_skew_failures(op):
+    """Oracle for ``iter_skew_failures``: both conditions at every (row, col)
+    pair of the declared dimension, in row-major order."""
+    iota = op.type_parity
+    for row, col in product(range(op.dim), repeat=2):
+        lhs = ScalarDiffOperator.zero()
+        for power, coeff in op.entry(0, row, col).entries().items():
+            sign = -1 if ((2 * iota + power) * (power - 1) // 2) & 1 else 1
+            term = compose_D_power_left(
+                ScalarDiffOperator.single(coeff, 0), power).scaled(sign)
+            lhs = lhs + term
+        rhs = op.entry(0, col, row)
+        if lhs != rhs:
+            diff = lhs - rhs
+            power = min(diff.entries())
+            yield ("transpose", row, col, power, str(diff.entries()[power]))
+        block0 = op.entry(0, row, col)
+        block1 = op.entry(1, row, col)
+        want = block1.scaled(1 if iota else -1)
+        if block0 != want:
+            diff = block0 - want
+            power = min(diff.entries())
+            yield ("block", row, col, power, str(diff.entries()[power]))
+
+
+def dense_frechet(op, cov_base, omega_parity):
+    """Oracle for ``frechet``: every (row, col) pair of the declared
+    dimension, in row-major order."""
+    iota = op.type_parity
+    fam = cov_base[1]
+    xi_poly = SuperPolynomial.generator(cov_base)
+    out = {}
+    sign_flip = (omega_parity + iota) & 1
+    for row in range(op.dim):
+        shifted = [coeff * superderive_n(xi_poly, power)
+                   for power, coeff in op.entry(omega_parity, row, fam).entries().items()]
+        for col in range(op.dim):
+            entries = {}
+            for coeff in shifted:
+                for m, part in tower_partials(coeff, field(col, 1)).items():
+                    if sign_flip and (m & 1):
+                        part = -part
+                    entries[m] = entries[m] + part if m in entries else part
+            entry = ScalarDiffOperator(entries)
+            if entry:
+                out[(row, col)] = entry
+    return out
+
+
+def mutate_document(rng: random.Random, doc, pool):
+    """A copy of a parsed JSON document with one to three random edits: a
+    node replaced by a value from ``pool``, a key or list item removed, or a
+    list item doubled."""
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.randint(1, 3)):
+        paths, stack = [], [((), doc)]
+        while stack:
+            path, node = stack.pop()
+            items = node.items() if isinstance(node, dict) else \
+                enumerate(node) if isinstance(node, list) else ()
+            for key, child in items:
+                paths.append(path + (key,))
+                stack.append((path + (key,), child))
+        if not paths:
+            break
+        path = rng.choice(paths)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key, roll = path[-1], rng.random()
+        if roll < 0.6:
+            parent[key] = copy.deepcopy(rng.choice(pool))
+        elif roll < 0.8:
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+    return doc

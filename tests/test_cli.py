@@ -1,9 +1,13 @@
 """Command-line behaviour: exit codes, reports, determinism, witness limits."""
 
 import builtins
+import copy
 import hashlib
 import json
+import random
 import re
+import signal
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,8 +29,10 @@ from svarcalc import cli
 from svarcalc.cli import MAX_WINDOW, main
 from svarcalc.documents import InputDocument, render_document
 from svarcalc.modes import render_table
+from helpers import mutate_document
 
 F = Fraction
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 @pytest.fixture
@@ -102,6 +108,40 @@ class TestExitCodes:
         assert main(["check-hamiltonian", str(bad), "--report", str(report)]) == 2
         witness, = json.loads(report.read_text())["witnesses"]
         assert witness["location"] == "entries[0].power"
+
+    def test_non_utf8_document_is_a_located_error(self, tmp_path, capsys):
+        latin = tmp_path / "latin.op.json"
+        latin.write_bytes((SAMPLES / "d1.op.json").read_bytes().replace(
+            b'"operator"', '"op\u00e9rator"'.encode("latin-1")))
+        report = tmp_path / "latin.json"
+        assert main(["check-skew", str(latin), "--report", str(report)]) == 2
+        witness, = json.loads(report.read_text())["witnesses"]
+        assert witness == {"location": "", "message": f"cannot decode {latin} as UTF-8: "
+                                                      "invalid continuation byte at byte 278"}
+
+    def test_rationals_past_the_digit_limit_are_errors(self, tmp_path, capsys):
+        doc = json.loads((SAMPLES / "truncated_n2.alg.json").read_text())
+        doc["products"]["circ"][0][0][0] = "1e5000"
+        path = tmp_path / "huge.alg.json"
+        path.write_text(json.dumps(doc))
+        report = tmp_path / "huge.json"
+        assert main(["check-algebra", "--class", "novikov", str(path), "--report", str(report)]) == 2
+        witness, = json.loads(report.read_text())["witnesses"]
+        assert witness["location"] == "products.circ[0][0][0]"
+        assert witness["message"].endswith("(more than 4300 digits)")
+
+    def test_witness_past_the_digit_limit_is_an_error(self, tmp_path, capsys):
+        # Two coefficients within the limit whose product in a residual is not.
+        doc = json.loads((SAMPLES / "truncated_n2.alg.json").read_text())
+        doc["products"]["circ"][0][0][0] = doc["products"]["circ"][0][1][0] = "1e4299"
+        path = tmp_path / "wide.alg.json"
+        path.write_text(json.dumps(doc))
+        report = tmp_path / "wide.json"
+        assert main(["check-algebra", "--class", "novikov", "--witness-limit", "100", str(path),
+                     "--report", str(report)]) == 2
+        data = json.loads(report.read_text())
+        assert data["verdict"] == "error" and "4300 digits" in data["witnesses"][0]
+        assert "verdict: error" in capsys.readouterr().out
 
 
 class TestUsageErrors:
@@ -475,3 +515,103 @@ class TestParserReuse:
         assert len(json.loads(schouten_limited)["witnesses"]) > 1
         assert len(json.loads(schouten_default)["witnesses"]) == 1
         assert "usage: svarcalc" in runs[False][5][1]
+
+
+class _Alarm(BaseException):
+    """Raised by the per-case alarm; not an ``Exception``, so ``main`` cannot
+    turn it into an exit code."""
+
+
+class TestDocumentFuzz:
+    """Seeded mutations of the bundled samples through ``main``: operators
+    declared at dimension 10^6, exponent-form rationals, non-UTF-8 bytes and
+    the edits of ``mutate_document``.  Every case exits 0, 1 or 2 within the
+    alarm, and nothing escapes ``main``."""
+
+    ALARM_S = 10
+    CASES = 600
+    POOL = ["1e3", "-2.5E-3", "1e4299", "1e4300", "-1e-4300", "1e999999999", "0e999999999",
+            "1.5e-999999999", "1/2", "0", "1", "-1", 0, 1, 2, 10 ** 6, "", [], {}, [1], True,
+            1.5, None, "field", "covector", "operator"]
+
+    def with_rational(self, rng, data):
+        """A copy of ``data`` with one rational string replaced by one of the
+        rational strings of ``POOL``, most of them in exponent form."""
+        data = copy.deepcopy(data)
+        leaves, stack = [], [data]
+        while stack:
+            node = stack.pop()
+            for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+                if isinstance(child, (dict, list)):
+                    stack.append(child)
+                elif isinstance(child, str) and key not in ("format", "kind"):
+                    leaves.append((node, key))
+        node, key = rng.choice(leaves)
+        node[key] = rng.choice(self.POOL[:9])
+        return data
+
+    def command(self, rng, kind, path, report):
+        operator = str(SAMPLES / rng.choice(("d1.op.json", "d5.op.json")))
+        argv = {
+            "algebra": lambda: rng.choice((
+                ["check-algebra", "--class", rng.choice(cli.ALGEBRA_CLASSES), path],
+                ["build", "--from", rng.choice(sorted(cli._BUILDERS)), path])),
+            "operator": lambda: rng.choice((
+                ["check-skew", path], ["check-hamiltonian", path],
+                ["schouten", path, rng.choice((path, operator))],
+                ["pair", rng.choice((path, operator)), path],
+                ["evolution", path, "--density", str(SAMPLES / "super_kdv.den.json")])),
+            "linear_operator": lambda: ["induce", "--window", str(rng.randint(1, 3)), path],
+            "density": lambda: ["evolution", operator, "--density", path],
+        }[kind]()
+        if rng.random() < 0.3:
+            argv += ["--witness-limit", "3"]
+        if rng.random() < 0.3:
+            argv += ["--report", report]
+        return argv
+
+    def test_mutated_samples_exit_0_1_or_2(self, seed, tmp_path, capsys):
+        samples = [json.loads(path.read_text()) for path in sorted(SAMPLES.glob("*.json"))]
+        rng = random.Random(seed)
+        codes, wide_decided = Counter(), 0
+
+        def alarm(signum, frame):
+            raise _Alarm()
+
+        previous = signal.signal(signal.SIGALRM, alarm)
+        try:
+            for case in range(self.CASES):
+                sample = rng.choice(samples)
+                roll = rng.random()
+                if roll < 0.25:
+                    data = dict(sample, dimension=10 ** 6)
+                elif roll < 0.5:
+                    data = self.with_rational(rng, sample)
+                else:
+                    data = mutate_document(rng, sample, self.POOL)
+                raw = json.dumps(data).encode()
+                if roll > 0.9:
+                    at = rng.randrange(len(raw))
+                    raw = raw[:at] + rng.choice((b"\xe9", b"\xff", b"\xc3")) + raw[at + 1:]
+                path = tmp_path / f"case{case}.json"
+                path.write_bytes(raw)
+                argv = self.command(rng, sample["kind"], str(path),
+                                    str(tmp_path / f"report{case}.json"))
+                signal.setitimer(signal.ITIMER_REAL, self.ALARM_S)
+                try:
+                    code = main(argv)
+                except _Alarm:
+                    pytest.fail(f"case {case} ran past {self.ALARM_S} s: {argv}")
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+                out, err = capsys.readouterr()
+                assert code in (0, 1, 2), (case, argv)
+                assert "Traceback" not in out + err, (case, argv)
+                if roll > 0.9:
+                    assert code == 2 and "as UTF-8" in out, (case, argv)
+                codes[code] += 1
+                wide_decided += roll < 0.25 and sample["kind"] == "operator" and code < 2
+        finally:
+            signal.signal(signal.SIGALRM, previous)
+        assert min(codes[0], codes[1], codes[2]) > 0, codes
+        assert wide_decided >= 5

@@ -1,8 +1,8 @@
 """Input document parsing, validation errors, and round-trip stability."""
 
-import copy
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -33,6 +33,7 @@ from svarcalc.documents import (
     parse_document_data,
     render_document,
 )
+from helpers import mutate_document
 
 F = Fraction
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -283,7 +284,9 @@ class TestErrors:
 
 def rational_oracle(value):
     """One rational parsed as before the integer fast path, every string
-    through ``Fraction``: (exact value, None) or (None, error message)."""
+    through ``Fraction`` and refused when its numerator or denominator has
+    more digits than the int digit limit: (exact value, None) or (None,
+    error message)."""
     if isinstance(value, (bool, float)):
         return None, f"rationals must be strings, got {value!r}"
     if isinstance(value, int):
@@ -291,9 +294,13 @@ def rational_oracle(value):
     if not isinstance(value, str):
         return None, f"expected a rational string, got {type(value).__name__}"
     try:
-        return _exact(Fraction(value)), None
+        result = Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         return None, f"not a valid rational: {value!r} ({exc})"
+    limit = sys.get_int_max_str_digits()
+    if max(abs(result.numerator), result.denominator) >= 10 ** limit:
+        return None, f"not a valid rational: {value!r} (more than {limit} digits)"
+    return _exact(result), None
 
 
 def rational_outcome(value):
@@ -315,36 +322,9 @@ RATIONAL_CASES = ["007", "-0", "+3", " 3 ", "3/6", "1.5", "1e3", "1_0", "\u0663"
 RATIONAL_ALPHABET = "0123456789-+/._ e\u0663\u00b2\u00a0"
 
 
-def mutate_document(rng: random.Random, doc):
-    """A copy of a parsed JSON document with one to three random edits: a
-    node replaced by a value from a pool of valid and invalid ones, a key or
-    list item removed, or a list item doubled."""
-    pool = RATIONAL_CASES[:-3] + ["0", "1", "-1", "1/2", 1, 2, 3, 10 ** 6, [], {}, [1],
-                                 "field", "covector", "algebra", "operator"]
-    doc = copy.deepcopy(doc)
-    for _ in range(rng.randint(1, 3)):
-        paths, stack = [], [((), doc)]
-        while stack:
-            path, node = stack.pop()
-            items = node.items() if isinstance(node, dict) else \
-                enumerate(node) if isinstance(node, list) else ()
-            for key, child in items:
-                paths.append(path + (key,))
-                stack.append((path + (key,), child))
-        if not paths:
-            break
-        path = rng.choice(paths)
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        key, roll = path[-1], rng.random()
-        if roll < 0.6:
-            parent[key] = copy.deepcopy(rng.choice(pool))
-        elif roll < 0.8:
-            del parent[key]
-        elif isinstance(parent, list):
-            parent.insert(key, copy.deepcopy(parent[key]))
-    return doc
+# Values a mutation puts in place of a node: valid and invalid ones.
+MUTATION_POOL = RATIONAL_CASES[:-3] + ["0", "1", "-1", "1/2", 1, 2, 3, 10 ** 6, [], {}, [1],
+                                       "field", "covector", "algebra", "operator"]
 
 
 class TestParseOracle:
@@ -379,6 +359,21 @@ class TestParseOracle:
                 got = [_exact(v) for v in _Rationals().vector(values, ("t", 1))]
                 assert [(v, type(v)) for v in got] == [(v, type(v)) for v, _ in outcomes]
 
+    @pytest.mark.parametrize("value, expected", [
+        ("1e3", 1000), ("-2.5E-3", F(-1, 400)), ("1e4299", 10 ** 4299), ("5e-4300", F(1, 2 * 10 ** 4299)), ("10e-4300", F(1, 10 ** 4299)),
+        ("0e999999999", 0), ("-0.0E-999999999", 0), ("1e4300", None), ("-1e-4300", None),
+        ("1.5e8599", None), ("1e1000000", None), ("1e999999999", None),
+        ("-7.25E-999999999", None), ("1e99999999999999999999", None)], ids=repr)
+    def test_exponents_are_bounded_before_they_are_expanded(self, value, expected):
+        # At most the int digit limit (4300 by default) in the numerator and
+        # the denominator; past it, refused in constant time.
+        start = time.perf_counter()
+        outcome = rational_outcome(value)
+        assert time.perf_counter() - start < 0.05
+        limit = sys.get_int_max_str_digits()
+        assert outcome == ((expected, None) if expected is not None else
+                           (None, f"not a valid rational: {value!r} (more than {limit} digits)"))
+
     def test_memo_keeps_booleans_and_floats_apart(self):
         rationals = _Rationals()
         assert rationals.vector(["1", 1, "0"], ("t",)) == (1, 1, 0)
@@ -395,7 +390,8 @@ class TestParseOracle:
         rng = random.Random(seed)
         parsed = 0
         for case in range(2000):
-            data = bases[case] if case < len(bases) else mutate_document(rng, rng.choice(bases))
+            data = (bases[case] if case < len(bases)
+                    else mutate_document(rng, rng.choice(bases), MUTATION_POOL))
             try:
                 doc = parse_document_data(data)
             except DocumentError:

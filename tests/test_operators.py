@@ -2,8 +2,9 @@
 the Schouten bracket, pairs, and evolution right sides."""
 
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from svarcalc import cli, operators
 from svarcalc.algebra import COVECTOR_SLOTS, FIELD_KIND, base_of
 from svarcalc.calculus import non_membership_certificate, variational_derivative
 from svarcalc.documents import InputDocument, parse_document, render_document
-from svarcalc.operators import iter_schouten_failures
+from svarcalc.operators import iter_schouten_failures, iter_skew_failures
 from svarcalc.suite import constant_type1, hand_checked_mutation, twisted_type0
 from svarcalc import (
     ConfigurationScan,
@@ -41,7 +42,16 @@ from svarcalc import (
     schouten_vanishes,
     superderive,
 )
-from helpers import bumped, field_pool, full_scan_failures, random_poly, truncated_mutations
+from helpers import (
+    bumped,
+    dense_frechet,
+    dense_skew_failures,
+    field_pool,
+    full_scan_failures,
+    random_homogeneous,
+    random_poly,
+    truncated_mutations,
+)
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -307,14 +317,27 @@ class TestConfigurationScan:
         yield constant_type1(5)
         yield twisted_type0()
 
+    def assert_unlisted_have_zero_form(self, scan, form):
+        """Every configuration the scan does not list (of a reduced scan: every
+        orbit representative it does not list) has the zero form; returns
+        how many were skipped."""
+        listed = scan._configurations()
+        assert listed == sorted(set(listed))
+        if scan._symmetric:
+            assert all(min(_slot_orbit(config)) == config for config in listed)
+        skipped = 0
+        for config in set(configurations(scan.dim)) - set(listed):
+            if not scan._symmetric or min(_slot_orbit(config)) == config:
+                skipped += 1
+                assert form(*config).is_zero()
+        return skipped
+
     def test_skipped_configurations_have_zero_defect(self):
         skipped = 0
         for op in self.corpus():
-            scan = ConfigurationScan.closedness(op)
-            for families, parities in configurations(op.dim):
-                if scan.is_structurally_zero(families, parities):
-                    skipped += 1
-                    assert hamiltonian_defect(op, families, parities).is_zero()
+            skipped += self.assert_unlisted_have_zero_form(
+                ConfigurationScan.closedness(op),
+                lambda families, parities: hamiltonian_defect(op, families, parities))
         assert skipped > 0
 
     def mixed_pairs(self):
@@ -339,39 +362,56 @@ class TestConfigurationScan:
     def test_skipped_schouten_configurations_have_zero_bracket(self):
         skipped = 0
         for a, b in self.mixed_pairs():
-            scan = ConfigurationScan.schouten(a, b)
-            for families, parities in configurations(a.dim):
-                if scan.is_structurally_zero(families, parities):
-                    skipped += 1
-                    assert schouten_bracket(a, b, families, parities).is_zero()
+            skipped += self.assert_unlisted_have_zero_form(
+                ConfigurationScan.schouten(a, b),
+                lambda families, parities: schouten_bracket(a, b, families, parities))
         assert skipped > 0
 
     def test_linearizations_and_applications_are_built_once_per_symbol(self, monkeypatch):
-        calls = {"frechet": 0, "apply": 0}
-        real_frechet, real_apply = operators.frechet, operators.apply_matrix_operator
+        linearized, applied = Counter(), Counter()
+        real_frechet, real_apply = operators.frechet, ScalarDiffOperator.apply
 
-        def counting_frechet(*args):
-            calls["frechet"] += 1
-            return real_frechet(*args)
+        def counting_frechet(op, sym, omega_parity):
+            linearized[id(op), sym, omega_parity] += 1
+            return real_frechet(op, sym, omega_parity)
 
-        def counting_apply(*args):
-            calls["apply"] += 1
-            return real_apply(*args)
+        def counting_apply(scalar, u):
+            if scalar:
+                (sym,) = u.generators()
+                applied[id(scalar), sym] += 1
+            return real_apply(scalar, u)
 
         monkeypatch.setattr(operators, "frechet", counting_frechet)
-        monkeypatch.setattr(operators, "apply_matrix_operator", counting_apply)
-        # built once per family and parity on the slot-1 symbol, relabelled
-        # for slots 2 and 3
+        monkeypatch.setattr(ScalarDiffOperator, "apply", counting_apply)
+        # built once per (operator, family, parity) on the slot-1 symbol, and
+        # each stored entry applied once to it; relabelled for slots 2 and 3
         failing = build_type1_operator(hand_checked_mutation())
         built = 0
         for op in [*self.corpus(), failing]:
-            calls.update(frechet=0, apply=0)
+            linearized.clear()
+            applied.clear()
             assert is_hamiltonian(op)[0] == (op is not failing)
-            assert calls["frechet"] <= 2 * op.dim and calls["apply"] <= 2 * op.dim
-            built += calls["frechet"] > 0 and calls["apply"] > 0
+            for counts in (linearized, applied):
+                assert set(counts.values()) <= {1}
+                assert all(key[1][0] == COVECTOR_SLOTS[0] for key in counts)
+            assert len(linearized) <= 2 * op.dim
+            built += bool(linearized) and bool(applied)
         # the constant operators and the exterior operator of the empty
-        # assignment skip every configuration and build nothing
+        # assignment list no configuration and build nothing
         assert built == 6
+
+    def test_verdicts_do_not_depend_on_the_declared_dimension(self):
+        # Families past the stored entries carry no term, so re-declaring an
+        # operator at dimension 10^6 keeps its verdict and first witnesses.
+        ops = [*self.corpus(), build_type1_operator(hand_checked_mutation()),
+               self.mixed_pairs()[0][1]]
+        for op in ops:
+            wide = MatrixDiffOperator(op.type_parity, 10 ** 6, dict(op.blocks()))
+            assert list(islice(iter_skew_failures(wide), 3)) == \
+                list(islice(iter_skew_failures(op), 3))
+            assert is_hamiltonian(wide) == is_hamiltonian(op)
+            assert _as_lists(ConfigurationScan.closedness(wide).failures(3)) == \
+                _as_lists(ConfigurationScan.closedness(op).failures(3))
 
     def test_certificate_uses_the_least_linear_slot_tower(self):
         # Every form is linear in exactly its three slot towers; the
@@ -535,6 +575,55 @@ class TestScanOracle:
         scan._symmetric = True
         with pytest.raises(RuntimeError, match="orbit fails"):
             list(scan.failures())
+
+
+def random_sparse_operator(rng: random.Random) -> MatrixDiffOperator:
+    """A seeded sparse operator of dimension 1 to 9: entries on or above the
+    diagonal, on or below it, or on it only; in block 0, block 1 or both;
+    coefficients with field families up to 8, also past the dimension."""
+    dim, type_parity = rng.randint(1, 9), rng.randint(0, 1)
+    side = rng.choice((min, max, None))
+    used = rng.choice(((0,), (1,), (0, 1)))
+    pool = field_pool(9, 2)
+    blocks = {}
+    for _ in range(rng.randint(1, 4)):
+        row, col = rng.randrange(dim), rng.randrange(dim)
+        row, col = (side(row, col), row + col - side(row, col)) if side else (row, row)
+        scalar = ScalarDiffOperator({power: random_homogeneous(rng, pool, (type_parity + power) & 1)
+                                     for power in rng.sample(range(4), rng.randint(1, 2))})
+        for block in used:
+            blocks[(block, row, col)] = scalar.scaled(rng.choice((1, 1, -1, 2)))
+    return MatrixDiffOperator(type_parity, dim, blocks)
+
+
+class TestSupportScanOracle:
+    """The skew check and the linearization, which visit the stored entries,
+    against the loops over every (row, col) pair of the declared dimension."""
+
+    def operators(self, seed):
+        rng = random.Random(seed)
+        ops = list(TestConfigurationScan().corpus()) + [TestConfigurationScan().mixed_pairs()[0][1]]
+        ops += rng.sample(TestScanOracle().skew_mutations(seed), 3)
+        ops += [random_sparse_operator(rng) for _ in range(60)]
+        return ops
+
+    def test_skew_failures_match_the_dense_loop(self, seed):
+        failing = 0
+        for op in self.operators(seed):
+            failures = list(iter_skew_failures(op))
+            assert failures == list(dense_skew_failures(op))
+            failing += bool(failures)
+        assert failing >= 20
+
+    def test_frechet_matches_the_dense_loop(self, seed):
+        nonzero = 0
+        for op in self.operators(seed):
+            for slot, fam, par in product((1, 3), range(op.dim), (0, 1)):
+                sym = covector(slot, fam, 0, (par + 1) & 1)
+                lin = frechet(op, sym, par)
+                assert list(lin.items()) == list(dense_frechet(op, sym, par).items())
+                nonzero += bool(lin)
+        assert nonzero >= 20
 
 
 def coefficients(op):
