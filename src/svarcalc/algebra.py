@@ -35,6 +35,8 @@ from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple,
 Generator = Tuple[int, int, int, int]
 Monomial = Tuple[Tuple[Generator, int], ...]
 Coeff = Union[int, Fraction]
+Matrix = Tuple[Tuple[Coeff, ...], ...]
+Table = Tuple[Matrix, ...]
 
 FIELD_KIND = 0
 COVECTOR_SLOTS = (1, 2, 3)
@@ -55,6 +57,16 @@ def _exact(value) -> Coeff:
         return value
     f = Fraction(value)
     return f.numerator if f.denominator == 1 else f
+
+
+def _as_table(dim: int, data) -> Table:
+    """A dim x dim x dim structure-constant table as nested tuples of ``_exact`` values."""
+    return tuple(_as_matrix(dim, data[i]) for i in range(dim))
+
+
+def _as_matrix(dim: int, data) -> Matrix:
+    """A dim x dim matrix as nested tuples of ``_exact`` values."""
+    return tuple(tuple(_exact(data[i][j]) for j in range(dim)) for i in range(dim))
 
 
 def field(family: int, order: int = 1) -> Generator:

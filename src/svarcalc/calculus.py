@@ -226,6 +226,9 @@ class EvolutionaryField:
     def component(self, family: int) -> SuperPolynomial:
         return self.components.get(family, SuperPolynomial.zero())
 
+    def apply(self, u: SuperPolynomial) -> SuperPolynomial:
+        return evolutionary_apply(self, u)
+
 
 def evolutionary_apply(f: EvolutionaryField, u: SuperPolynomial) -> SuperPolynomial:
     """Apply the evolutionary derivation induced by f to u.
@@ -272,16 +275,10 @@ def check_commutes_with_D(deriv, probes: Iterable[SuperPolynomial]) -> bool:
     Accepts an EvolutionaryField or a GradedDerivation; D is odd, so the
     commutator is deriv(D(p)) - (-1)^{parity} D(deriv(p)).
     """
-    if isinstance(deriv, EvolutionaryField):
-        apply = lambda p: evolutionary_apply(deriv, p)
-        s = deriv.parity
-    else:
-        apply = deriv.apply
-        s = deriv.parity
     for p in probes:
-        lhs = apply(superderive(p))
-        rhs = superderive(apply(p))
-        if s & 1:
+        lhs = deriv.apply(superderive(p))
+        rhs = superderive(deriv.apply(p))
+        if deriv.parity & 1:
             rhs = -rhs
         if lhs - rhs:
             return False

@@ -32,7 +32,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .algebra import (
     FIELD_KIND,
@@ -301,19 +301,20 @@ def _algebra_in(data) -> AlgebraSpec:
     return AlgebraSpec(dim=dim, form=form, grading=grading, **tables)
 
 
+def _rationals_out(data) -> List:
+    """Nested tuples of rationals (a matrix, a table or a list of tables) as
+    nested lists of their strings."""
+    return [_rationals_out(x) if isinstance(x, tuple) else str(x) for x in data]
+
+
 def _algebra_out(spec: AlgebraSpec) -> Dict[str, Any]:
     doc: Dict[str, Any] = {"format": FORMAT, "kind": "algebra", "dimension": spec.dim}
-    products = {}
-    for name in ("circ", "times", "dot"):
-        table = getattr(spec, name)
-        if table is not None:
-            products[name] = [
-                [[str(c) for c in cell] for cell in row] for row in table
-            ]
+    products = {name: _rationals_out(getattr(spec, name)) for name in ("circ", "times", "dot")
+                if getattr(spec, name) is not None}
     if products:
         doc["products"] = products
     if spec.form is not None:
-        doc["form"] = [[str(c) for c in row] for row in spec.form]
+        doc["form"] = _rationals_out(spec.form)
     if spec.grading is not None:
         doc["grading"] = list(spec.grading)
     return doc
@@ -391,17 +392,14 @@ def _linear_in(data) -> LinearOperatorData:
 
 
 def _linear_out(data: LinearOperatorData) -> Dict[str, Any]:
-    def table_out(table):
-        return [[[str(c) for c in cell] for cell in row] for row in table]
-
     doc: Dict[str, Any] = {
         "format": FORMAT, "kind": "linear_operator",
         "top_order": data.top_order, "dimension": data.dim,
-        "even_tables": [table_out(t) for t in data.even_tables],
-        "odd_tables": [table_out(t) for t in data.odd_tables],
+        "even_tables": _rationals_out(data.even_tables),
+        "odd_tables": _rationals_out(data.odd_tables),
     }
     if data.constant is not None:
-        doc["constant"] = [[str(c) for c in row] for row in data.constant]
+        doc["constant"] = _rationals_out(data.constant)
     return doc
 
 

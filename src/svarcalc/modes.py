@@ -17,9 +17,10 @@ interior coefficient exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import Coeff, Sparse, SuperPolynomial, _exact, field
+from .algebra import Coeff, Sparse, SuperPolynomial, Table, _as_matrix, _as_table, _exact, field
 from .operators import MatrixDiffOperator, ScalarDiffOperator, check_skew_symmetry
 
 # Symbols carried by distribution coefficients.
@@ -233,49 +234,37 @@ class LinearOperatorData:
             raise ValueError("top order must be >= 1")
         if d < 1:
             raise ValueError("family count must be >= 1")
-        self.even_tables = tuple(
-            tuple(tuple(tuple(_exact(self.even_tables[m][a][b][g]) for g in range(d))
-                        for b in range(d)) for a in range(d))
-            for m in range(n + 1)
-        )
-        self.odd_tables = tuple(
-            tuple(tuple(tuple(_exact(self.odd_tables[m][a][b][g]) for g in range(d))
-                        for b in range(d)) for a in range(d))
-            for m in range(n)
-        )
+        self.even_tables = tuple(_as_table(d, self.even_tables[m]) for m in range(n + 1))
+        self.odd_tables = tuple(_as_table(d, self.odd_tables[m]) for m in range(n))
         if self.constant is not None:
-            self.constant = tuple(
-                tuple(_exact(self.constant[a][b]) for b in range(d)) for a in range(d)
-            )
+            self.constant = _as_matrix(d, self.constant)
+
+    def terms(self) -> List[Tuple[int, int, Table]]:
+        """(D power, field derivative count, table) of every field term, the
+        even powers first: table[a][b][g] multiplies the field phi_g of order
+        count + 1 times D^power in entry (a, b).  The power and the derivative
+        count add up to 2N."""
+        n = self.top_order
+        return ([(2 * m, 2 * (n - m), table) for m, table in enumerate(self.even_tables)]
+                + [(2 * m + 1, 2 * (n - m) - 1, table) for m, table in enumerate(self.odd_tables)])
 
     def realize(self) -> MatrixDiffOperator:
         """The matrix differential operator the tables describe (type 1)."""
-        n, d = self.top_order, self.dim
         blocks = {}
-        for a in range(d):
-            for b in range(d):
-                entries: Dict[int, SuperPolynomial] = {}
-                for m in range(n + 1):
-                    coeff = SuperPolynomial.from_terms(
-                        ((field(g, 2 * (n - m) + 1),), self.even_tables[m][a][b][g])
-                        for g in range(d) if self.even_tables[m][a][b][g]
-                    )
-                    if coeff:
-                        entries[2 * m] = coeff
-                for m in range(n):
-                    coeff = SuperPolynomial.from_terms(
-                        ((field(g, 2 * (n - m)),), self.odd_tables[m][a][b][g])
-                        for g in range(d) if self.odd_tables[m][a][b][g]
-                    )
-                    if coeff:
-                        entries[2 * m + 1] = coeff
-                if self.constant is not None and self.constant[a][b]:
-                    entries[2 * n + 3] = SuperPolynomial.scalar(self.constant[a][b])
-                if entries:
-                    op = ScalarDiffOperator(entries)
-                    blocks[(0, a, b)] = op
-                    blocks[(1, a, b)] = op
-        return MatrixDiffOperator(1, d, blocks)
+        for a, b in product(range(self.dim), repeat=2):
+            entries = {power: _linear_coeff(enumerate(table[a][b]), derivs + 1)
+                       for power, derivs, table in self.terms()}
+            if self.constant is not None:
+                entries[2 * self.top_order + 3] = SuperPolynomial.scalar(self.constant[a][b])
+            op = ScalarDiffOperator(entries)
+            if op:
+                blocks[(0, a, b)] = blocks[(1, a, b)] = op
+        return MatrixDiffOperator(1, self.dim, blocks)
+
+
+def _linear_coeff(cells, order: int) -> SuperPolynomial:
+    """sum_k c Phi_k(order) over the (k, c) pairs of one cell."""
+    return SuperPolynomial({((field(k, order), 1),): c for k, c in cells if c})
 
 
 @dataclass
@@ -342,10 +331,8 @@ def induce_bracket(data: LinearOperatorData, window: int,
         field_derivs.append(apply_Di(field_derivs[-1], 1))
     # (tables[a][b][g], product) per term; the central block is a table with
     # one column.
-    terms = [(data.even_tables[m], field_derivs[2 * (n - m)] * delta_derivs[2 * m])
-             for m in range(n + 1)]
-    terms += [(data.odd_tables[m], field_derivs[2 * (n - m) - 1] * delta_derivs[2 * m + 1])
-              for m in range(n)]
+    terms = [(table, field_derivs[derivs] * delta_derivs[power])
+             for power, derivs, table in data.terms()]
     if data.constant is not None:
         central = FormalDistribution.monomial((0, 0, 0), (), CENTRAL)
         terms.append((tuple(tuple((c,) for c in row) for row in data.constant),

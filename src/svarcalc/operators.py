@@ -17,10 +17,12 @@ parity triple; multilinearity makes basis configurations complete.  The
 three-form is B(H, H) for a form B(A, B) linear in both operators, and the
 Schouten super-bracket is [H1, H2] = B(H1, H2) + B(H2, H1), so its diagonal
 vanishing reproduces the Hamiltonian test and its mixed vanishing
-characterizes Hamiltonian pairs.  One configuration-scan engine
+characterizes Hamiltonian pairs; given the diagonal, the mixed condition is
+the Hamiltonian test of H1 + H2.  One configuration-scan engine
 (``ConfigurationScan``) runs every such scan.  The skew check, the
-linearization and the scan visit the stored entries only, so their work
-follows the operator's nonzero pattern, not its declared dimension.
+linearization, the scan and operator application visit the stored entries
+only, so their work follows the operator's nonzero pattern, not its declared
+dimension.
 
 For super skew-symmetric operators the three-form is a functional trivector,
 graded skew-symmetric in its three covector slots modulo total derivatives,
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import islice, permutations, product
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import (
     COVECTOR_SLOTS,
@@ -192,7 +194,11 @@ class MatrixDiffOperator:
         out = dict(self._blocks)
         for key, op in other._blocks.items():
             out[key] = out[key] + op if key in out else op
-        return MatrixDiffOperator(self.type_parity, self.dim, out)
+        total = MatrixDiffOperator(self.type_parity, self.dim, out)
+        # The skew conditions are linear, so a sum of skew operators is skew.
+        if self._skew == other._skew == (True, None):
+            total._skew = (True, None)
+        return total
 
     def scaled(self, factor) -> "MatrixDiffOperator":
         out = {key: op.scaled(factor) for key, op in self._blocks.items()}
@@ -246,7 +252,8 @@ def apply_matrix_operator(op: MatrixDiffOperator, xi: Mapping[int, SuperPolynomi
 
     The assignment maps families to polynomials; every nonzero component must
     be homogeneous of parity (block + 1) mod 2, the component parity class of
-    parity-``block`` covector families.
+    parity-``block`` covector families.  Only the stored entries of the block
+    are applied; every other row of the result is 0.
     """
     if block not in (0, 1):
         raise ValueError("block parity must be 0 or 1")
@@ -256,13 +263,11 @@ def apply_matrix_operator(op: MatrixDiffOperator, xi: Mapping[int, SuperPolynomi
             raise ValueError(
                 f"covector component for family {fam} must have parity {want}"
             )
-    out: Dict[int, SuperPolynomial] = {}
-    for row in range(op.dim):
-        acc = SuperPolynomial.zero()
-        for col, poly in xi.items():
-            if poly:
-                acc = acc + op.entry(block, row, col).apply(poly)
-        out[row] = acc
+    out = dict.fromkeys(range(op.dim), SuperPolynomial.zero())
+    for (parity, row, col), entry in op.blocks().items():
+        poly = xi.get(col)
+        if parity == block and poly:
+            out[row] = out[row] + entry.apply(poly)
     return out
 
 
@@ -287,7 +292,7 @@ def frechet(op: MatrixDiffOperator, cov_base: Generator,
         scalar = op.entry(omega_parity, row, fam)
         shifted = [coeff * superderive_n(xi_poly, power)
                    for power, coeff in scalar.entries().items()]
-        for col in _field_families(scalar, op.dim):
+        for col in _field_families(scalar.entries().values(), op.dim):
             entries: Dict[int, SuperPolynomial] = {}
             for coeff in shifted:
                 for m, part in tower_partials(coeff, field(col, 1)).items():
@@ -300,10 +305,9 @@ def frechet(op: MatrixDiffOperator, cov_base: Generator,
     return out
 
 
-def _field_families(scalar: ScalarDiffOperator, dim: int) -> List[int]:
-    """The field families below ``dim`` that the coefficients of ``scalar``
-    contain, ascending."""
-    return sorted({gen[1] for coeff in scalar.entries().values() for gen in coeff.generators()
+def _field_families(polys: Iterable[SuperPolynomial], dim: int) -> List[int]:
+    """The field families below ``dim`` that the polynomials contain, ascending."""
+    return sorted({gen[1] for poly in polys for gen in poly.generators()
                    if gen[0] == FIELD_KIND and gen[1] < dim})
 
 
@@ -536,7 +540,8 @@ class ConfigurationScan:
             for p_b, g, f_b in self.ops[j].blocks():
                 rows.setdefault((p_b, g), []).append(f_b)
             for (p_a, f_c, f_a), scalar in self.ops[i].blocks().items():
-                for g, p_b, p_c in product(_field_families(scalar, self.dim), (0, 1), (0, 1)):
+                for g, p_b, p_c in product(_field_families(scalar.entries().values(), self.dim),
+                                           (0, 1), (0, 1)):
                     for f_b in rows.get((p_b, g), ()):  # the three cyclic placements
                         listed.update((((f_a, f_b, f_c), (p_a, p_b, p_c)),
                                        ((f_c, f_a, f_b), (p_c, p_a, p_b)),
@@ -648,18 +653,18 @@ def is_hamiltonian_pair(op1: MatrixDiffOperator, op2: MatrixDiffOperator):
 
     Raises on type or dimension mismatch, and on a skew-symmetry failure of
     either operator; otherwise checks the three Schouten conditions.  The
-    diagonal brackets [Hk, Hk] are twice the defects, so the defects are
-    scanned in their place.
+    diagonal brackets [Hk, Hk] are twice the defects, and once both vanish,
+    [H1 + H2, H1 + H2] = 2 [H1, H2] by bilinearity and symmetry, so the mixed
+    condition is the Hamiltonian test of H1 + H2: its failing configurations
+    are those of the mixed bracket.
     """
     op1._check_compatible(op2)
     for label, op in (("first", op1), ("second", op2)):
         ok, witness = check_skew_symmetry(op)
         if not ok:
             raise SkewSymmetryError(f"{label} operator is not super skew-symmetric: {witness}")
-    for label, failures in (("[H1,H1]", iter_closedness_failures(op1, limit=1)),
-                            ("[H2,H2]", iter_closedness_failures(op2, limit=1)),
-                            ("[H1,H2]", iter_schouten_failures(op1, op2, limit=1))):
-        for families, parities, _, _ in failures:
+    for label, op in (("[H1,H1]", op1), ("[H2,H2]", op2), ("[H1,H2]", op1 + op2)):
+        for families, parities, _, _ in iter_closedness_failures(op, limit=1):
             return False, (label, families, parities)
     return True, None
 
@@ -667,15 +672,15 @@ def is_hamiltonian_pair(op1: MatrixDiffOperator, op2: MatrixDiffOperator):
 def evolution_rhs(op: MatrixDiffOperator, density: SuperPolynomial) -> Dict[int, SuperPolynomial]:
     """Right side of the evolution system attached to a density.
 
-    Takes the variational derivative of the density with respect to every
-    field family, then applies the operator block matching the parity of the
-    resulting covector family.
+    Takes the variational derivative of the density with respect to each
+    field family it contains, then applies the operator block matching the
+    parity of the resulting covector family; every other component is 0.
     """
-    grads = {fam: variational_derivative_field(density, fam) for fam in range(op.dim)}
-    parities = {p for g in grads.values() if g for p in [g.homogeneous_parity()]}
-    if not parities:
-        return {fam: SuperPolynomial.zero() for fam in range(op.dim)}
-    if len(parities) != 1 or None in parities:
+    grads = {fam: variational_derivative_field(density, fam)
+             for fam in _field_families((density,), op.dim)}
+    parities = {g.homogeneous_parity() for g in grads.values() if g}
+    if len(parities) > 1 or None in parities:
         raise ValueError("variational gradient is not parity-homogeneous")
-    block = (parities.pop() + 1) & 1
+    # With every gradient 0, any block gives the zero right side.
+    block = (parities.pop() + 1) & 1 if parities else 0
     return apply_matrix_operator(op, grads, block)

@@ -20,21 +20,11 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .algebra import Coeff, SuperPolynomial, _exact, field
-from .modes import LinearOperatorData
+from .algebra import Coeff, Matrix, SuperPolynomial, Table, _as_matrix, _as_table, field
+from .modes import LinearOperatorData, _linear_coeff
 from .operators import MatrixDiffOperator, ScalarDiffOperator
 
-Table = Tuple[Tuple[Tuple[Coeff, ...], ...], ...]
-Matrix = Tuple[Tuple[Coeff, ...], ...]
 Vector = Tuple[Coeff, ...]
-
-
-def _as_table(dim: int, data) -> Table:
-    return tuple(_as_matrix(dim, data[i]) for i in range(dim))
-
-
-def _as_matrix(dim: int, data) -> Matrix:
-    return tuple(tuple(_exact(data[i][j]) for j in range(dim)) for i in range(dim))
 
 
 def _sparse(table):
@@ -299,11 +289,6 @@ def derived_dot_table(spec: AlgebraSpec) -> Table:
         for k, c in times[i][j]:
             dot[i][j][k] -= c
     return tuple(tuple(map(tuple, row)) for row in dot)
-
-
-def _linear_coeff(cells, order: int) -> SuperPolynomial:
-    """sum_k c Phi_k(order) over the (k, c) pairs of one cell."""
-    return SuperPolynomial({((field(k, order), 1),): c for k, c in cells if c})
 
 
 def build_type1_operator(spec: AlgebraSpec) -> MatrixDiffOperator:

@@ -12,17 +12,26 @@ from svarcalc import (
     EvolutionaryField,
     LinearOperatorData,
     ScalarDiffOperator,
+    SkewSymmetryError,
     SuperPolynomial,
+    build_type0_operator,
+    check_axioms,
+    check_skew_symmetry,
     configurations,
     covector,
     field,
+    is_hamiltonian_pair,
     make_truncated_example,
     np_to_nx,
     parity,
 )
 from svarcalc.algebra import tower_partials
 from svarcalc.calculus import non_membership_certificate, superderive_n
-from svarcalc.operators import compose_D_power_left
+from svarcalc.operators import (
+    compose_D_power_left,
+    iter_closedness_failures,
+    iter_schouten_failures,
+)
 from svarcalc.structures import derived_dot_table
 
 
@@ -215,6 +224,67 @@ def dense_frechet(op, cov_base, omega_parity):
             if entry:
                 out[(row, col)] = entry
     return out
+
+
+def dense_apply(op, xi, block):
+    """Oracle for ``apply_matrix_operator``: every row of the declared
+    dimension against every family of the assignment."""
+    out = {}
+    for row in range(op.dim):
+        acc = SuperPolynomial.zero()
+        for col, poly in xi.items():
+            if poly:
+                acc = acc + op.entry(block, row, col).apply(poly)
+        out[row] = acc
+    return out
+
+
+def pair_oracle(op1, op2):
+    """Oracle for ``is_hamiltonian_pair``: the two closedness scans, then the
+    scan of the mixed Schouten bracket [H1, H2]."""
+    op1._check_compatible(op2)
+    for label, op in (("first", op1), ("second", op2)):
+        ok, witness = check_skew_symmetry(op)
+        if not ok:
+            raise SkewSymmetryError(f"{label} operator is not super skew-symmetric: {witness}")
+    for label, failures in (("[H1,H1]", iter_closedness_failures(op1, limit=1)),
+                            ("[H2,H2]", iter_closedness_failures(op2, limit=1)),
+                            ("[H1,H2]", iter_schouten_failures(op1, op2, limit=1))):
+        for families, parities, _, _ in failures:
+            return False, (label, families, parities)
+    return True, None
+
+
+def outcome(test, *args):
+    """``test(*args)``, or the type and message of the error it raises."""
+    try:
+        return test(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def dim2_type0_operators():
+    """The type-0 operators of the 33 dim-2 circ tables with constants in
+    {-1, 0, 1} that pass the fermionic Novikov axioms, in table order."""
+    ops = []
+    for cells in product((-1, 0, 1), repeat=8):
+        spec = AlgebraSpec(dim=2, circ=[[cells[4 * i + 2 * j:4 * i + 2 * j + 2] for j in range(2)]
+                                        for i in range(2)])
+        if check_axioms(spec, "fermionic_novikov")[0]:
+            ops.append(build_type0_operator(spec))
+    return ops
+
+
+def pair_mismatches(pairs):
+    """The pairs on which ``is_hamiltonian_pair`` and ``pair_oracle`` differ,
+    and how many of the pairs fail."""
+    mismatches, failing = [], 0
+    for op1, op2 in pairs:
+        got = outcome(is_hamiltonian_pair, op1, op2)
+        if got != outcome(pair_oracle, op1, op2):
+            mismatches.append((op1, op2, got))
+        failing += got[0] is False
+    return mismatches, failing
 
 
 def mutate_document(rng: random.Random, doc, pool):

@@ -435,6 +435,39 @@ class TestCommands:
         path.write_text(render_document(doc))
         assert main(["evolution", docs["d.op.json"], "--density", str(path)]) == 2
 
+    def test_evolution_does_not_depend_on_the_declared_dimension(self, tmp_path, capsys):
+        # Only the density's field families are varied and only the stored
+        # entries applied, so a wide declaration adds zero components only.
+        def alarm(signum, frame):
+            raise _Alarm()
+
+        components = {}
+        previous = signal.signal(signal.SIGALRM, alarm)
+        try:
+            for dim in (1, 10 ** 3, 10 ** 5):
+                paths = []
+                for name in ("d1.op.json", "super_kdv.den.json"):
+                    path = tmp_path / f"{dim}_{name}"
+                    path.write_text(json.dumps(dict(json.loads((SAMPLES / name).read_text()),
+                                                    dimension=dim)))
+                    paths.append(str(path))
+                report = tmp_path / f"{dim}_report.json"
+                signal.setitimer(signal.ITIMER_REAL, TestDocumentFuzz.ALARM_S)
+                try:
+                    assert main(["evolution", paths[0], "--density", paths[1],
+                                 "--report", str(report)]) == 0
+                except _Alarm:
+                    pytest.fail(f"evolution at dimension {dim} ran past {TestDocumentFuzz.ALARM_S} s")
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+                capsys.readouterr()
+                components[dim] = json.loads(report.read_text())["detail"]["components"]
+        finally:
+            signal.signal(signal.SIGALRM, previous)
+        assert components[1] == {"0": "2*phi0(1)*phi0(4) + 4*phi0(2)*phi0(3) - phi0(7)"}
+        for dim in (10 ** 3, 10 ** 5):
+            assert components[dim] == dict(components[1], **{str(fam): "0" for fam in range(1, dim)})
+
     def test_verify_examples(self, capsys):
         assert main(["verify-paper-examples"]) == 0
         out = capsys.readouterr().out

@@ -44,10 +44,15 @@ from svarcalc import (
 )
 from helpers import (
     bumped,
+    dense_apply,
     dense_frechet,
     dense_skew_failures,
+    dim2_type0_operators,
     field_pool,
     full_scan_failures,
+    outcome,
+    pair_mismatches,
+    pair_oracle,
     random_homogeneous,
     random_poly,
     truncated_mutations,
@@ -626,6 +631,25 @@ class TestSupportScanOracle:
         assert nonzero >= 20
 
 
+class TestApplyOracle:
+    """Operator application, which visits the stored entries, against the
+    loop over every row and every family of the assignment."""
+
+    def test_apply_matches_the_dense_loop(self, seed):
+        rng = random.Random(seed)
+        nonzero = 0
+        for op in TestSupportScanOracle().operators(seed):
+            for block in (0, 1):
+                # families past the dimension too, which no entry reaches
+                pool = field_pool(op.dim + 2, 2)
+                xi = {fam: random_homogeneous(rng, pool, (block + 1) & 1)
+                      for fam in rng.sample(range(op.dim + 2), rng.randint(1, 3))}
+                applied = apply_matrix_operator(op, xi, block)
+                assert list(applied.items()) == list(dense_apply(op, xi, block).items())
+                nonzero += any(applied.values())
+        assert nonzero >= 20
+
+
 def coefficients(op):
     return [c for scalar in op.blocks().values() for coeff in scalar.entries().values()
             for c in coeff.terms().values()]
@@ -699,6 +723,59 @@ class TestHamiltonianPair:
         assert schouten_vanishes(bad, bad)[0] == is_hamiltonian(bad)[0] == False
 
 
+class TestPairOracle:
+    """``is_hamiltonian_pair``, which decides [H1, H2] as the Hamiltonian test
+    of H1 + H2, against the scan of the mixed Schouten bracket."""
+
+    def assert_pairs_match(self, pairs):
+        mismatches, failing = pair_mismatches(pairs)
+        assert mismatches == []
+        return failing
+
+    def test_dim2_type0_pairs(self, seed):
+        ops = dim2_type0_operators()
+        assert len(ops) == 33
+        pairs = random.Random(seed).sample(list(product(ops, repeat=2)), 60)
+        assert self.assert_pairs_match(pairs) >= 10
+
+    def test_operator_and_its_double(self):
+        for n in (1, 2, 3):
+            op = quintic_example(n)
+            assert self.assert_pairs_match([(op, op.scaled(2)), (op.scaled(2), op)]) == 0
+
+    def test_constant_and_exterior_pairs(self):
+        ops = [constant_type1(1), constant_type1(5)]
+        assert self.assert_pairs_match(product(ops, repeat=2)) == 0
+        ops = [build_type0_operator(make_exterior_example(a))
+               for a in ({}, {(3, 4): 1}, {(1, 2): 2, (3, 4): -1})]
+        self.assert_pairs_match(product(ops, repeat=2))
+
+    def test_skew_mutations(self, seed):
+        mutants = TestScanOracle().skew_mutations(seed)
+        bases = {op.dim: op for op in map(quintic_example, (1, 2, 3))}
+        pairs = [(bases[op.dim], op) for op in mutants if op.dim in bases]
+        pairs += [(op, bases[op.dim]) for op in mutants[::3] if op.dim in bases]
+        assert self.assert_pairs_match(pairs) >= 10
+
+    def test_errors_are_those_of_the_schouten_formula(self):
+        skew, non_skew = constant_type1(1), field_only_type1()
+        for pair in ((skew, non_skew), (non_skew, skew), (non_skew, non_skew),
+                     (skew, twisted_type0()), (skew, quintic_example(2))):
+            got = outcome(is_hamiltonian_pair, *pair)
+            assert got[0] in (SkewSymmetryError, ValueError)
+            assert got == outcome(pair_oracle, *pair)
+
+    def test_sum_of_skew_operators_is_known_skew(self):
+        a, b = quintic_example(2), quintic_example(2).scaled(-3)
+        assert check_skew_symmetry(a)[0] and check_skew_symmetry(b)[0]
+        assert (a + b)._skew == (True, None)
+        # undecided or failing summands leave the sum to be decided
+        assert (quintic_example(2) + b)._skew is None
+        bad = field_only_type1()
+        check_skew_symmetry(bad)
+        assert (bad + constant_type1(1))._skew is None
+
+
 class TestEvolutionRhs:
     def test_zero_density(self):
         out = evolution_rhs(constant_type1(1), SuperPolynomial.zero())
@@ -720,3 +797,22 @@ class TestEvolutionRhs:
             + (6 - 2 * mu) * (phi(2) * phi(3))
         )
         assert out[0] == expected
+
+    def test_matches_the_gradient_of_every_family(self, seed):
+        # The parent formula: gradients by every family of the dimension,
+        # applied by the dense loop.
+        rng = random.Random(seed)
+        ops = [quintic_example(2), quintic_example(3),
+               build_type0_operator(make_exterior_example({(3, 4): 1}))]
+        nonzero = 0
+        for op in ops * 8:
+            families = rng.sample(range(op.dim + 1), rng.randint(1, 2))
+            pool = [field(fam, order) for fam in families for order in (1, 2, 3)]
+            density = random_homogeneous(rng, pool, rng.randint(0, 1))
+            grads = {fam: variational_derivative(density, field(fam, 1)) for fam in range(op.dim)}
+            parities = {g.homogeneous_parity() for g in grads.values() if g}
+            block = (parities.pop() + 1) & 1 if parities else 0
+            out = evolution_rhs(op, density)
+            assert list(out.items()) == list(dense_apply(op, grads, block).items())
+            nonzero += sum(map(bool, out.values())) > 1
+        assert nonzero >= 2
