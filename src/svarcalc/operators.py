@@ -194,11 +194,7 @@ class MatrixDiffOperator:
         out = dict(self._blocks)
         for key, op in other._blocks.items():
             out[key] = out[key] + op if key in out else op
-        total = MatrixDiffOperator(self.type_parity, self.dim, out)
-        # The skew conditions are linear, so a sum of skew operators is skew.
-        if self._skew == other._skew == (True, None):
-            total._skew = (True, None)
-        return total
+        return MatrixDiffOperator(self.type_parity, self.dim, out)
 
     def scaled(self, factor) -> "MatrixDiffOperator":
         out = {key: op.scaled(factor) for key, op in self._blocks.items()}
@@ -392,6 +388,8 @@ class ConfigurationScan:
     is the row of a stored block (p_b, g, f_b) of the applied one.  The scan
     decides, in lexicographic order, the configurations with such a term in
     one of their three cyclic slot rotations; every other one has form 0.
+    The joins that list them are those of the scanned pairs, except in
+    ``pair``, which lists the configurations of a mixed bracket.
 
     Orbit reduction.  When every operator of the scan is super
     skew-symmetric, the form is a functional trivector, graded skew-symmetric
@@ -421,8 +419,9 @@ class ConfigurationScan:
     The gate: skew-symmetry is what makes the form a trivector.  Without it
     the failing set need not be closed under S3 (the Schouten bracket of a
     sparse non-skew operator with itself is an example), so a scan is reduced
-    only when every operator in it is skew, and otherwise scans every
-    configuration.  The gate is set before the first search from
+    only when every operator of its joins is skew, and otherwise scans every
+    configuration.  The sum that ``pair`` scans is then skew too, because the
+    skew conditions are linear.  The gate is set before the first search from
     ``check_skew_symmetry``, which decides each operator once, so the scan
     has no precondition and checking skew-symmetry before it costs nothing.
     """
@@ -447,6 +446,8 @@ class ConfigurationScan:
                 slots.append(idx)
             index.append(tuple(slots))
         self._index = index
+        # The operator pairs whose joins list the configurations to decide.
+        self._joins = pairs
         self.type_parity = first.type_parity
         self.dim = first.dim
         self._lin: Dict[Tuple[int, Generator], Dict[int, List[Tuple[int, Mapping]]]] = {}
@@ -461,6 +462,14 @@ class ConfigurationScan:
     def schouten(cls, op1: MatrixDiffOperator, op2: MatrixDiffOperator) -> "ConfigurationScan":
         """Scan of the Schouten bracket B(op1, op2) + B(op2, op1)."""
         return cls(((op1, op2), (op2, op1)))
+
+    @classmethod
+    def pair(cls, op1: MatrixDiffOperator, op2: MatrixDiffOperator) -> "ConfigurationScan":
+        """Scan of the closedness defect of op1 + op2 on the configurations
+        that the Schouten bracket [op1, op2] lists (see ``is_hamiltonian_pair``)."""
+        scan = cls.closedness(op1 + op2)
+        scan._joins = ((op1, op2), (op2, op1))
+        return scan
 
     # -- memoised pieces -------------------------------------------------------
 
@@ -533,13 +542,13 @@ class ConfigurationScan:
         pairing term that meets a stored block, and only the orbit
         representatives among them when the reduction applies."""
         if self._symmetric is None:
-            self._symmetric = all(check_skew_symmetry(op)[0] for op in self.ops)
+            self._symmetric = all(check_skew_symmetry(op)[0] for pair in self._joins for op in pair)
         listed = set()
-        for i, j in self._index:
+        for op_a, op_b in self._joins:
             rows: Dict[Tuple[int, int], List[int]] = {}
-            for p_b, g, f_b in self.ops[j].blocks():
+            for p_b, g, f_b in op_b.blocks():
                 rows.setdefault((p_b, g), []).append(f_b)
-            for (p_a, f_c, f_a), scalar in self.ops[i].blocks().items():
+            for (p_a, f_c, f_a), scalar in op_a.blocks().items():
                 for g, p_b, p_c in product(_field_families(scalar.entries().values(), self.dim),
                                            (0, 1), (0, 1)):
                     for f_b in rows.get((p_b, g), ()):  # the three cyclic placements
@@ -655,16 +664,20 @@ def is_hamiltonian_pair(op1: MatrixDiffOperator, op2: MatrixDiffOperator):
     either operator; otherwise checks the three Schouten conditions.  The
     diagonal brackets [Hk, Hk] are twice the defects, and once both vanish,
     [H1 + H2, H1 + H2] = 2 [H1, H2] by bilinearity and symmetry, so the mixed
-    condition is the Hamiltonian test of H1 + H2: its failing configurations
-    are those of the mixed bracket.
+    condition is the Hamiltonian test of H1 + H2.  On a configuration the
+    defect of H1 + H2 is [H1, H2] plus the two defects, total derivatives by
+    then, so ``ConfigurationScan.pair`` decides it only on the configurations
+    that [H1, H2] lists; on every other one it is a total derivative.
     """
     op1._check_compatible(op2)
     for label, op in (("first", op1), ("second", op2)):
         ok, witness = check_skew_symmetry(op)
         if not ok:
             raise SkewSymmetryError(f"{label} operator is not super skew-symmetric: {witness}")
-    for label, op in (("[H1,H1]", op1), ("[H2,H2]", op2), ("[H1,H2]", op1 + op2)):
-        for families, parities, _, _ in iter_closedness_failures(op, limit=1):
+    for label, scan in (("[H1,H1]", ConfigurationScan.closedness(op1)),
+                        ("[H2,H2]", ConfigurationScan.closedness(op2)),
+                        ("[H1,H2]", ConfigurationScan.pair(op1, op2))):
+        for families, parities, _, _ in scan.failures(limit=1):
             return False, (label, families, parities)
     return True, None
 

@@ -14,13 +14,10 @@ from svarcalc import (
     ScalarDiffOperator,
     SkewSymmetryError,
     SuperPolynomial,
-    build_type0_operator,
-    check_axioms,
     check_skew_symmetry,
     configurations,
     covector,
     field,
-    is_hamiltonian_pair,
     make_truncated_example,
     np_to_nx,
     parity,
@@ -253,38 +250,6 @@ def pair_oracle(op1, op2):
         for families, parities, _, _ in failures:
             return False, (label, families, parities)
     return True, None
-
-
-def outcome(test, *args):
-    """``test(*args)``, or the type and message of the error it raises."""
-    try:
-        return test(*args)
-    except ValueError as exc:
-        return type(exc), str(exc)
-
-
-def dim2_type0_operators():
-    """The type-0 operators of the 33 dim-2 circ tables with constants in
-    {-1, 0, 1} that pass the fermionic Novikov axioms, in table order."""
-    ops = []
-    for cells in product((-1, 0, 1), repeat=8):
-        spec = AlgebraSpec(dim=2, circ=[[cells[4 * i + 2 * j:4 * i + 2 * j + 2] for j in range(2)]
-                                        for i in range(2)])
-        if check_axioms(spec, "fermionic_novikov")[0]:
-            ops.append(build_type0_operator(spec))
-    return ops
-
-
-def pair_mismatches(pairs):
-    """The pairs on which ``is_hamiltonian_pair`` and ``pair_oracle`` differ,
-    and how many of the pairs fail."""
-    mismatches, failing = [], 0
-    for op1, op2 in pairs:
-        got = outcome(is_hamiltonian_pair, op1, op2)
-        if got != outcome(pair_oracle, op1, op2):
-            mismatches.append((op1, op2, got))
-        failing += got[0] is False
-    return mismatches, failing
 
 
 def mutate_document(rng: random.Random, doc, pool):
