@@ -60,13 +60,20 @@ def _exact(value) -> Coeff:
 
 
 def _as_table(dim: int, data) -> Table:
-    """A dim x dim x dim structure-constant table as nested tuples of ``_exact`` values."""
-    return tuple(_as_matrix(dim, data[i]) for i in range(dim))
+    """A dim x dim x dim structure-constant table as nested tuples of ``_exact``
+    values; any other shape raises ValueError."""
+    if len(data) != dim or any(len(row) != dim or any(len(cell) != dim for cell in row)
+                               for row in data):
+        raise ValueError(f"expected a {dim} x {dim} x {dim} table")
+    return tuple(tuple(tuple(map(_exact, cell)) for cell in row) for row in data)
 
 
 def _as_matrix(dim: int, data) -> Matrix:
-    """A dim x dim matrix as nested tuples of ``_exact`` values."""
-    return tuple(tuple(_exact(data[i][j]) for j in range(dim)) for i in range(dim))
+    """A dim x dim matrix as nested tuples of ``_exact`` values; any other shape
+    raises ValueError."""
+    if len(data) != dim or any(len(row) != dim for row in data):
+        raise ValueError(f"expected a {dim} x {dim} matrix")
+    return tuple(tuple(map(_exact, row)) for row in data)
 
 
 def field(family: int, order: int = 1) -> Generator:

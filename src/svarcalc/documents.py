@@ -50,7 +50,6 @@ from .operators import MatrixDiffOperator, ScalarDiffOperator
 from .structures import AlgebraSpec
 
 FORMAT = "svarcalc/1"
-KINDS = ("algebra", "operator", "linear_operator", "density")
 
 
 class DocumentError(ValueError):
@@ -412,12 +411,23 @@ def _density_in(data) -> Tuple[int, SuperPolynomial]:
     return (dim, poly)
 
 
-def _density_out(dim: int, poly: SuperPolynomial) -> Dict[str, Any]:
+def _density_out(payload: Tuple[int, SuperPolynomial]) -> Dict[str, Any]:
+    dim, poly = payload
     return {"format": FORMAT, "kind": "density", "dimension": dim,
             "polynomial": _polynomial_out(poly)}
 
 
 # -- entry points --------------------------------------------------------------
+
+# Each document kind's (reader, writer) of its payload.
+_KINDS = {
+    "algebra": (_algebra_in, _algebra_out),
+    "operator": (_operator_in, _operator_out),
+    "linear_operator": (_linear_in, _linear_out),
+    "density": (_density_in, _density_out),
+}
+KINDS = tuple(_KINDS)
+
 
 def parse_document_data(data) -> InputDocument:
     _expect(isinstance(data, dict), "", "document root must be an object")
@@ -425,13 +435,7 @@ def parse_document_data(data) -> InputDocument:
     _expect(fmt == FORMAT, "format", f"expected {FORMAT!r}, got {fmt!r}")
     kind = data.get("kind")
     _expect(kind in KINDS, "kind", f"unknown kind {kind!r}; expected one of {KINDS}")
-    if kind == "algebra":
-        return InputDocument(kind, _algebra_in(data))
-    if kind == "operator":
-        return InputDocument(kind, _operator_in(data))
-    if kind == "linear_operator":
-        return InputDocument(kind, _linear_in(data))
-    return InputDocument(kind, _density_in(data))
+    return InputDocument(kind, _KINDS[kind][0](data))
 
 
 def parse_document(path: str) -> InputDocument:
@@ -464,14 +468,6 @@ def parse_document(path: str) -> InputDocument:
 
 
 def render_document(doc: InputDocument) -> str:
-    if doc.kind == "algebra":
-        data = _algebra_out(doc.payload)
-    elif doc.kind == "operator":
-        data = _operator_out(doc.payload)
-    elif doc.kind == "linear_operator":
-        data = _linear_out(doc.payload)
-    elif doc.kind == "density":
-        data = _density_out(*doc.payload)
-    else:
+    if doc.kind not in KINDS:
         raise ValueError(f"unknown document kind {doc.kind!r}")
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_KINDS[doc.kind][1](doc.payload), indent=2, sort_keys=True) + "\n"

@@ -84,12 +84,9 @@ class FormalDistribution(Sparse):
 
     def coefficient(self, zexp: ZExp, thetas: Thetas) -> Combo:
         """Symbol combination at a fixed z-exponent and theta pattern."""
-        out: Combo = {}
         t = tuple(thetas)
-        for (z, th, sym), coeff in self._terms.items():
-            if z == zexp and th == t:
-                out[sym] = out.get(sym, _ZERO) + coeff
-        return {s: c for s, c in out.items() if c}
+        return {sym: coeff for (z, th, sym), coeff in self._terms.items()
+                if z == zexp and th == t}
 
     def restrict(self, bound: int) -> "FormalDistribution":
         """Drop monomials with any z-exponent outside [-bound, bound]."""
@@ -125,40 +122,29 @@ def _merge_thetas(ta: Thetas, tb: Thetas) -> Tuple[Thetas, int]:
 
 
 def apply_Di(x: FormalDistribution, var: int) -> FormalDistribution:
-    """The odd derivation theta_var d/dz_var + d/dtheta_var."""
+    """The odd derivation theta_var d/dz_var + d/dtheta_var.
+
+    A term holding theta_var meets only d/dtheta_var, a term without it only
+    theta_var d/dz_var.  Either odd factor passes the symbol and the thetas
+    before theta_var, so both carry the sign
+    (-1)^(|symbol| + #{theta_t : t < var}).  Each term goes to its own
+    monomial, so no two terms meet.
+    """
     if var not in (1, 2, 3):
         raise ValueError("variable index must be 1, 2 or 3")
-    acc: Dict[MonoKey, Coeff] = {}
-
-    def bump(key: MonoKey, coeff: Coeff) -> None:
-        if not coeff:
-            return
-        tot = acc.get(key, _ZERO) + coeff
-        if tot:
-            acc[key] = tot
-        elif key in acc:
-            del acc[key]
-
+    out: Dict[MonoKey, Coeff] = {}
     idx = var - 1
     for (z, th, sym), coeff in x._terms.items():
-        # theta_var * d/dz_var
-        if z[idx] != 0 and var not in th:
-            sign = -1 if symbol_parity(sym) else 1
-            crossings = sum(1 for t in th if t < var)
-            if crossings & 1:
-                sign = -sign
-            newz = tuple(e - 1 if i == idx else e for i, e in enumerate(z))
-            newth = tuple(sorted(th + (var,)))
-            bump((newz, newth, sym), coeff * z[idx] * sign)
-        # d/dtheta_var
         if var in th:
-            sign = -1 if symbol_parity(sym) else 1
-            crossings = sum(1 for t in th if t < var)
-            if crossings & 1:
-                sign = -sign
-            newth = tuple(t for t in th if t != var)
-            bump((z, newth, sym), coeff * sign)
-    return FormalDistribution(acc)
+            key = (z, tuple(t for t in th if t != var), sym)
+        elif z[idx]:
+            key = (z[:idx] + (z[idx] - 1,) + z[var:], tuple(sorted(th + (var,))), sym)
+            coeff = coeff * z[idx]
+        else:
+            continue
+        odd = symbol_parity(sym) + sum(1 for t in th if t < var)
+        out[key] = -coeff if odd & 1 else coeff
+    return FormalDistribution(out)
 
 
 def apply_Di_n(x: FormalDistribution, var: int, n: int) -> FormalDistribution:
@@ -234,8 +220,10 @@ class LinearOperatorData:
             raise ValueError("top order must be >= 1")
         if d < 1:
             raise ValueError("family count must be >= 1")
-        self.even_tables = tuple(_as_table(d, self.even_tables[m]) for m in range(n + 1))
-        self.odd_tables = tuple(_as_table(d, self.odd_tables[m]) for m in range(n))
+        if len(self.even_tables) != n + 1 or len(self.odd_tables) != n:
+            raise ValueError(f"top order {n} takes {n + 1} even and {n} odd tables")
+        self.even_tables = tuple(_as_table(d, table) for table in self.even_tables)
+        self.odd_tables = tuple(_as_table(d, table) for table in self.odd_tables)
         if self.constant is not None:
             self.constant = _as_matrix(d, self.constant)
 
@@ -366,31 +354,29 @@ def induce_bracket(data: LinearOperatorData, window: int,
     return ModeBracketTable(dim=d, window=window, entries=entries)
 
 
+# The theta pattern and sign at which a kernel holds the mode pair (k1, k2),
+# keyed by the parities of (k1, k2): an integer mode carries the theta of its
+# variable, as ``mode_field`` places them, and when only k1 is an integer the
+# odd phi(k2) passes theta_1 to reach the symbol slot.
+_PAIR_THETAS = {(0, 0): ((1, 2), 1), (0, 1): ((1,), -1), (1, 0): ((2,), 1), (1, 1): ((), 1)}
+
+
 def _extract_pairs(x: FormalDistribution, top_order: int, window: int):
     """(symbol, coeff) terms of z2^{-1} x at each interior doubled mode pair
     (k1, k2), read through one index keyed by (z-exponent, theta pattern);
     the z2^{-1} shift is an offset of one in the z2 exponent."""
     index: Dict[Tuple[ZExp, Thetas], List[Tuple[Symbol, Coeff]]] = {}
     for (z, th, sym), coeff in x.terms().items():
-        if coeff:
-            index.setdefault((z, th), []).append((sym, coeff))
+        index.setdefault((z, th), []).append((sym, coeff))
     kernel = {}
     bound = 2 * window
     for k1 in range(-bound, bound + 1):
+        z1 = -(k1 // 2) - top_order - 1
         for k2 in range(-bound, bound + 1):
-            zexp = (-(k1 // 2) - top_order - 1, -(k2 // 2) - top_order, 0)
-            if k1 % 2 == 0 and k2 % 2 == 0:
-                combo = index.get((zexp, (1, 2)))
-            elif k1 % 2 == 0:
-                combo = index.get((zexp, (1,)))
-                if combo:
-                    combo = [(s, -c) for s, c in combo]
-            elif k2 % 2 == 0:
-                combo = index.get((zexp, (2,)))
-            else:
-                combo = index.get((zexp, ()))
+            thetas, sign = _PAIR_THETAS[k1 & 1, k2 & 1]
+            combo = index.get(((z1, -(k2 // 2) - top_order, 0), thetas))
             if combo:
-                kernel[(k1, k2)] = combo
+                kernel[(k1, k2)] = combo if sign > 0 else [(s, -c) for s, c in combo]
     return kernel
 
 

@@ -382,58 +382,27 @@ def make_exterior_example(c: Dict[Tuple[int, int], object]) -> AlgebraSpec:
     v5 on the right; structure constants come from actual wedge computation
     and projection on the six-dimensional span.
     """
-    gens = [field(i, 1) for i in range(4)]
-    e = [SuperPolynomial.generator(g) for g in gens]
+    e = [SuperPolynomial.generator(field(i, 1)) for i in range(4)]
 
-    def wedge(*polys: SuperPolynomial) -> SuperPolynomial:
+    def wedge(gens) -> SuperPolynomial:
         acc = SuperPolynomial.one()
-        for p in polys:
-            acc = acc * p
+        for g in gens:
+            acc = acc * e[g]
         return acc
 
-    v = [
-        SuperPolynomial.zero(),
-        wedge(e[1], e[2], e[3]),
-        wedge(e[0], e[2], e[3]),
-        wedge(e[0], e[1], e[3]),
-        wedge(e[0], e[1], e[2]),
-        wedge(e[0], e[1], e[2], e[3]),
-    ]
     v0 = SuperPolynomial.zero()
     for (i, j), value in c.items():
         if not (1 <= i < j <= 4):
             raise ValueError(f"coefficient index {(i, j)} out of range")
-        v0 = v0 + wedge(e[i - 1], e[j - 1]) * Fraction(value)
-    v[0] = v0
+        v0 = v0 + wedge((i - 1, j - 1)) * Fraction(value)
+    # v1..v4 omit e[0]..e[3] in turn; v5 is the top form.
+    v = [v0] + [wedge([g for g in range(4) if g != omit]) for omit in range(4)] + [wedge(range(4))]
+    index = {mono: a for a in range(1, 6) for mono in v[a].terms()}
 
-    basis_monos = []
-    for idx, poly in enumerate(v):
-        terms = poly.terms()
-        if idx == 0:
-            continue
-        (mono, coeff), = terms.items()
-        assert coeff == 1
-        basis_monos.append((mono, idx))
-    mono_to_index = dict(basis_monos)
-
-    def project(poly: SuperPolynomial) -> Vector:
-        out = [0] * 6
-        for mono, coeff in poly.terms().items():
-            idx = mono_to_index.get(mono)
-            if idx is None:
+    circ = [[[0] * 6 for _ in range(6)] for _ in range(6)]
+    for a, b in product(range(6), range(1, 5)):
+        for mono, coeff in (v[a] * e[b - 1]).terms().items():
+            if mono not in index:
                 raise ValueError("wedge product left the six-dimensional span")
-            out[idx] += coeff
-        return tuple(out)
-
-    zero_vec = (0,) * 6
-    circ_cols: List[List[Vector]] = []
-    for a in range(6):
-        row: List[Vector] = []
-        for b in range(6):
-            if b in (0, 5):
-                row.append(zero_vec)
-            else:
-                row.append(project(v[a] * e[b - 1]))
-        circ_cols.append(row)
-    circ = tuple(tuple(circ_cols[a][b] for b in range(6)) for a in range(6))
+            circ[a][b][index[mono]] += coeff
     return AlgebraSpec(dim=6, circ=circ)

@@ -24,6 +24,7 @@ from svarcalc import (
 )
 from svarcalc.algebra import tower_partials
 from svarcalc.calculus import non_membership_certificate, superderive_n
+from svarcalc.modes import FormalDistribution, symbol_parity
 from svarcalc.operators import (
     compose_D_power_left,
     iter_closedness_failures,
@@ -250,6 +251,44 @@ def pair_oracle(op1, op2):
         for families, parities, _, _ in failures:
             return False, (label, families, parities)
     return True, None
+
+
+def apply_Di_by_cases(x, var: int):
+    """Oracle for ``apply_Di``: theta_var d/dz_var and d/dtheta_var as two
+    branches, each with its own sign and accumulation."""
+    if var not in (1, 2, 3):
+        raise ValueError("variable index must be 1, 2 or 3")
+    acc = {}
+
+    def bump(key, coeff):
+        if not coeff:
+            return
+        tot = acc.get(key, 0) + coeff
+        if tot:
+            acc[key] = tot
+        elif key in acc:
+            del acc[key]
+
+    idx = var - 1
+    for (z, th, sym), coeff in x.terms().items():
+        # theta_var * d/dz_var
+        if z[idx] != 0 and var not in th:
+            sign = -1 if symbol_parity(sym) else 1
+            crossings = sum(1 for t in th if t < var)
+            if crossings & 1:
+                sign = -sign
+            newz = tuple(e - 1 if i == idx else e for i, e in enumerate(z))
+            newth = tuple(sorted(th + (var,)))
+            bump((newz, newth, sym), coeff * z[idx] * sign)
+        # d/dtheta_var
+        if var in th:
+            sign = -1 if symbol_parity(sym) else 1
+            crossings = sum(1 for t in th if t < var)
+            if crossings & 1:
+                sign = -sign
+            newth = tuple(t for t in th if t != var)
+            bump((z, newth, sym), coeff * sign)
+    return FormalDistribution(acc)
 
 
 def mutate_document(rng: random.Random, doc, pool):

@@ -23,7 +23,7 @@ from svarcalc import (
 )
 from svarcalc.modes import NUM, apply_Di_n, mode_parity, render_combo, render_mode, z_shift
 
-from helpers import linear_data, truncated_mutations
+from helpers import apply_Di_by_cases, linear_data, truncated_mutations
 
 F = Fraction
 
@@ -125,6 +125,35 @@ class TestOddDerivation:
             lhs = z2inv * apply_Di_n(delta, 1, 2 * n + 1)
             rhs = (z1inv * apply_Di_n(delta, 2, 2 * n + 1)).scaled((-1) ** (n + 1))
             assert interior_equal(lhs, rhs, bound - 1)
+
+
+def random_distribution(rng: random.Random) -> FormalDistribution:
+    """Up to six terms over all three variables: z-exponents that are often
+    zero, theta patterns over {1, 2, 3}, and NUM, central and phi symbols of
+    both parities."""
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        z = tuple(rng.choice((0, rng.randint(-3, 3))) for _ in range(3))
+        th = tuple(sorted(rng.sample((1, 2, 3), rng.randint(0, 3))))
+        sym = rng.choice((NUM, CENTRAL, phi_symbol(rng.randrange(3), rng.randint(-5, 5))))
+        terms[(z, th, sym)] = rng.choice((1, -1, 2, -3, F(1, 2), F(-5, 3)))
+    return FormalDistribution(terms)
+
+
+class TestOddDerivationOracle:
+    def test_matches_the_rule_by_cases(self, seed):
+        rng = random.Random(seed)
+        for _ in range(600):
+            x = random_distribution(rng)
+            for var in (1, 2, 3):
+                out, expected = apply_Di(x, var).terms(), apply_Di_by_cases(x, var).terms()
+                assert out == expected
+                assert [type(c) for c in out.values()] == [type(c) for c in expected.values()]
+
+    def test_rejects_a_bad_variable(self):
+        for var in (0, 4):
+            with pytest.raises(ValueError):
+                apply_Di(FormalDistribution.zero(), var)
 
 
 class TestModeFields:
@@ -518,6 +547,23 @@ class TestExactCoefficients:
                                .terms().values()))) is int
         table = induce_bracket(virasoro_operator_data(2), 3)
         assert all(type(c) is int for combo in table.entries.values() for c in combo.values())
+
+    def test_mis_sized_tables_are_refused(self):
+        data = virasoro_operator_data(2)
+        wide = virasoro_operator_data(3).even_tables[1]
+        for change in (dict(even_tables=data.even_tables + data.even_tables[:1]),
+                       dict(even_tables=data.even_tables[:1]),
+                       dict(odd_tables=data.odd_tables * 2),
+                       dict(odd_tables=()),
+                       dict(even_tables=(data.even_tables[0], wide)),
+                       dict(odd_tables=(data.odd_tables[0][:1],)),
+                       dict(constant=data.constant[:1]),
+                       dict(constant=tuple(row + (0,) for row in data.constant))):
+            fields = dict(top_order=1, dim=2, even_tables=data.even_tables,
+                          odd_tables=data.odd_tables, constant=data.constant)
+            fields.update(change)
+            with pytest.raises(ValueError, match="2 x 2|takes 2 even and 1 odd tables"):
+                LinearOperatorData(**fields)
 
     def test_half_entry_gives_exact_fraction_bracket(self):
         data = halved(virasoro_operator_data(1))

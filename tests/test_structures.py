@@ -76,6 +76,13 @@ class TestCoefficientStorage:
         assert flat == [F(3, 2), -2, 5, 1, 0, 0, F(-1, 3), 2, 2, F(3, 2), -2, 0]
         assert [type(c) for c in flat] == [F, int, int, int, int, int, F, int, int, F, int, int]
 
+    def test_mis_sized_tables_are_refused(self):
+        cube = [[[1] * 3] * 3] * 3
+        for fields in ({"circ": cube}, {"times": cube[:1]}, {"dot": [[[1, 2], [3]], [[1, 2]] * 2]},
+                       {"circ": [[[1, 2]] * 3] * 2}, {"form": [[1, 2, 3]] * 2}, {"form": [[1]]}):
+            with pytest.raises(ValueError, match="expected a 2 x 2"):
+                AlgebraSpec(dim=2, **fields)
+
     def test_builders_store_ints(self):
         nx = np_to_nx(make_truncated_example(3), 0)
         tables = (nx.circ, nx.times, derived_dot_table(nx), make_exterior_example({(3, 4): 1}).circ)
@@ -273,6 +280,22 @@ class TestExteriorExample:
     def test_bad_index_rejected(self):
         with pytest.raises(ValueError):
             make_exterior_example({(4, 3): 1})
+
+    def test_structure_constants_follow_the_wedge_signs(self):
+        # v_a (a = 1..4) omits generator a, v5 = e1 e2 e3 e4, and e_b moved
+        # into a sorted wedge crosses the generators above b.
+        pairs = [(i, j) for i in range(1, 5) for j in range(i + 1, 5)]
+        for assignment in ({}, {(3, 4): 1}, {(1, 2): 2, (3, 4): -1},
+                           {(1, 3): F(1, 2), (2, 4): -3}, {p: k + 1 for k, p in enumerate(pairs)}):
+            expected = [[[0] * 6 for _ in range(6)] for _ in range(6)]
+            for b in range(1, 5):
+                expected[b][b][5] = (-1) ** (4 - b)
+                for (i, j), value in assignment.items():
+                    if b not in (i, j):
+                        (omitted,) = {1, 2, 3, 4} - {i, j, b}
+                        expected[0][b][omitted] = value * (-1) ** ((i > b) + (j > b))
+            circ = make_exterior_example(assignment).circ
+            assert [[list(cell) for cell in row] for row in circ] == expected
 
 
 class TestRoundTrips:
