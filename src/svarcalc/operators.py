@@ -24,14 +24,17 @@ linearization, the scan and operator application visit the stored entries
 only, so their work follows the operator's nonzero pattern, not its declared
 dimension.
 
-For super skew-symmetric operators the three-form is a functional trivector,
-graded skew-symmetric in its three covector slots modulo total derivatives,
-so the six configurations related by permuting the (family, parity) slots
-share one verdict.  The scan then decides one configuration per S3 orbit, the
-lexicographically least, and expands failing orbits into their members; the
-witnesses and certificates are those of the full lexicographic scan.
-Skew-symmetry is decided once per operator and remembered on it; a scan
-involving an operator that is not skew-symmetric scans every configuration.
+For super skew-symmetric operators all configurations with the same
+families, in any order and at any parities, share one verdict: the
+three-form is a functional trivector, graded skew-symmetric in its three
+covector slots modulo total derivatives, and flipping the parity of one slot
+maps it, up to sign, by an invertible map that sends total derivatives to
+total derivatives.  The scan then decides one configuration per family orbit,
+the sorted families at parities (0, 0, 0), and expands failing orbits into
+their members; the witnesses and certificates are those of the full
+lexicographic scan.  Skew-symmetry is decided once per operator and
+remembered on it; a scan involving an operator that is not skew-symmetric
+scans every configuration.
 """
 
 from __future__ import annotations
@@ -312,25 +315,13 @@ def configurations(dim: int):
     return product(product(range(dim), repeat=3), product((0, 1), repeat=3))
 
 
-_SLOT_PERMUTATIONS = tuple(permutations(range(3)))
+_PARITY_TRIPLES = tuple(product((0, 1), repeat=3))
 
 
-def _orbit(families: Tuple[int, int, int], parities: Tuple[int, int, int]) -> List[Tuple]:
-    """The distinct configurations reached by permuting the three slots, in
-    lexicographic order; a slot carries its family and parity together."""
-    return sorted({(tuple(families[k] for k in perm), tuple(parities[k] for k in perm))
-                   for perm in _SLOT_PERMUTATIONS})
-
-
-def _least_in_orbit(config: Tuple) -> bool:
-    """Whether a configuration is lexicographically least in its S3 orbit.
-
-    The least member has non-decreasing families, and among the permutations
-    that keep them so (those within runs of equal families) the least
-    parities are non-decreasing along each run.
-    """
-    (f1, f2, f3), (p1, p2, p3) = config
-    return f1 <= f2 <= f3 and (f1 < f2 or p1 <= p2) and (f2 < f3 or p2 <= p3)
+def _orbit(families: Tuple[int, int, int]) -> List[Tuple]:
+    """The distinct configurations of a family orbit, in lexicographic order:
+    every permutation of the families with every parity triple."""
+    return sorted(product(set(permutations(families)), _PARITY_TRIPLES))
 
 
 def _config_signs(iota: int, parities: Tuple[int, int, int]) -> Tuple[int, int, int]:
@@ -392,23 +383,46 @@ class ConfigurationScan:
     ``pair``, which lists the configurations of a mixed bracket.
 
     Orbit reduction.  When every operator of the scan is super
-    skew-symmetric, the form is a functional trivector, graded skew-symmetric
-    in its three covector slots modulo Im D (Olver, *Applications of Lie
-    Groups to Differential Equations*, 7.1).  S3 acts on a configuration by
-    permuting its slots, each slot carrying its family and parity together.
-    The form of a permuted configuration is then +-1 times the form of the
-    original with its covector symbols renamed, modulo Im D, and renaming
-    generators does not change membership in Im D, so the members of an
-    orbit all get the same verdict.  The scan therefore decides only the
-    representatives, the lexicographically least members of their orbits, in
-    lexicographic order, and the result is the full scan's:
+    skew-symmetric, S3 x (Z/2)^3 acts on the configurations without changing
+    their verdicts: S3 permutes the slots, each slot carrying its family and
+    parity together, and the s-th factor Z/2 flips the parity of slot s.  An
+    orbit is then every permutation of one family triple at every parity
+    triple.
+
+    * Slot permutations.  The form is a functional trivector, graded
+      skew-symmetric in its three covector slots modulo Im D (Olver,
+      *Applications of Lie Groups to Differential Equations*, 7.1).  The form
+      of a permuted configuration is +-1 times the form of the original with
+      its covector symbols renamed, modulo Im D, and renaming generators does
+      not change membership in Im D.
+    * Parity flips.  On a monomial holding D^i xi_s, let Phi_s flip the base
+      parity of xi_s and multiply by (-1)^(i+P), where P is the parity of the
+      factors sorted before it.  Realize the flipped symbol as theta xi_s for
+      an odd constant theta with D theta = 0; then Phi_s(u) is theta u, so by
+      Leibniz Phi_s o D = -D o Phi_s on forms linear in slot s's tower, and
+      Phi_s, invertible, maps Im D onto Im D there.  Every form is linear in
+      each slot's tower.  With the block relation a^1 = (-1)^(iota+1) a^0 of
+      a skew operator and the type constraint |c_l| = iota + l, each cyclic
+      term of the flipped configuration is Phi_s of the original term times
+      a sign that depends only on slot s's role in it, with |xi| the symbol
+      parities: 1 as the linearized argument, (-1)^(iota+|xi_a|) as the
+      applied operand, (-1)^(|xi_a|+|xi_b|+1) as the closing covector.  Times
+      the ratio of the two configurations' ``_config_signs``, this is one
+      kappa = +-1 for all three rotations in each of the 48 cases (iota,
+      parities, s), so the flipped form is kappa Phi_s of the original and
+      gets the same verdict.
+
+    The scan therefore decides only the representatives, the sorted families
+    at parities (0, 0, 0), one for each family triple that it lists at any
+    parity, in lexicographic order; a representative is the least member of
+    its orbit, and the result is the full scan's:
 
     * If c is the lexicographically first failing configuration, the least
       member of its orbit is <= c and fails too, so it is c itself: the first
       failing representative is c.
-    * A representative that is not listed has form 0, which lies in Im D, so
-      its whole orbit passes.  This holds whatever the zero pattern of the
-      other members, so only the listed representatives are decided.
+    * An orbit none of whose members is listed has form 0 at every member,
+      which lies in Im D, so it passes; only the family triples that are
+      listed at some parity need a representative.
     * A failing orbit is expanded into its distinct members, which are merged
       into the output in lexicographic order: a pending member m is emitted
       once the next representative still to be scanned is greater than m,
@@ -416,11 +430,11 @@ class ConfigurationScan:
       Each member's certificate is computed on its own form; a member of a
       failing orbit without one breaks the symmetry and raises.
 
-    The gate: skew-symmetry is what makes the form a trivector.  Without it
-    the failing set need not be closed under S3 (the Schouten bracket of a
-    sparse non-skew operator with itself is an example), so a scan is reduced
-    only when every operator of its joins is skew, and otherwise scans every
-    configuration.  The sum that ``pair`` scans is then skew too, because the
+    The gate: skew-symmetry is what makes the form a trivector and what gives
+    the block relation.  Without it the failing set need not be closed under
+    S3 (the Schouten bracket of a sparse non-skew operator with itself is an
+    example) nor under parity flips, so a scan is reduced only when every
+    operator of its joins is skew, and otherwise scans every configuration.  The sum that ``pair`` scans is then skew too, because the
     skew conditions are linear.  The gate is set before the first search from
     ``check_skew_symmetry``, which decides each operator once, so the scan
     has no precondition and checking skew-symmetry before it costs nothing.
@@ -539,8 +553,8 @@ class ConfigurationScan:
 
     def _configurations(self) -> List[Tuple]:
         """The configurations to decide, in lexicographic order: those with a
-        pairing term that meets a stored block, and only the orbit
-        representatives among them when the reduction applies."""
+        pairing term that meets a stored block or, when the reduction applies,
+        the representatives of their family orbits."""
         if self._symmetric is None:
             self._symmetric = all(check_skew_symmetry(op)[0] for pair in self._joins for op in pair)
         listed = set()
@@ -555,7 +569,9 @@ class ConfigurationScan:
                         listed.update((((f_a, f_b, f_c), (p_a, p_b, p_c)),
                                        ((f_c, f_a, f_b), (p_c, p_a, p_b)),
                                        ((f_b, f_c, f_a), (p_b, p_c, p_a))))
-        return sorted(filter(_least_in_orbit, listed) if self._symmetric else listed)
+        if self._symmetric:
+            return sorted({(tuple(sorted(families)), (0, 0, 0)) for families, _ in listed})
+        return sorted(listed)
 
     def _certified(self, configs: List[Tuple]) -> Iterator[Tuple]:
         """Certified failures of the orbits of ``configs`` (ascending),
@@ -566,7 +582,7 @@ class ConfigurationScan:
                 yield self._member_failure(*heappop(pending))
             certificate = non_membership_certificate(self.three_form(*rep))
             if certificate is not None:
-                members = _orbit(*rep) if self._symmetric else [rep]
+                members = _orbit(rep[0]) if self._symmetric else [rep]
                 for member in members:
                     heappush(pending, (member, certificate if member == rep else None))
         while pending:
@@ -576,8 +592,8 @@ class ConfigurationScan:
         if certificate is None:
             certificate = non_membership_certificate(self.three_form(*member))
             if certificate is None:
-                raise RuntimeError(f"configuration {member} passes although its S3 orbit "
-                                   "fails; the scanned form is not a trivector")
+                raise RuntimeError(f"configuration {member} passes although its orbit "
+                                   "fails; the scanned form breaks the orbit symmetry")
         return member + certificate
 
     def failures(self, limit: Optional[int] = None) -> Iterator[Tuple]:

@@ -11,6 +11,7 @@ from svarcalc import (
     AlgebraSpec,
     EvolutionaryField,
     LinearOperatorData,
+    MatrixDiffOperator,
     ScalarDiffOperator,
     SkewSymmetryError,
     SuperPolynomial,
@@ -175,17 +176,62 @@ def full_scan_failures(scan, limit=None):
     return out
 
 
+def skew_transpose(scalar, iota):
+    """The entry that super skew-symmetry asks for at the mirrored position of
+    ``scalar``: sum_l (-1)^{(2 iota + l)(l-1)/2} D^l o c_l, normal-ordered."""
+    out = ScalarDiffOperator.zero()
+    for power, coeff in scalar.entries().items():
+        sign = -1 if ((2 * iota + power) * (power - 1) // 2) & 1 else 1
+        out = out + compose_D_power_left(ScalarDiffOperator.single(coeff, 0), power).scaled(sign)
+    return out
+
+
+def random_skew_operator(rng: random.Random) -> MatrixDiffOperator:
+    """A seeded super skew-symmetric operator of dimension 1 to 3 and either
+    type, with coefficients of up to four field factors.
+
+    Each drawn entry A of block 0 gets its skew transpose at the mirrored
+    position (a diagonal entry becomes A plus its transpose, which the
+    transpose fixes), and block 1 follows from the block relation.
+    """
+    dim, iota = rng.randint(1, 3), rng.randint(0, 1)
+    pool = field_pool(dim, 2)
+    blocks = {}
+    for _ in range(rng.randint(1, 3)):
+        row, col = rng.randrange(dim), rng.randrange(dim)
+        scalar = ScalarDiffOperator({power: random_homogeneous(rng, pool, (iota + power) & 1)
+                                     for power in rng.sample(range(4), rng.randint(1, 2))})
+        if row == col:
+            scalar = scalar + skew_transpose(scalar, iota)
+        for r, c, entry in ((row, col, scalar), (col, row, skew_transpose(scalar, iota))):
+            blocks[(0, r, c)] = entry
+            blocks[(1, r, c)] = entry.scaled(1 if iota else -1)
+    return MatrixDiffOperator(iota, dim, blocks)
+
+
+def phi_flip(form: SuperPolynomial, slot: int) -> SuperPolynomial:
+    """The parity flip Phi_s of a form linear in covector slot ``slot``: on a
+    monomial holding D^i xi_s, flip the base parity of xi_s and multiply by
+    (-1)^(i+P), P the parity of the factors sorted before it.  The flipped
+    generator sorts where the old one did, so monomials stay canonical."""
+    out = {}
+    for mono, coeff in form.terms().items():
+        (idx,) = [k for k, (gen, _) in enumerate(mono) if gen[0] == slot]
+        (kind, fam, derivs, base_parity), exp = mono[idx]
+        if exp != 1:
+            raise ValueError("the form is not linear in the slot")
+        before = sum(parity(gen) * e for gen, e in mono[:idx])
+        flipped = ((kind, fam, derivs, 1 - base_parity), 1)
+        out[mono[:idx] + (flipped,) + mono[idx + 1:]] = -coeff if (derivs + before) & 1 else coeff
+    return SuperPolynomial(out)
+
+
 def dense_skew_failures(op):
     """Oracle for ``iter_skew_failures``: both conditions at every (row, col)
     pair of the declared dimension, in row-major order."""
     iota = op.type_parity
     for row, col in product(range(op.dim), repeat=2):
-        lhs = ScalarDiffOperator.zero()
-        for power, coeff in op.entry(0, row, col).entries().items():
-            sign = -1 if ((2 * iota + power) * (power - 1) // 2) & 1 else 1
-            term = compose_D_power_left(
-                ScalarDiffOperator.single(coeff, 0), power).scaled(sign)
-            lhs = lhs + term
+        lhs = skew_transpose(op.entry(0, row, col), iota)
         rhs = op.entry(0, col, row)
         if lhs != rhs:
             diff = lhs - rhs

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from svarcalc import cli, operators
-from svarcalc.algebra import COVECTOR_SLOTS, FIELD_KIND, base_of
+from svarcalc.algebra import COVECTOR_SLOTS, FIELD_KIND, base_of, times_generator_into
 from svarcalc.calculus import non_membership_certificate, variational_derivative
 from svarcalc.documents import InputDocument, parse_document, render_document
 from svarcalc.operators import iter_schouten_failures, iter_skew_failures
@@ -52,8 +52,10 @@ from helpers import (
     field_pool,
     full_scan_failures,
     pair_oracle,
+    phi_flip,
     random_homogeneous,
     random_poly,
+    random_skew_operator,
     truncated_mutations,
 )
 
@@ -322,16 +324,17 @@ class TestConfigurationScan:
         yield twisted_type0()
 
     def assert_unlisted_have_zero_form(self, scan, form):
-        """Every configuration the scan does not list (of a reduced scan: every
-        orbit representative it does not list) has the zero form; returns
+        """Every configuration the scan does not decide has the zero form; of a
+        reduced scan, which decides one representative per S3 x (Z/2)^3 orbit,
+        every member of an orbit without a decided representative.  Returns
         how many were skipped."""
-        listed = scan._configurations()
-        assert listed == sorted(set(listed))
+        decided = scan._configurations()
+        assert decided == sorted(set(decided))
         if scan._symmetric:
-            assert all(min(_slot_orbit(config)) == config for config in listed)
+            assert all(config == min(_family_orbit(config)) for config in decided)
         skipped = 0
-        for config in set(configurations(scan.dim)) - set(listed):
-            if not scan._symmetric or min(_slot_orbit(config)) == config:
+        for config in set(configurations(scan.dim)) - set(decided):
+            if not scan._symmetric or min(_family_orbit(config)) not in decided:
                 skipped += 1
                 assert form(*config).is_zero()
         return skipped
@@ -398,7 +401,9 @@ class TestConfigurationScan:
             for counts in (linearized, applied):
                 assert set(counts.values()) <= {1}
                 assert all(key[1][0] == COVECTOR_SLOTS[0] for key in counts)
-            assert len(linearized) <= 2 * op.dim
+            # only parities (0, 0, 0) are decided, and the failing one stops
+            # at its first witness, the representative
+            assert len(linearized) <= op.dim
             built += bool(linearized) and bool(applied)
         # the constant operators and the exterior operator of the empty
         # assignment list no configuration and build nothing
@@ -481,6 +486,12 @@ def _slot_orbit(config):
             for perm in permutations(range(3))}
 
 
+def _family_orbit(config):
+    """The S3 x (Z/2)^3 orbit: every slot permutation at every parity triple."""
+    return {(families, parities) for families, _ in _slot_orbit(config)
+            for parities in product((0, 1), repeat=3)}
+
+
 class TestScanOracle:
     """The orbit-reduced scan against the full scan of every configuration."""
 
@@ -514,9 +525,10 @@ class TestScanOracle:
         for op in self.skew_mutations(seed):
             full = self.assert_matches_oracle(lambda: ConfigurationScan.closedness(op))
             failing += bool(full)
-            # the symmetry itself: every failing set is closed under S3
+            # the symmetry itself: every failing set is closed under S3 and
+            # under parity flips
             configs = {f[:2] for f in full}
-            assert all(_slot_orbit(config) <= configs for config in configs)
+            assert all(_family_orbit(config) <= configs for config in configs)
         assert failing >= 10
 
     def test_schouten_scan_matches_full_scan(self, seed):
@@ -579,6 +591,127 @@ class TestScanOracle:
         scan._symmetric = True
         with pytest.raises(RuntimeError, match="orbit fails"):
             list(scan.failures())
+
+
+def _flipped(parities, slot):
+    return tuple(p ^ (k == slot) for k, p in enumerate(parities))
+
+
+def role_sign(iota, parities, slot, rotation):
+    """The sign a cyclic term (arg, operand, closing) takes, beyond Phi_s,
+    when the parity of ``slot`` flips: it depends only on the slot's role."""
+    a, b, _ = rotation
+    sym = [(p + 1) & 1 for p in parities]  # symbol parities
+    if slot == a:
+        return 1
+    if slot == b:
+        return -1 if (iota + sym[a]) & 1 else 1
+    return -1 if (sym[a] + sym[b] + 1) & 1 else 1
+
+
+def flip_sign(iota, parities, slot):
+    """kappa with T(p + e_s) = kappa Phi_s(T(p)): the role sign times the
+    ratio of the two configurations' signs, if it is one sign for all three
+    rotations, else None."""
+    kappas = {role_sign(iota, parities, slot, rotation) * before * after
+              for rotation, before, after in zip(operators._CYCLIC,
+                                                 operators._config_signs(iota, parities),
+                                                 operators._config_signs(iota, _flipped(parities, slot)))}
+    return kappas.pop() if len(kappas) == 1 else None
+
+
+def cyclic_terms(scan, families, parities):
+    """The three cyclic pairing terms of the scanned form, without their
+    configuration signs."""
+    xi = operators._basis_symbols(families, parities)
+    terms = []
+    for a, b, c in operators._CYCLIC:
+        acc = {}
+        for i, j in scan._index:
+            times_generator_into(acc, scan._product(i, j, xi[a], xi[b], families[c]), xi[c], 1)
+        terms.append(SuperPolynomial(acc))
+    return terms
+
+
+class TestParityFlipLemma:
+    """Flipping the parity of slot s maps a skew operator's three-form by
+    kappa Phi_s, and Phi_s sends Im D onto Im D, so the 8 parity triples of a
+    family triple share one verdict."""
+
+    def test_sign_table_gives_one_kappa_per_case(self):
+        cases = list(product((0, 1), product((0, 1), repeat=3), range(3)))
+        assert len(cases) == 48
+        assert all(flip_sign(*case) in (1, -1) for case in cases)
+
+    def test_phi_anticommutes_with_D(self, seed):
+        rng = random.Random(seed)
+        fields = field_pool(2, 3)
+        nonzero = members = 0
+        for _ in range(60):
+            slot, base_parity = rng.choice(COVECTOR_SLOTS), rng.randint(0, 1)
+            others = [covector(t, rng.randint(0, 1), k, rng.randint(0, 1))
+                      for t in COVECTOR_SLOTS if t != slot for k in range(2)]
+            u = SuperPolynomial.from_terms(
+                ([rng.choice(fields + others) for _ in range(rng.randint(0, 3))]
+                 + [covector(slot, rng.randint(0, 1), rng.randint(0, 3), base_parity)],
+                 rng.choice((1, -1, 2, Fraction(1, 2))))
+                for _ in range(rng.randint(1, 3)))
+            flipped = phi_flip(u, slot)
+            assert phi_flip(flipped, slot) == u
+            assert phi_flip(superderive(u), slot) == -superderive(flipped)
+            # so Phi_s keeps membership in Im D, either way
+            assert is_total_derivative(phi_flip(superderive(u), slot))
+            assert is_total_derivative(flipped) == is_total_derivative(u)
+            nonzero += bool(u)
+            members += bool(u) and is_total_derivative(u)
+        assert nonzero >= 50 and members >= 1
+
+    def assert_flips_follow_phi(self, scan, families):
+        """Each cyclic term follows Phi_s with its role sign, and the form
+        with kappa, for all 8 parity triples and 3 slots; returns how many
+        of the 8 forms are nonzero."""
+        terms = {parities: cyclic_terms(scan, families, parities)
+                 for parities in product((0, 1), repeat=3)}
+        forms = {parities: scan.three_form(families, parities) for parities in terms}
+        for parities, slot in product(terms, range(3)):
+            flipped = _flipped(parities, slot)
+            for rotation, term, image in zip(operators._CYCLIC, terms[parities], terms[flipped]):
+                sign = role_sign(scan.type_parity, parities, slot, rotation)
+                assert image == sign * phi_flip(term, COVECTOR_SLOTS[slot])
+            kappa = flip_sign(scan.type_parity, parities, slot)
+            assert forms[flipped] == kappa * phi_flip(forms[parities], COVECTOR_SLOTS[slot])
+        return sum(map(bool, forms.values()))
+
+    def test_flipped_forms_are_phi_images(self, seed):
+        # closedness, Schouten and pair forms of seeded non-linear skew
+        # operators, on the family triples that the scans decide
+        rng = random.Random(seed)
+        scans = []
+        for _ in range(4):
+            op = partner = random_skew_operator(rng)
+            while partner is op or (partner.type_parity, partner.dim) != (op.type_parity, op.dim):
+                partner = random_skew_operator(rng)
+            assert check_skew_symmetry(op)[0] and check_skew_symmetry(partner)[0]
+            scans += [ConfigurationScan.closedness(op), ConfigurationScan.schouten(op, partner),
+                      ConfigurationScan.pair(op, partner)]
+        nonzero = 0
+        for scan in scans:
+            decided = scan._configurations()
+            assert scan._symmetric
+            for families, _ in rng.sample(decided, min(2, len(decided))):
+                nonzero += self.assert_flips_follow_phi(scan, families)
+        assert nonzero >= 20
+
+    def test_non_skew_operator_breaks_the_identity(self):
+        # the block relation fails, so the flipped forms are not Phi_s images
+        # and the gate must keep the full scan
+        op = parse_document(str(FIXTURES / "sparse_nonskew.op.json")).payload
+        scan = ConfigurationScan.closedness(op)
+        broken = 0
+        for (families, parities), slot in product(configurations(op.dim), range(3)):
+            image = phi_flip(scan.three_form(families, parities), COVECTOR_SLOTS[slot])
+            broken += scan.three_form(families, _flipped(parities, slot)) not in (image, -image)
+        assert broken > 0
 
 
 def random_sparse_operator(rng: random.Random) -> MatrixDiffOperator:
