@@ -2,8 +2,9 @@
 
 Every checker command reads a JSON input document, runs the check, prints a
 human summary (with wall-clock timing) and exits 0 on pass, 1 on fail, 2 on
-error.  ``--report PATH`` additionally writes a machine-readable report whose
-bytes depend only on the inputs, and ``--witness-limit K`` caps how many
+error.  ``--report PATH`` additionally writes, before the console output, a
+machine-readable report whose bytes depend only on the inputs; a stdout that
+its reader has closed exits 2.  ``--witness-limit K`` caps how many
 witnesses are collected.  The argument parser is built once per process and
 shared by every ``main`` call.  Every check runs in this process; ``--jobs K`` is
 accepted for compatibility and echoed in the ``check-hamiltonian`` and
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import stat
 import sys
 import time
 from itertools import islice
@@ -43,8 +45,8 @@ from .structures import (
 from .suite import verify_paper_examples
 
 
-# ``induce --window W`` expands every mode pair with |index| <= W, about
-# 16 W^2 per family pair, from distribution products of the same order; larger
+# ``induce --window W`` brackets every mode pair with |index| <= W, about
+# 16 W^2 per family pair, each read off kernels of the same order; larger
 # windows are refused before any work.
 MAX_WINDOW = 32
 
@@ -125,8 +127,7 @@ def _cmd_build(args) -> Report:
     operator = _BUILDERS[args.source_class](doc.payload)
     rendered = render_document(InputDocument("operator", operator))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
+        _write_in_place(args.output, rendered)
     return Report(
         check="build",
         verdict=PASS,
@@ -312,14 +313,37 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:  # a value past the int digit limit has no decimal form
         report = Report(check=args.command, verdict=ERROR, witnesses=[str(exc)])
         rendered = report.to_json()
-    _print_human(report, elapsed)
     if getattr(args, "report", None):
         try:
-            with open(_report_path(args.report), "w", encoding="utf-8") as handle:
-                handle.write(rendered)
+            _write_in_place(_report_path(args.report), rendered)
         except OSError as exc:
             return _os_error(exc)
+    try:
+        _print_human(report, elapsed)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # The reader has gone.  Point stdout at the null device, so that the
+        # flush at exit cannot raise again, and report an I/O error.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _os_error(exc)
     return report.exit_code()
+
+
+def _write_in_place(path: str, text: str) -> None:
+    """Write ``text`` to ``path``, then cut a regular file to its length.
+
+    The file is opened without truncation: on ext4 (``auto_da_alloc``)
+    truncating a file to zero makes its close start a write-back, and the
+    next truncation of that file waits for it.  An existing file keeps its
+    inode, mode, owner and links, and a device or FIFO is written as it is.
+    """
+    data = text.encode("utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
+        handle.write(data)
+        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            handle.truncate(len(data))
 
 
 def _os_error(exc: OSError) -> int:

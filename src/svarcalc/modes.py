@@ -292,12 +292,21 @@ def induce_bracket(data: LinearOperatorData, window: int,
     patterns.  Interior coefficients are exact, so enlarging the guard cannot
     change the result.  The realized operator must be super skew-symmetric.
 
-    Each D-power term (and the central term) is expanded once, with a
+    Each D-power term (and the central term) gives one kernel, with a
     placeholder family: signs and parities depend on the doubled mode index
     alone, so an entry is a sum of table constants times kernel coefficients
-    relabelled to each family.  A product term keeps its delta term's z2
-    exponent (the field lives in z1), so delta terms outside the window's z2
-    band are dropped first.
+    relabelled to each family.
+
+    No distribution product is formed.  The bracket of (k1, k2) is the
+    coefficient of z2^{-1} field * delta at one z-exponent and theta pattern.
+    The field lives in z1 and carries at most theta_1, so a product term
+    keeps its delta term's z2 exponent, and its z1 exponent and theta pattern
+    are the sums of the two factors'.  So the pair reads only the delta terms
+    at its z2 exponent whose theta pattern is part of the pair's, each times
+    the field terms at the remaining z1 exponent and theta pattern: one or
+    two products (``_SPLITS``).  The field stands left of a delta that
+    carries no symbol, and the merged thetas are already sorted (theta_1
+    before theta_2), so each product has sign +1.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -317,15 +326,16 @@ def induce_bracket(data: LinearOperatorData, window: int,
     field_derivs = [mode_field(0, 1, n, 2 * window + n + 2)]
     for _ in range(2 * n):
         field_derivs.append(apply_Di(field_derivs[-1], 1))
-    # (tables[a][b][g], product) per term; the central block is a table with
-    # one column.
-    terms = [(table, field_derivs[derivs] * delta_derivs[power])
+    # (tables[a][b][g], field, delta) per term; the central term is the
+    # constant field c times the top delta derivative, and its block a table
+    # with one column.
+    terms = [(table, field_derivs[derivs], delta_derivs[power])
              for power, derivs, table in data.terms()]
     if data.constant is not None:
-        central = FormalDistribution.monomial((0, 0, 0), (), CENTRAL)
         terms.append((tuple(tuple((c,) for c in row) for row in data.constant),
-                      delta_derivs[2 * n + 3] * central))
-    kernels = [(tables, _extract_pairs(x, n, window)) for tables, x in terms]
+                      FormalDistribution.monomial((0, 0, 0), (), CENTRAL),
+                      delta_derivs[2 * n + 3]))
+    kernels = [(tables, _kernel(field, delta, n, window)) for tables, field, delta in terms]
     # names[g] relabels a placeholder symbol to family g, one shared symbol
     # per mode for every entry.
     placeholders = {sym for _, kernel in kernels for kterms in kernel.values()
@@ -333,22 +343,30 @@ def induce_bracket(data: LinearOperatorData, window: int,
     names = [{sym: sym if sym == CENTRAL else phi_symbol(g, sym[2]) for sym in placeholders}
              for g in range(d)]
 
+    # merged[pair]: (term, kernel terms) of every kernel holding the pair.
+    merged: Dict[Tuple[int, int], List[Tuple[int, List[Tuple[Symbol, Coeff]]]]] = {}
+    for t, (_, kernel) in enumerate(kernels):
+        for pair, kterms in kernel.items():
+            merged.setdefault(pair, []).append((t, kterms))
+
     entries: Dict[Tuple[ModeKey, ModeKey], Combo] = {}
     for a in range(d):
         for b in range(d):
-            acc: Dict[Tuple[int, int], Combo] = {}
-            for tables, kernel in kernels:
-                for g, scale in enumerate(tables[a][b]):
-                    if not scale:
-                        continue
-                    name = names[g]
-                    for pair, kterms in kernel.items():
-                        out = acc.setdefault(pair, {})
+            # cols[t]: (constant, relabelling) of each family with a nonzero
+            # constant in term t.
+            cols = [[(scale, names[g]) for g, scale in enumerate(tables[a][b]) if scale]
+                    for tables, _ in kernels]
+            if not any(cols):
+                continue
+            for (k1, k2), held in merged.items():
+                combo: Combo = {}
+                for t, kterms in held:
+                    for scale, name in cols[t]:
                         for sym, c in kterms:
                             sym = name[sym]
-                            out[sym] = out.get(sym, _ZERO) + scale * c
-            for (k1, k2), combo in acc.items():
-                combo = {s: c for s, c in combo.items() if c}
+                            combo[sym] = combo.get(sym, _ZERO) + scale * c
+                if not all(combo.values()):
+                    combo = {s: c for s, c in combo.items() if c}
                 if combo:
                     entries[((a, k1), (b, k2))] = combo
     return ModeBracketTable(dim=d, window=window, entries=entries)
@@ -360,23 +378,51 @@ def induce_bracket(data: LinearOperatorData, window: int,
 # odd phi(k2) passes theta_1 to reach the symbol slot.
 _PAIR_THETAS = {(0, 0): ((1, 2), 1), (0, 1): ((1,), -1), (1, 0): ((2,), 1), (1, 1): ((), 1)}
 
+# The (field, delta) theta patterns whose product has each pattern of
+# ``_PAIR_THETAS``; a field carries at most theta_1.
+_SPLITS = {(1, 2): (((), (1, 2)), ((1,), (2,))), (1,): (((), (1,)), ((1,), ())),
+           (2,): (((), (2,)),), (): (((), ()),)}
 
-def _extract_pairs(x: FormalDistribution, top_order: int, window: int):
-    """(symbol, coeff) terms of z2^{-1} x at each interior doubled mode pair
-    (k1, k2), read through one index keyed by (z-exponent, theta pattern);
-    the z2^{-1} shift is an offset of one in the z2 exponent."""
-    index: Dict[Tuple[ZExp, Thetas], List[Tuple[Symbol, Coeff]]] = {}
-    for (z, th, sym), coeff in x.terms().items():
-        index.setdefault((z, th), []).append((sym, coeff))
-    kernel = {}
+
+def _kernel(field: FormalDistribution, delta: FormalDistribution, top_order: int,
+            window: int):
+    """(symbol, coeff) terms of z2^{-1} field * delta at each interior doubled
+    mode pair (k1, k2), from the matching term pairs alone.
+
+    The field is indexed by (z1 exponent, theta pattern) and the delta by
+    (z2 exponent, theta pattern); the z2^{-1} shift is an offset of one in
+    the z2 exponent.
+    """
+    fields: Dict[Tuple[int, Thetas], List[Tuple[Symbol, Coeff]]] = {}
+    for (z, th, sym), coeff in field.terms().items():
+        fields.setdefault((z[0], th), []).append((sym, coeff))
+    deltas: Dict[Tuple[int, Thetas], List[Tuple[int, Coeff]]] = {}
+    for (z, th, _), coeff in delta.terms().items():
+        deltas.setdefault((z[1], th), []).append((z[0], coeff))
     bound = 2 * window
+    # reads[p1][k2]: (field theta pattern, delta z1 exponent, signed delta
+    # coefficient) of every delta term the pair (k1, k2) reads, p1 = k1 & 1.
+    reads = [{}, {}]
+    for p1 in (0, 1):
+        for k2 in range(-bound, bound + 1):
+            thetas, sign = _PAIR_THETAS[p1, k2 & 1]
+            z2 = -(k2 // 2) - top_order
+            reads[p1][k2] = [(tf, m1, c if sign > 0 else -c)
+                             for tf, td in _SPLITS[thetas]
+                             for m1, c in deltas.get((z2, td), ())]
+    kernel = {}
     for k1 in range(-bound, bound + 1):
         z1 = -(k1 // 2) - top_order - 1
-        for k2 in range(-bound, bound + 1):
-            thetas, sign = _PAIR_THETAS[k1 & 1, k2 & 1]
-            combo = index.get(((z1, -(k2 // 2) - top_order, 0), thetas))
-            if combo:
-                kernel[(k1, k2)] = combo if sign > 0 else [(s, -c) for s, c in combo]
+        for k2, row in reads[k1 & 1].items():
+            kterms = [(sym, cf * cd) for tf, m1, cd in row
+                      for sym, cf in fields.get((z1 - m1, tf), ())]
+            if len(kterms) > 1:
+                combo: Combo = {}
+                for sym, c in kterms:
+                    combo[sym] = combo.get(sym, _ZERO) + c
+                kterms = [(sym, c) for sym, c in combo.items() if c]
+            if kterms:
+                kernel[(k1, k2)] = kterms
     return kernel
 
 
@@ -437,6 +483,20 @@ def check_super_jacobi(table: ModeBracketTable):
     and the lexicographically first failing triple of the full sweep is the
     smallest of its rotations: the reduced sweep visits it, and visits the
     other triples in the same order, so it returns the same witness.
+
+    On a super skew-symmetric table (``check_super_skew``) whose admissible
+    pairs are symmetric, the sweep visits only the sorted triples, about a
+    sixth of them.  There [b, a] = -(-1)^{|a||b|} [a, b] on interior modes,
+    which gives S(y, x, z) = -(-1)^{px py} S(x, y, z) and
+    S(x, z, y) = -(-1)^{py pz} S(x, y, z).  A swap reuses the same outer
+    brackets [inner symbol, third mode], so it needs skew-symmetry only on
+    pairs of interior modes.  Admissibility is decided on the inner pairs,
+    and a swap reverses them: the skew check lets [b, a] store a symbol with
+    coefficient 0 that [a, b] lacks, so the symmetry of admissible pairs is
+    decided as well.  The set of failing triples is then closed under S3.
+    The lexicographically least permutation of a triple is its sorted order,
+    so the first failing triple is sorted, and the witness is unchanged.
+    Otherwise the rotation sweep runs.
     """
     keys = table.mode_keys()
     count = len(keys)
@@ -446,31 +506,40 @@ def check_super_jacobi(table: ModeBracketTable):
     # inside the window that the entries hold (admissible, and bracketing
     # through the entries like any mode).
     position = {key: i for i, key in enumerate(keys)}
+    # place[sym]: the position of the mode a symbol names, -1 when it lies
+    # outside the window, None for the central symbol.
+    place = {phi_symbol(*key): i for i, key in enumerate(keys)}
+    place[CENTRAL] = None
     for combo in table.entries.values():
         for sym in combo:
-            if sym != CENTRAL and abs(sym[2]) <= bound:
-                position.setdefault((sym[1], sym[2]), len(position))
-    # value[s][w] is the entry [mode s, keys[w]]; inner[i][j] holds the
-    # terms of [keys[i], keys[j]] as (position, coeff), or None when that
-    # entry holds a mode outside the window (the pair is not admissible).
-    value = [[{}] * count for _ in range(len(position))]
+            if sym not in place:
+                place[sym] = (-1 if abs(sym[2]) > bound
+                              else position.setdefault((sym[1], sym[2]), len(position)))
+    # value[s][w] holds the items of the entry [mode s, keys[w]]; inner[i][j]
+    # holds the terms of [keys[i], keys[j]] as (position, coeff), or None
+    # when that entry holds a mode outside the window (the pair is not
+    # admissible).
+    value = [[()] * count for _ in range(len(position))]
     inner = [[()] * count for _ in range(count)]
     for (x, y), combo in table.entries.items():
         s, j = position.get(x), position.get(y, count)
         if s is None or j >= count:
             continue
-        value[s][j] = combo
+        items = value[s][j] = tuple(combo.items())
         if s < count:
-            outside = any(m != CENTRAL and abs(m[2]) > bound for m in combo)
-            inner[s][j] = None if outside else tuple(
-                (position[(m[1], m[2])], c) for m, c in combo.items() if m != CENTRAL)
-
-    def accumulate(total, terms, w, flip):
-        for s, c in terms:
-            if flip:
-                c = -c
-            for sym, v in value[s][w].items():
-                total[sym] = total.get(sym, _ZERO) + c * v
+            terms = []
+            for m, c in items:
+                p = place[m]
+                if p is None:
+                    continue
+                if p < 0:
+                    terms = None
+                    break
+                terms.append((p, c))
+            inner[s][j] = terms if terms is None else tuple(terms)
+    swaps = check_super_skew(table)[0] and all(
+        (inner[i][j] is None) == (inner[j][i] is None)
+        for i in range(count) for j in range(i + 1, count))
 
     for i in range(count):
         px, inner_i = parity[i], inner[i]
@@ -479,17 +548,29 @@ def check_super_jacobi(table: ModeBracketTable):
             if ij is None:
                 continue
             py, inner_j = parity[j], inner[j]
-            # (i, j, k) is the least of its rotations iff k >= i, and k > i
-            # when j > i.
-            for k in range(i if j == i else i + 1, count):
+            # Sorted triples start k at j.  Otherwise (i, j, k) is the least
+            # of its rotations iff k >= i, and k > i when j > i.
+            for k in range(j if swaps else i if j == i else i + 1, count):
                 jk, ki = inner_j[k], inner[k][i]
                 if jk is None or ki is None or not (ij or jk or ki):
                     continue
                 pz = parity[k]
                 total: Combo = {}
-                accumulate(total, ij, k, 0)
-                accumulate(total, jk, i, px & (py ^ pz))
-                accumulate(total, ki, j, pz & (px ^ py))
+                for s, c in ij:
+                    for sym, v in value[s][k]:
+                        total[sym] = total.get(sym, _ZERO) + c * v
+                flip = px & (py ^ pz)
+                for s, c in jk:
+                    if flip:
+                        c = -c
+                    for sym, v in value[s][i]:
+                        total[sym] = total.get(sym, _ZERO) + c * v
+                flip = pz & (px ^ py)
+                for s, c in ki:
+                    if flip:
+                        c = -c
+                    for sym, v in value[s][j]:
+                        total[sym] = total.get(sym, _ZERO) + c * v
                 if any(total.values()):
                     return False, (keys[i], keys[j], keys[k])
     return True, None

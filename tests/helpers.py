@@ -25,7 +25,16 @@ from svarcalc import (
 )
 from svarcalc.algebra import tower_partials
 from svarcalc.calculus import non_membership_certificate, superderive_n
-from svarcalc.modes import FormalDistribution, symbol_parity
+from svarcalc.modes import (
+    CENTRAL,
+    FormalDistribution,
+    _PAIR_THETAS,
+    apply_Di,
+    make_delta,
+    mode_field,
+    phi_symbol,
+    symbol_parity,
+)
 from svarcalc.operators import (
     compose_D_power_left,
     iter_closedness_failures,
@@ -365,3 +374,75 @@ def mutate_document(rng: random.Random, doc, pool):
         elif isinstance(parent, list):
             parent.insert(key, copy.deepcopy(parent[key]))
     return doc
+
+
+def kernel_factors(top_order: int, window: int, guard=None):
+    """The field derivatives (placeholder family) and the delta derivatives
+    that ``induce_bracket`` pairs into kernels, the delta restricted to the
+    terms whose z2 exponent can land in the window."""
+    n = top_order
+    delta = FormalDistribution({key: c for key, c
+                                in make_delta(1, 2, guard or window + n + 2).terms().items()
+                                if abs(key[0][1] + n) <= window})
+    delta_derivs = [delta]
+    for _ in range(2 * n + 3):
+        delta_derivs.append(apply_Di(delta_derivs[-1], 1))
+    field_derivs = [mode_field(0, 1, n, 2 * window + n + 2)]
+    for _ in range(2 * n):
+        field_derivs.append(apply_Di(field_derivs[-1], 1))
+    return field_derivs, delta_derivs
+
+
+CENTRAL_FIELD = FormalDistribution.monomial((0, 0, 0), (), CENTRAL)
+
+
+def extract_pairs(x, top_order: int, window: int):
+    """Oracle for one kernel of ``induce_bracket``: the (symbol, coeff) terms
+    of z2^{-1} x at each interior doubled mode pair (k1, k2), read off the
+    whole distribution product x = field * delta through one index keyed by
+    (z-exponent, theta pattern)."""
+    index = {}
+    for (z, th, sym), coeff in x.terms().items():
+        index.setdefault((z, th), []).append((sym, coeff))
+    kernel = {}
+    bound = 2 * window
+    for k1 in range(-bound, bound + 1):
+        z1 = -(k1 // 2) - top_order - 1
+        for k2 in range(-bound, bound + 1):
+            thetas, sign = _PAIR_THETAS[k1 & 1, k2 & 1]
+            combo = index.get(((z1, -(k2 // 2) - top_order, 0), thetas))
+            if combo:
+                kernel[(k1, k2)] = combo if sign > 0 else [(s, -c) for s, c in combo]
+    return kernel
+
+
+def induce_by_products(data, window: int, guard=None):
+    """Oracle for ``induce_bracket`` entries: each kernel read off its
+    distribution product by ``extract_pairs``, then every entry summed as the
+    table constants times the kernels relabelled to each family."""
+    n, d = data.top_order, data.dim
+    field_derivs, delta_derivs = kernel_factors(n, window, guard)
+    products = [(table, field_derivs[derivs] * delta_derivs[power])
+                for power, derivs, table in data.terms()]
+    if data.constant is not None:
+        products.append((tuple(tuple((c,) for c in row) for row in data.constant),
+                         delta_derivs[2 * n + 3] * CENTRAL_FIELD))
+    kernels = [(table, extract_pairs(x, n, window)) for table, x in products]
+    entries = {}
+    for a in range(d):
+        for b in range(d):
+            acc = {}
+            for table, kernel in kernels:
+                for g, scale in enumerate(table[a][b]):
+                    if not scale:
+                        continue
+                    for pair, kterms in kernel.items():
+                        out = acc.setdefault(pair, {})
+                        for sym, c in kterms:
+                            sym = sym if sym == CENTRAL else phi_symbol(g, sym[2])
+                            out[sym] = out.get(sym, 0) + scale * c
+            for (k1, k2), combo in acc.items():
+                combo = {s: c for s, c in combo.items() if c}
+                if combo:
+                    entries[((a, k1), (b, k2))] = combo
+    return entries

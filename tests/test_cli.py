@@ -4,9 +4,13 @@ import builtins
 import copy
 import hashlib
 import json
+import os
 import random
 import re
 import signal
+import stat
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -363,6 +367,75 @@ class TestGoldenReports:
         assert main(argv[:1] + ["--report", str(out)] + argv[1:]) == code
         golden = REPO / "tests" / "fixtures" / "reports" / f"{name}.json"
         assert out.read_bytes() == golden.read_bytes()
+
+
+class TestReportFiles:
+    """Reports and ``build -o`` outputs are rewritten in place, never truncated
+    to zero first."""
+
+    def test_short_report_over_a_long_one_holds_exactly_the_new_bytes(self, tmp_path, capsys):
+        fixture = str(REPO / "tests" / "fixtures" / "truncated3_circ101.op.json")
+        short_argv = ["check-skew", str(SAMPLES / "d1.op.json")]
+        fresh, report = tmp_path / "fresh.json", tmp_path / "report.json"
+        assert main(short_argv + ["--report", str(fresh)]) == 0
+        assert main(["check-hamiltonian", "--witness-limit", "1000", fixture,
+                     "--report", str(report)]) == 1
+        assert report.stat().st_size > 2 * fresh.stat().st_size
+        assert main(short_argv + ["--report", str(report)]) == 0
+        assert report.read_bytes() == fresh.read_bytes()
+
+    def test_rewrite_keeps_the_inode_and_mode(self, docs, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_bytes(b"x" * 100000)
+        report.chmod(0o640)
+        before = report.stat()
+        assert main(["check-skew", docs["d5.op.json"], "--report", str(report)]) == 0
+        after = report.stat()
+        assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o640)
+        assert json.loads(report.read_text())["verdict"] == "pass"
+
+    def test_build_output_over_a_longer_file(self, docs, tmp_path, capsys):
+        fresh, out = tmp_path / "fresh.op.json", tmp_path / "out.op.json"
+        argv = ["build", "--from", "nx_bialgebra", docs["nx1.alg.json"], "-o"]
+        assert main(argv + [str(fresh)]) == 0
+        out.write_bytes(b" " * (3 * fresh.stat().st_size))
+        inode = out.stat().st_ino
+        assert main(argv + [str(out)]) == 0
+        assert out.read_bytes() == fresh.read_bytes() and out.stat().st_ino == inode
+
+    def test_report_to_the_null_device(self, docs, capsys):
+        assert main(["check-skew", docs["d5.op.json"], "--report", os.devnull]) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+class TestClosedStdout:
+    """A reader that has closed stdout loses no report: the command exits 2
+    with one error line and no traceback."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["check-hamiltonian", "--witness-limit", "1000",
+          "tests/fixtures/truncated3_circ101.op.json"], 1),
+        (["check-hamiltonian", "samples/d1.op.json"], 0),
+    ], ids=("failing", "passing"))
+    def test_report_is_written_before_the_console(self, tmp_path, argv, code):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH")))))
+        command = [sys.executable, "-m", "svarcalc.cli"] + argv + ["--report"]
+        normal = subprocess.run(command + [str(tmp_path / "normal.json")], cwd=REPO, env=env,
+                                capture_output=True, timeout=60)
+        assert normal.returncode == code
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the command starts
+        try:
+            closed = subprocess.run(command + [str(tmp_path / "closed.json")], cwd=REPO,
+                                    env=env, stdout=write_end, stderr=subprocess.PIPE,
+                                    timeout=60)
+        finally:
+            os.close(write_end)
+        assert closed.returncode == 2
+        assert b"Traceback" not in closed.stderr
+        assert closed.stderr.count(b"\n") == 1 and b"Broken pipe" in closed.stderr
+        assert (tmp_path / "closed.json").read_bytes() == (tmp_path / "normal.json").read_bytes()
 
 
 class TestCommands:

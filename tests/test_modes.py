@@ -21,9 +21,25 @@ from svarcalc import (
     super_virasoro_table,
     virasoro_operator_data,
 )
-from svarcalc.modes import NUM, apply_Di_n, mode_parity, render_combo, render_mode, z_shift
+from svarcalc.modes import (
+    NUM,
+    _kernel,
+    apply_Di_n,
+    mode_parity,
+    render_combo,
+    render_mode,
+    z_shift,
+)
 
-from helpers import apply_Di_by_cases, linear_data, truncated_mutations
+from helpers import (
+    CENTRAL_FIELD,
+    apply_Di_by_cases,
+    extract_pairs,
+    induce_by_products,
+    kernel_factors,
+    linear_data,
+    truncated_mutations,
+)
 
 F = Fraction
 
@@ -300,24 +316,42 @@ def nested_bracket(table, combo, w):
     return {s: c for s, c in out.items() if c}
 
 
+def jacobiator(table, x, y, z):
+    """S(x, y, z) = [[x,y],z] + (-1)^{px(py+pz)} [[y,z],x] + (-1)^{pz(px+py)} [[z,x],y]
+    through ``table.bracket``, without zero coefficients; None when the triple
+    is not admissible."""
+    terms = [nested_bracket(table, table.bracket(u, v), w)
+             for u, v, w in ((x, y, z), (y, z, x), (z, x, y))]
+    if any(t is None for t in terms):
+        return None
+    px, py, pz = mode_parity(x), mode_parity(y), mode_parity(z)
+    signs = (1, -1 if px & (py ^ pz) else 1, -1 if pz & (px ^ py) else 1)
+    total = {}
+    for sign, combo in zip(signs, terms):
+        for s, c in combo.items():
+            total[s] = total.get(s, 0) + sign * c
+    return {s: c for s, c in total.items() if c}
+
+
 def full_jacobi_sweep(table):
     """Graded Jacobi over every ordered triple of interior modes, in order."""
     keys = table.mode_keys()
     for x in keys:
         for y in keys:
             for z in keys:
-                terms = [nested_bracket(table, table.bracket(u, v), w)
-                         for u, v, w in ((x, y, z), (y, z, x), (z, x, y))]
-                if any(t is None for t in terms):
-                    continue
-                px, py, pz = mode_parity(x), mode_parity(y), mode_parity(z)
-                signs = (1, -1 if px & (py ^ pz) else 1, -1 if pz & (px ^ py) else 1)
-                total = {}
-                for sign, combo in zip(signs, terms):
-                    for s, c in combo.items():
-                        total[s] = total.get(s, 0) + sign * c
-                if any(total.values()):
+                if jacobiator(table, x, y, z):
                     return False, (x, y, z)
+    return True, None
+
+
+def sorted_jacobi_sweep(table):
+    """Graded Jacobi over the sorted triples of interior modes only, in order."""
+    keys = table.mode_keys()
+    for i, x in enumerate(keys):
+        for j in range(i, len(keys)):
+            for k in range(j, len(keys)):
+                if jacobiator(table, x, keys[j], keys[k]):
+                    return False, (x, keys[j], keys[k])
     return True, None
 
 
@@ -405,8 +439,10 @@ def perturbed_table(rng, families, window, mirrored):
 
 class TestSweepOracles:
     def test_jacobi_matches_full_sweep_on_perturbed_tables(self, seed):
+        # Mirrored perturbations keep the table skew, so the sorted sweep
+        # decides them; the others take the rotation sweep.
         rng = random.Random(seed)
-        outcomes = []
+        outcomes = {False: [], True: []}
         for families in (1, 2, 3):
             for window in (2, 3):
                 for mirrored in (False, True):
@@ -414,10 +450,10 @@ class TestSweepOracles:
                         table = perturbed_table(rng, families, window, mirrored)
                         expected = full_jacobi_sweep(table)
                         assert check_super_jacobi(table) == expected
-                        outcomes.append(expected[0])
+                        outcomes[mirrored].append(expected[0])
                         if mirrored:
                             assert check_super_skew(table) == (True, None)
-        assert False in outcomes
+        assert False in outcomes[False] and False in outcomes[True]
 
     def test_skew_matches_full_sweep(self, seed):
         rng = random.Random(seed)
@@ -528,6 +564,125 @@ class TestSweepOracles:
             assert induce_bracket(data, 2).entries == induce_by_scan(data, 2)
             checked += 1
         assert checked >= 5
+
+
+def typed(entries):
+    """Entries or kernel terms with the type of every coefficient."""
+    return {key: {s: (c, type(c)) for s, c in (terms.items() if isinstance(terms, dict)
+                                                else terms)}
+            for key, terms in entries.items()}
+
+
+class TestKernelOracle:
+    """The kernels and entries of ``induce_bracket`` against the distribution
+    products they avoid (``extract_pairs`` and ``induce_by_products``)."""
+
+    def test_kernels_match_the_products(self):
+        central_terms = 0
+        for n in (1, 2, 3):
+            for window, guard in [(w, None) for w in range(1, 7)] + [(3, n + 8)]:
+                fields, deltas = kernel_factors(n, window, guard)
+                factors = [(fields[2 * n - power], deltas[power]) for power in range(2 * n + 1)]
+                for field, delta in factors:
+                    kernel = _kernel(field, delta, n, window)
+                    assert kernel and typed(kernel) == typed(extract_pairs(field * delta, n, window))
+                # The central kernel reads c * delta and the oracle forms delta * c:
+                # c is even and carries no theta, so the two agree.
+                central = deltas[2 * n + 3]
+                kernel = _kernel(CENTRAL_FIELD, central, n, window)
+                assert typed(kernel) == typed(extract_pairs(central * CENTRAL_FIELD, n, window))
+                central_terms += len(kernel)
+        assert central_terms > 50
+
+    def test_kernels_match_the_products_on_random_factors(self, seed):
+        # Fields in z1 carrying at most theta_1 and deltas in (z1, z2) with no
+        # symbol, as ``induce_bracket`` pairs them, with several symbols per
+        # field monomial and several delta terms per z2 exponent, so that one
+        # mode pair reads several term pairs and symbols meet.
+        rng = random.Random(seed)
+        met = 0
+        for _ in range(300):
+            n, window = rng.randint(1, 2), rng.randint(1, 3)
+            field = FormalDistribution({
+                ((rng.randint(-6, 2), 0, 0), rng.choice(((), (1,))),
+                 rng.choice((CENTRAL, phi_symbol(rng.randrange(2), rng.randint(-3, 3))))):
+                rng.choice((1, -1, 2, -3)) for _ in range(rng.randint(1, 12))})
+            delta = FormalDistribution({
+                ((rng.randint(-3, 3), rng.randint(-5, 2), 0),
+                 rng.choice(((), (1,), (2,), (1, 2))), NUM): rng.choice((1, -1, 2, -3))
+                for _ in range(rng.randint(1, 12))})
+            kernel = _kernel(field, delta, n, window)
+            assert typed(kernel) == typed(extract_pairs(field * delta, n, window))
+            met += sum(len(kterms) > 1 for kterms in kernel.values())
+        assert met > 100
+
+    def test_induce_matches_the_products(self):
+        for families in (1, 2, 3):
+            data = virasoro_operator_data(families)
+            bare = LinearOperatorData(1, families, data.even_tables, data.odd_tables)
+            for source in (data, halved(data), bare):
+                for window in range(1, 7):
+                    assert typed(induce_bracket(source, window).entries) == \
+                        typed(induce_by_products(source, window))
+            assert typed(induce_bracket(data, 2, guard=9).entries) == \
+                typed(induce_by_products(data, 2, guard=9))
+
+
+class TestSwapLemma:
+    """On a super skew-symmetric table, S(y, x, z) = -(-1)^{px py} S(x, y, z)
+    and S(x, z, y) = -(-1)^{py pz} S(x, y, z), with equal admissibility, so
+    ``check_super_jacobi`` may sweep the sorted triples alone; without the
+    hypotheses the first failing triple need not be sorted."""
+
+    def test_swap_identities_on_skew_tables(self, seed):
+        rng = random.Random(seed)
+        tables = [super_virasoro_table(families, 2) for families in (1, 2)]
+        tables += [perturbed_table(rng, families, window, True)
+                   for families in (1, 2, 3) for window in (2, 3) for _ in range(3)]
+        admissible = nonzero = 0
+        for table in tables:
+            assert check_super_skew(table) == (True, None)
+            keys = table.mode_keys()
+            triples = [tuple(rng.choice(keys) for _ in range(3)) for _ in range(200)]
+            ok, witness = check_super_jacobi(table)
+            if not ok:
+                triples += [(witness[0], witness[1], w) for w in keys]
+            for x, y, z in triples:
+                s = jacobiator(table, x, y, z)
+                for (u, v, w), (p, q) in (((y, x, z), (x, y)), ((x, z, y), (y, z))):
+                    swapped = jacobiator(table, u, v, w)
+                    assert (swapped is None) == (s is None)
+                    if s is not None:
+                        sign = 1 if mode_parity(p) & mode_parity(q) else -1
+                        assert swapped == {sym: sign * c for sym, c in s.items()}
+                admissible += s is not None
+                nonzero += bool(s)
+        assert admissible > 2000 and nonzero > 25
+
+    def test_non_skew_table_takes_the_rotation_sweep(self):
+        # [x, y] = phi(0) and [phi(0), z] = c with no reverse brackets: only
+        # the rotations of (x, y, z) fail, and none of them is sorted.
+        x, z, y = (0, -2), (0, -1), (0, 2)
+        table = ModeBracketTable(dim=1, window=1, entries={
+            (x, y): {phi_symbol(0, 0): 1}, ((0, 0), z): {CENTRAL: 1}})
+        assert not check_super_skew(table)[0]
+        assert full_jacobi_sweep(table) == (False, (x, y, z))
+        assert sorted_jacobi_sweep(table) == (True, None)
+        assert check_super_jacobi(table) == (False, (x, y, z))
+
+    def test_one_sided_zero_symbol_takes_the_rotation_sweep(self):
+        # The skew check passes, but [y, x] stores phi(3) with coefficient 0,
+        # outside window 1: every triple reading [y, x] is inadmissible while
+        # those reading [x, y] are not.  The failing rotations of (x, y, z)
+        # read [x, y]; the sorted triple (x, z, y) reads [y, x].
+        x, z, y, m = (0, -2), (0, -1), (0, 2), (0, 0)
+        table = ModeBracketTable(dim=1, window=1, entries={
+            (x, y): {phi_symbol(0, 0): 1}, (y, x): {phi_symbol(0, 0): -1, phi_symbol(0, 6): 0},
+            (m, z): {CENTRAL: 1}, (z, m): {CENTRAL: -1}})
+        assert check_super_skew(table) == (True, None)
+        assert full_jacobi_sweep(table) == (False, (x, y, z))
+        assert sorted_jacobi_sweep(table) == (True, None)
+        assert check_super_jacobi(table) == (False, (x, y, z))
 
 
 class TestExactCoefficients:
