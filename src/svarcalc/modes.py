@@ -8,16 +8,16 @@ half-integer, stored doubled), a central symbol c, or plain numbers.  The
 canonical monomial form keeps the symbol to the left of the theta factors;
 half-integer modes anticommute with thetas, everything else commutes.
 
-The two-variable bracket of mode fields is expanded against the odd delta
-distribution and the bracket of any two modes is read off the coefficients of
-the four theta patterns.  A guard band on the truncation window keeps every
-interior coefficient exact.
+The bracket of two modes is one coefficient of the two-variable bracket of
+mode fields against the odd delta, at one of four theta patterns; the induced
+table reads it from closed-form kernels, exact at every mode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import Coeff, Sparse, SuperPolynomial, Table, _as_matrix, _as_table, _exact, field
@@ -282,31 +282,20 @@ class ModeBracketTable:
                 for k in range(-bound, bound + 1)]
 
 
-def induce_bracket(data: LinearOperatorData, window: int,
-                   guard: Optional[int] = None) -> ModeBracketTable:
+def induce_bracket(data: LinearOperatorData, window: int) -> ModeBracketTable:
     """Mode structure constants induced by a linear type-1 operator.
 
-    Expands the two-variable bracket of mode fields against the odd delta with
-    an internal guard band (delta window = window + top_order + 2 unless
-    overridden) and reads each interior mode bracket off the four theta
-    patterns.  Interior coefficients are exact, so enlarging the guard cannot
-    change the result.  The realized operator must be super skew-symmetric.
+    The bracket of the interior modes (k1, k2), doubled, is the coefficient of
+    z2^{-1} field * delta at one z-exponent and theta pattern, summed over the
+    D-power terms of ``data.terms()`` and the central term.  Each term t gives
+    a kernel kappa_t(k1, k2) in closed form (``_kernel``), and the field of
+    every D-power term is the mode phi_g(k1 + k2), so entry (a, b) is
 
-    Each D-power term (and the central term) gives one kernel, with a
-    placeholder family: signs and parities depend on the doubled mode index
-    alone, so an entry is a sum of table constants times kernel coefficients
-    relabelled to each family.
+        sum_t sum_g T_t[a][b][g] kappa_t(k1, k2) phi_g(k1 + k2)
+            + constant[a][b] kappa_c(k1, k2) c.
 
-    No distribution product is formed.  The bracket of (k1, k2) is the
-    coefficient of z2^{-1} field * delta at one z-exponent and theta pattern.
-    The field lives in z1 and carries at most theta_1, so a product term
-    keeps its delta term's z2 exponent, and its z1 exponent and theta pattern
-    are the sums of the two factors'.  So the pair reads only the delta terms
-    at its z2 exponent whose theta pattern is part of the pair's, each times
-    the field terms at the remaining z1 exponent and theta pattern: one or
-    two products (``_SPLITS``).  The field stands left of a delta that
-    carries no symbol, and the merged thetas are already sorted (theta_1
-    before theta_2), so each product has sign +1.
+    No distribution is formed and every coefficient is exact.  The realized
+    operator must be super skew-symmetric.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -314,61 +303,38 @@ def induce_bracket(data: LinearOperatorData, window: int,
     if not ok:
         raise ValueError(f"realized operator is not super skew-symmetric: {witness}")
     n, d = data.top_order, data.dim
-    if guard is None:
-        guard = window + n + 2
-    elif guard < window + n + 2:
-        raise ValueError("guard band too small for the requested window")
-    delta = FormalDistribution({key: c for key, c in make_delta(1, 2, guard).terms().items()
-                                if abs(key[0][1] + n) <= window})
-    delta_derivs = [delta]
-    for _ in range(2 * n + 3):
-        delta_derivs.append(apply_Di(delta_derivs[-1], 1))
-    field_derivs = [mode_field(0, 1, n, 2 * window + n + 2)]
-    for _ in range(2 * n):
-        field_derivs.append(apply_Di(field_derivs[-1], 1))
-    # (tables[a][b][g], field, delta) per term; the central term is the
-    # constant field c times the top delta derivative, and its block a table
-    # with one column.
-    terms = [(table, field_derivs[derivs], delta_derivs[power])
-             for power, derivs, table in data.terms()]
+    terms = data.terms()
+    tables = [table for _, _, table in terms]
+    kernels = [_kernel(power, derivs, n, window) for power, derivs, _ in terms]
     if data.constant is not None:
-        terms.append((tuple(tuple((c,) for c in row) for row in data.constant),
-                      FormalDistribution.monomial((0, 0, 0), (), CENTRAL),
-                      delta_derivs[2 * n + 3]))
-    kernels = [(tables, _kernel(field, delta, n, window)) for tables, field, delta in terms]
-    # names[g] relabels a placeholder symbol to family g, one shared symbol
-    # per mode for every entry.
-    placeholders = {sym for _, kernel in kernels for kterms in kernel.values()
-                    for sym, _ in kterms}
-    names = [{sym: sym if sym == CENTRAL else phi_symbol(g, sym[2]) for sym in placeholders}
-             for g in range(d)]
-
-    # merged[pair]: (term, kernel terms) of every kernel holding the pair.
-    merged: Dict[Tuple[int, int], List[Tuple[int, List[Tuple[Symbol, Coeff]]]]] = {}
-    for t, (_, kernel) in enumerate(kernels):
-        for pair, kterms in kernel.items():
-            merged.setdefault(pair, []).append((t, kterms))
-
+        kernels.append(_kernel(2 * n + 3, None, n, window))
+    # held[pair]: (term, kernel value) of every term whose kernel holds the pair.
+    held: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
+    for t, kernel in enumerate(kernels):
+        for pair, c in kernel.items():
+            held.setdefault(pair, []).append((t, c))
+    # blocks: (a, b, cols) of every entry with a nonzero constant, cols[t]
+    # the (column, constant) pairs of term t; column d names the central symbol.
+    blocks = []
+    for a, b in product(range(d), repeat=2):
+        cols = [[(g, scale) for g, scale in enumerate(table[a][b]) if scale] for table in tables]
+        if data.constant is not None:
+            cols.append([(d, data.constant[a][b])] if data.constant[a][b] else [])
+        if any(cols):
+            blocks.append((a, b, cols))
     entries: Dict[Tuple[ModeKey, ModeKey], Combo] = {}
-    for a in range(d):
-        for b in range(d):
-            # cols[t]: (constant, relabelling) of each family with a nonzero
-            # constant in term t.
-            cols = [[(scale, names[g]) for g, scale in enumerate(tables[a][b]) if scale]
-                    for tables, _ in kernels]
-            if not any(cols):
-                continue
-            for (k1, k2), held in merged.items():
-                combo: Combo = {}
-                for t, kterms in held:
-                    for scale, name in cols[t]:
-                        for sym, c in kterms:
-                            sym = name[sym]
-                            combo[sym] = combo.get(sym, _ZERO) + scale * c
-                if not all(combo.values()):
-                    combo = {s: c for s, c in combo.items() if c}
-                if combo:
-                    entries[((a, k1), (b, k2))] = combo
+    for (k1, k2), kterms in held.items():
+        syms = [phi_symbol(g, k1 + k2) for g in range(d)] + [CENTRAL]
+        for a, b, cols in blocks:
+            combo: Combo = {}
+            for t, c in kterms:
+                for g, scale in cols[t]:
+                    sym = syms[g]
+                    combo[sym] = combo.get(sym, _ZERO) + scale * c
+            if not all(combo.values()):
+                combo = {s: c for s, c in combo.items() if c}
+            if combo:
+                entries[((a, k1), (b, k2))] = combo
     return ModeBracketTable(dim=d, window=window, entries=entries)
 
 
@@ -378,51 +344,83 @@ def induce_bracket(data: LinearOperatorData, window: int,
 # odd phi(k2) passes theta_1 to reach the symbol slot.
 _PAIR_THETAS = {(0, 0): ((1, 2), 1), (0, 1): ((1,), -1), (1, 0): ((2,), 1), (1, 1): ((), 1)}
 
-# The (field, delta) theta patterns whose product has each pattern of
-# ``_PAIR_THETAS``; a field carries at most theta_1.
-_SPLITS = {(1, 2): (((), (1, 2)), ((1,), (2,))), (1,): (((), (1,)), ((1,), ())),
-           (2,): (((), (2,)),), (): (((), ()),)}
+# D_1^{2a + eps} of the delta term (theta_1 - theta_2) z1^m z2^-m, keyed by
+# eps: each theta pattern it holds, with (sign, order) of its factor
+# sign * ff(m, a + order).  So eps = 0 gives theta_1 with +ff(m, a) and
+# theta_2 with -ff(m, a); eps = 1 gives no theta with +ff(m, a) and
+# theta_1 theta_2 with -ff(m, a + 1).
+_DELTA_DERIVATIVE = {0: {(1,): (1, 0), (2,): (-1, 0)}, 1: {(): (1, 0), (1, 2): (-1, 1)}}
 
 
-def _kernel(field: FormalDistribution, delta: FormalDistribution, top_order: int,
-            window: int):
-    """(symbol, coeff) terms of z2^{-1} field * delta at each interior doubled
-    mode pair (k1, k2), from the matching term pairs alone.
+def _falling(x: int, k: int) -> int:
+    """The falling factorial ff(x, k) = x (x - 1) ... (x - k + 1)."""
+    return prod(range(x, x - k, -1))
 
-    The field is indexed by (z1 exponent, theta pattern) and the delta by
-    (z2 exponent, theta pattern); the z2^{-1} shift is an offset of one in
-    the z2 exponent.
+
+def _kernel(power: int, derivs: Optional[int], top_order: int,
+            window: int) -> Dict[Tuple[int, int], int]:
+    """Nonzero kernel values kappa(k1, k2) at the interior doubled mode pairs:
+    the coefficient of z2^{-1} (D_1^derivs field) * (D_1^power delta) that
+    ``induce_bracket`` reads at (k1, k2), with the field's symbol dropped.
+    ``derivs`` None is the central term: the constant field c times
+    D_1^{2N+3} delta.
+
+    Each value is one product F(k1 + k2) * Delta(k2), with
+    ff(x, k) = x (x - 1) ... (x - k + 1) and D_1^2 = d/dz1:
+
+    * Field.  The mode of doubled index K sits at z1^e, e = -(K // 2) - N - 1,
+      with theta_1 exactly when K is even.  For derivs = 2b + eps, D_1^derivs
+      gives ff(e, b) when eps = 0 (theta_1 exactly when K is even); when
+      eps = 1, ff(e, b) without theta for even K and -ff(e, b + 1) with
+      theta_1 for odd K.  So it holds theta_1 exactly when K & 1 == eps.
+    * Delta.  The pair reads the delta term at z2^{-m}, m = k2 // 2 + N, and
+      D_1^{2a + eps} takes it to the patterns of ``_DELTA_DERIVATIVE``.
+    * Patterns.  A field that holds theta_1 meets only the pair patterns
+      (``_PAIR_THETAS``) that contain it; the delta supplies the rest.  The
+      delta carries no symbol and theta_1 precedes theta_2, so the product
+      keeps the pattern's sign.
+    * Exponents.  For a field term power + derivs = 2N, and the two z1
+      exponents add up to the pair's -(k1 // 2) - N - 1 whenever the patterns
+      fit.  The central field c is even, holds no theta and sits at z1^0, so
+      the delta's own z1 exponent must be -(k1 // 2) - N - 1, which holds
+      exactly on k1 + k2 = 2 - 2N: there F = 1, elsewhere 0.
+
+    On each parity class of (k1, k2) a field kernel is a polynomial of total
+    degree N (degree b or b + 1 in K times a or a + 1 in k2, N in all), so it
+    has degree at most N along k1, along k2 and along k1 + k2.  The
+    central kernel lives on the line k1 + k2 = 2 - 2N, where it is
+    ff(k2 // 2 + N, N + 1) on half-integer modes (degree N + 1) and
+    -ff(k2 // 2 + N, N + 2) on integer modes (degree N + 2); at N = 1 these
+    are (n + 1) n and -(n + 1) n (n - 1) with n = k2 // 2.
     """
-    fields: Dict[Tuple[int, Thetas], List[Tuple[Symbol, Coeff]]] = {}
-    for (z, th, sym), coeff in field.terms().items():
-        fields.setdefault((z[0], th), []).append((sym, coeff))
-    deltas: Dict[Tuple[int, Thetas], List[Tuple[int, Coeff]]] = {}
-    for (z, th, _), coeff in delta.terms().items():
-        deltas.setdefault((z[1], th), []).append((z[0], coeff))
-    bound = 2 * window
-    # reads[p1][k2]: (field theta pattern, delta z1 exponent, signed delta
-    # coefficient) of every delta term the pair (k1, k2) reads, p1 = k1 & 1.
-    reads = [{}, {}]
+    n, bound = top_order, 2 * window
+    a, eps = divmod(power, 2)
+    low = -2 * bound  # fields[K - low] is the field factor at doubled index K
+    if derivs is None:
+        holds, fields = (False, False), [int(K == 2 - 2 * n) for K in range(low, 1 - low)]
+    else:
+        b, odd = divmod(derivs, 2)
+        holds = (odd == 0, odd == 1)  # holds[K & 1]: the field carries theta_1
+        fields = [-_falling(-(K // 2) - n - 1, b + 1) if K & odd
+                  else _falling(-(K // 2) - n - 1, b) for K in range(low, 1 - low)]
+    # deltas[p1]: the signed delta factor of each k2 paired with k1 & 1 == p1.
+    deltas: Tuple[Dict[int, int], Dict[int, int]] = ({}, {})
     for p1 in (0, 1):
         for k2 in range(-bound, bound + 1):
             thetas, sign = _PAIR_THETAS[p1, k2 & 1]
-            z2 = -(k2 // 2) - top_order
-            reads[p1][k2] = [(tf, m1, c if sign > 0 else -c)
-                             for tf, td in _SPLITS[thetas]
-                             for m1, c in deltas.get((z2, td), ())]
+            if holds[(p1 ^ k2) & 1]:
+                thetas = thetas[1:] if thetas[:1] == (1,) else None
+            if thetas in _DELTA_DERIVATIVE[eps]:
+                tsign, order = _DELTA_DERIVATIVE[eps][thetas]
+                value = _falling(k2 // 2 + n, a + order)
+                if value:
+                    deltas[p1][k2] = sign * tsign * value
     kernel = {}
     for k1 in range(-bound, bound + 1):
-        z1 = -(k1 // 2) - top_order - 1
-        for k2, row in reads[k1 & 1].items():
-            kterms = [(sym, cf * cd) for tf, m1, cd in row
-                      for sym, cf in fields.get((z1 - m1, tf), ())]
-            if len(kterms) > 1:
-                combo: Combo = {}
-                for sym, c in kterms:
-                    combo[sym] = combo.get(sym, _ZERO) + c
-                kterms = [(sym, c) for sym, c in combo.items() if c]
-            if kterms:
-                kernel[(k1, k2)] = kterms
+        for k2, c in deltas[k1 & 1].items():
+            c *= fields[k1 + k2 - low]
+            if c:
+                kernel[(k1, k2)] = c
     return kernel
 
 

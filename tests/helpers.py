@@ -377,9 +377,10 @@ def mutate_document(rng: random.Random, doc, pool):
 
 
 def kernel_factors(top_order: int, window: int, guard=None):
-    """The field derivatives (placeholder family) and the delta derivatives
-    that ``induce_bracket`` pairs into kernels, the delta restricted to the
-    terms whose z2 exponent can land in the window."""
+    """The field derivatives (placeholder family 0) and the delta derivatives
+    whose products the closed-form kernels of ``induce_bracket`` stand for,
+    the delta restricted to the terms whose z2 exponent can land in the
+    window and truncated at ``guard`` (default window + N + 2)."""
     n = top_order
     delta = FormalDistribution({key: c for key, c
                                 in make_delta(1, 2, guard or window + n + 2).terms().items()

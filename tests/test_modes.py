@@ -202,16 +202,6 @@ class TestInducedBracket:
                  if abs(k[0][1]) <= 6 and abs(k[1][1]) <= 6}
         assert inner == narrow.entries
 
-    def test_guard_band_stability(self):
-        data = virasoro_operator_data(2)
-        default_guard = 3 + data.top_order + 2
-        assert induce_bracket(data, 3).entries == \
-            induce_bracket(data, 3, guard=default_guard + 2).entries
-
-    def test_undersized_guard_rejected(self):
-        with pytest.raises(ValueError, match="guard"):
-            induce_bracket(virasoro_operator_data(1), 3, guard=2)
-
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
             induce_bracket(virasoro_operator_data(1), 0)
@@ -574,58 +564,138 @@ def typed(entries):
 
 
 class TestKernelOracle:
-    """The kernels and entries of ``induce_bracket`` against the distribution
-    products they avoid (``extract_pairs`` and ``induce_by_products``)."""
+    """The closed-form kernels and the entries of ``induce_bracket`` against
+    the distribution products they stand for (``extract_pairs`` and
+    ``induce_by_products``)."""
 
     def test_kernels_match_the_products(self):
         central_terms = 0
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             for window, guard in [(w, None) for w in range(1, 7)] + [(3, n + 8)]:
                 fields, deltas = kernel_factors(n, window, guard)
-                factors = [(fields[2 * n - power], deltas[power]) for power in range(2 * n + 1)]
-                for field, delta in factors:
-                    kernel = _kernel(field, delta, n, window)
-                    assert kernel and typed(kernel) == typed(extract_pairs(field * delta, n, window))
-                # The central kernel reads c * delta and the oracle forms delta * c:
-                # c is even and carries no theta, so the two agree.
-                central = deltas[2 * n + 3]
-                kernel = _kernel(CENTRAL_FIELD, central, n, window)
-                assert typed(kernel) == typed(extract_pairs(central * CENTRAL_FIELD, n, window))
+                for power in range(2 * n + 1):
+                    kernel = {(k1, k2): [(phi_symbol(0, k1 + k2), c)]
+                              for (k1, k2), c in _kernel(power, 2 * n - power, n, window).items()}
+                    expected = extract_pairs(fields[2 * n - power] * deltas[power], n, window)
+                    assert kernel and typed(kernel) == typed(expected)
+                # The oracle forms delta * c: c is even and carries no theta,
+                # so this is the central field times the delta.
+                kernel = {pair: [(CENTRAL, c)]
+                          for pair, c in _kernel(2 * n + 3, None, n, window).items()}
+                expected = extract_pairs(deltas[2 * n + 3] * CENTRAL_FIELD, n, window)
+                assert typed(kernel) == typed(expected)
                 central_terms += len(kernel)
         assert central_terms > 50
 
-    def test_kernels_match_the_products_on_random_factors(self, seed):
-        # Fields in z1 carrying at most theta_1 and deltas in (z1, z2) with no
-        # symbol, as ``induce_bracket`` pairs them, with several symbols per
-        # field monomial and several delta terms per z2 exponent, so that one
-        # mode pair reads several term pairs and symbols meet.
-        rng = random.Random(seed)
-        met = 0
-        for _ in range(300):
-            n, window = rng.randint(1, 2), rng.randint(1, 3)
-            field = FormalDistribution({
-                ((rng.randint(-6, 2), 0, 0), rng.choice(((), (1,))),
-                 rng.choice((CENTRAL, phi_symbol(rng.randrange(2), rng.randint(-3, 3))))):
-                rng.choice((1, -1, 2, -3)) for _ in range(rng.randint(1, 12))})
-            delta = FormalDistribution({
-                ((rng.randint(-3, 3), rng.randint(-5, 2), 0),
-                 rng.choice(((), (1,), (2,), (1, 2))), NUM): rng.choice((1, -1, 2, -3))
-                for _ in range(rng.randint(1, 12))})
-            kernel = _kernel(field, delta, n, window)
-            assert typed(kernel) == typed(extract_pairs(field * delta, n, window))
-            met += sum(len(kterms) > 1 for kterms in kernel.values())
-        assert met > 100
-
     def test_induce_matches_the_products(self):
+        # The oracle's delta reaches four modes beyond the band that the
+        # window needs, so the entries are exact inside it.
         for families in (1, 2, 3):
             data = virasoro_operator_data(families)
             bare = LinearOperatorData(1, families, data.even_tables, data.odd_tables)
             for source in (data, halved(data), bare):
                 for window in range(1, 7):
+                    guard = window + source.top_order + 6
                     assert typed(induce_bracket(source, window).entries) == \
-                        typed(induce_by_products(source, window))
-            assert typed(induce_bracket(data, 2, guard=9).entries) == \
-                typed(induce_by_products(data, 2, guard=9))
+                        typed(induce_by_products(source, window, guard))
+
+
+# One-family skew tables above top order 1, found by a search over entries in
+# [-2, 2]: (even tables | odd tables | constant).
+HIGHER_ORDER_DATA = [
+    (2, (1, 1, 0), (1, 0), 0),
+    (2, (-2, -2, 0), (-2, 0), 0),
+    (3, (-2, -2, -1, -1), (-2, 1, 1), -2),
+    (3, (1, 1, -1, -1), (1, 1, 1), -2),
+    (3, (-1, 1, 2, 1), (-2, 1, 1), 1),
+]
+
+
+def one_family(top_order, even, odd, constant):
+    cell = lambda c: (((c,),),)
+    return LinearOperatorData(top_order, 1, tuple(cell(c) for c in even),
+                              tuple(cell(c) for c in odd), ((constant,),))
+
+
+class TestHigherTopOrder:
+    def test_literals_are_skew(self):
+        for args in HIGHER_ORDER_DATA:
+            assert check_skew_symmetry(one_family(*args).realize()) == (True, None)
+
+    def test_induce_matches_both_oracles(self):
+        central = 0
+        for args in HIGHER_ORDER_DATA:
+            data = one_family(*args)
+            for window in range(1, 5):
+                entries = induce_bracket(data, window).entries
+                assert entries
+                guard = window + data.top_order + 6
+                assert typed(entries) == typed(induce_by_products(data, window, guard))
+                assert entries == induce_by_scan(data, window)
+                central += sum(CENTRAL in combo for combo in entries.values())
+        assert central > 0
+
+
+def differences(values, order):
+    for _ in range(order):
+        values = [b - a for a, b in zip(values, values[1:])]
+    return values
+
+
+class TestKernelDegrees:
+    """On each parity class of (k1, k2) a field kernel is a polynomial of
+    total degree N, and the central kernel a polynomial on the line
+    k1 + k2 = 2 - 2N, of degree N + 1 on half-integer modes and N + 2 on
+    integer modes (``_kernel``)."""
+
+    WINDOW = 6
+
+    def lines(self, step):
+        """Every run of interior mode pairs along ``step``, from each start
+        whose predecessor lies outside the window."""
+        bound = 2 * self.WINDOW
+        inside = lambda k1, k2: abs(k1) <= bound and abs(k2) <= bound
+        for k1 in range(-bound, bound + 1):
+            for k2 in range(-bound, bound + 1):
+                if inside(k1 - step[0], k2 - step[1]):
+                    continue
+                run = []
+                while inside(k1 + len(run) * step[0], k2 + len(run) * step[1]):
+                    run.append((k1 + len(run) * step[0], k2 + len(run) * step[1]))
+                yield run
+
+    def degree(self, kernel, run):
+        """The least d whose (d + 1)-th differences along ``run`` vanish."""
+        values = [kernel.get(pair, 0) for pair in run]
+        d = -1
+        while any(differences(values, d + 1)):
+            d += 1
+        return d
+
+    def test_field_kernels_have_degree_n(self):
+        for n in (1, 2, 3, 4):
+            kernels = [_kernel(power, 2 * n - power, n, self.WINDOW) for power in range(2 * n + 1)]
+            for step in ((2, 0), (0, 2), (2, 2), (2, -2)):
+                runs = [run for run in self.lines(step) if len(run) > n + 1]
+                top = max(self.degree(kernel, run) for kernel in kernels for run in runs)
+                assert top == n
+
+    def test_central_kernel_lives_on_one_line(self):
+        for n in (1, 2, 3, 4):
+            kernel = _kernel(2 * n + 3, None, n, self.WINDOW)
+            assert kernel and all(k1 + k2 == 2 - 2 * n and (k1 - k2) % 2 == 0
+                                  for k1, k2 in kernel)
+            for parity, degree in ((1, n + 1), (0, n + 2)):
+                run = [(2 - 2 * n - k2, k2) for k2 in range(-2 * self.WINDOW, 2 * self.WINDOW + 1)
+                       if k2 & 1 == parity and abs(2 - 2 * n - k2) <= 2 * self.WINDOW]
+                assert len(run) > degree + 1
+                assert self.degree(kernel, run) == degree
+
+    def test_central_kernel_at_top_order_one(self):
+        kernel = _kernel(5, None, 1, self.WINDOW)
+        for (k1, k2), c in kernel.items():
+            n = k2 // 2
+            assert c == ((n + 1) * n if k2 & 1 else -(n + 1) * n * (n - 1))
 
 
 class TestSwapLemma:
