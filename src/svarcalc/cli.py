@@ -188,6 +188,8 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value > sys.maxsize:
+        raise argparse.ArgumentTypeError(f"must be at most {sys.maxsize}, got {value}")
     return value
 
 

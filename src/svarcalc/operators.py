@@ -376,9 +376,13 @@ class ConfigurationScan:
 
     The configurations.  The pairing term of slots (a, b, c) is nonzero only
     if a field family g of entry (p_a, f_c, f_a) of the linearized operator
-    is the row of a stored block (p_b, g, f_b) of the applied one.  The scan
-    decides, in lexicographic order, the configurations with such a term in
-    one of their three cyclic slot rotations; every other one has form 0.
+    is the row of a stored block (p_b, g, f_b) of the applied one; each such
+    meeting is a hit.  The scan decides, in lexicographic order, the
+    configurations with a hit in one of their three cyclic slot rotations,
+    each hit listed in the three rotations at both p_c; every other one has
+    form 0.  A reduced scan (below) lists just sorted((f_a, f_b, f_c)) per
+    hit: the rotations only permute the families and the parities are
+    dropped, so these are exactly the family triples listed at some parity.
     The joins that list them are those of the scanned pairs, except in
     ``pair``, which lists the configurations of a mixed bracket.
 
@@ -559,18 +563,21 @@ class ConfigurationScan:
             self._symmetric = all(check_skew_symmetry(op)[0] for pair in self._joins for op in pair)
         listed = set()
         for op_a, op_b in self._joins:
-            rows: Dict[Tuple[int, int], List[int]] = {}
+            rows: Dict[int, List[Tuple[int, int]]] = {}
             for p_b, g, f_b in op_b.blocks():
-                rows.setdefault((p_b, g), []).append(f_b)
+                rows.setdefault(g, []).append((p_b, f_b))
             for (p_a, f_c, f_a), scalar in op_a.blocks().items():
-                for g, p_b, p_c in product(_field_families(scalar.entries().values(), self.dim),
-                                           (0, 1), (0, 1)):
-                    for f_b in rows.get((p_b, g), ()):  # the three cyclic placements
-                        listed.update((((f_a, f_b, f_c), (p_a, p_b, p_c)),
-                                       ((f_c, f_a, f_b), (p_c, p_a, p_b)),
-                                       ((f_b, f_c, f_a), (p_b, p_c, p_a))))
+                for g in _field_families(scalar.entries().values(), self.dim):
+                    for p_b, f_b in rows.get(g, ()):
+                        if self._symmetric:
+                            listed.add(tuple(sorted((f_a, f_b, f_c))))
+                            continue
+                        for p_c in (0, 1):  # the three cyclic placements
+                            listed.update((((f_a, f_b, f_c), (p_a, p_b, p_c)),
+                                           ((f_c, f_a, f_b), (p_c, p_a, p_b)),
+                                           ((f_b, f_c, f_a), (p_b, p_c, p_a))))
         if self._symmetric:
-            return sorted({(tuple(sorted(families)), (0, 0, 0)) for families, _ in listed})
+            return [(families, (0, 0, 0)) for families in sorted(listed)]
         return sorted(listed)
 
     def _certified(self, configs: List[Tuple]) -> Iterator[Tuple]:

@@ -36,6 +36,7 @@ from svarcalc.modes import (
     symbol_parity,
 )
 from svarcalc.operators import (
+    _field_families,
     compose_D_power_left,
     iter_closedness_failures,
     iter_schouten_failures,
@@ -183,6 +184,26 @@ def full_scan_failures(scan, limit=None):
         if certificate is not None:
             out.append((families, parities) + certificate)
     return out
+
+
+def rotation_listing(scan):
+    """Oracle for ``ConfigurationScan._configurations``: every hit of the
+    scan's joins placed in its three cyclic slot rotations at every parity
+    p_b, p_c, as sorted (families, parities); a reduced scan decides the
+    sorted family triples of these at parities (0, 0, 0)."""
+    listed = set()
+    for op_a, op_b in scan._joins:
+        rows = {}
+        for p_b, g, f_b in op_b.blocks():
+            rows.setdefault((p_b, g), []).append(f_b)
+        for (p_a, f_c, f_a), scalar in op_a.blocks().items():
+            for g, p_b, p_c in product(_field_families(scalar.entries().values(), scan.dim),
+                                       (0, 1), (0, 1)):
+                for f_b in rows.get((p_b, g), ()):
+                    listed.update((((f_a, f_b, f_c), (p_a, p_b, p_c)),
+                                   ((f_c, f_a, f_b), (p_c, p_a, p_b)),
+                                   ((f_b, f_c, f_a), (p_b, p_c, p_a))))
+    return sorted(listed)
 
 
 def skew_transpose(scalar, iota):

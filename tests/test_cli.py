@@ -172,6 +172,22 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", sorted(FAILING))
+    @pytest.mark.parametrize("flag", ["--witness-limit", "--jobs"])
+    def test_counts_above_maxsize_are_usage_errors(self, docs, command, flag, capsys):
+        # islice and the scan take counts up to sys.maxsize; a larger one must
+        # not reach them and turn the verdict into an error
+        for value in (sys.maxsize + 1, 10 ** 20):
+            with pytest.raises(SystemExit) as exc:
+                main(self.argv(docs, command) + [flag, str(value)])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert not captured.out
+            assert [line for line in captured.err.splitlines() if str(sys.maxsize) in line] == [
+                f"svarcalc {command}: error: argument {flag}: "
+                f"must be at most {sys.maxsize}, got {value}"]
+        assert main(self.argv(docs, command) + [flag, str(sys.maxsize)]) == 1
+
     def test_window_above_the_bound_is_a_usage_error(self, docs, tmp_path, capsys):
         report = tmp_path / "wide.json"
         for window in (MAX_WINDOW + 1, 10 ** 6):

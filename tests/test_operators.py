@@ -56,6 +56,7 @@ from helpers import (
     random_homogeneous,
     random_poly,
     random_skew_operator,
+    rotation_listing,
     truncated_mutations,
 )
 
@@ -591,6 +592,68 @@ class TestScanOracle:
         scan._symmetric = True
         with pytest.raises(RuntimeError, match="orbit fails"):
             list(scan.failures())
+
+
+class TestListingOracle:
+    """``ConfigurationScan._configurations``, which lists each hit of a
+    reduced scan by its sorted family triple, against ``rotation_listing``,
+    which places every hit in its three cyclic rotations at every parity."""
+
+    def assert_lists_like_the_rotations(self, scan):
+        """Returns whether the scan is reduced and how many it lists."""
+        listed = scan._configurations()
+        expected = rotation_listing(scan)
+        if scan._symmetric:
+            expected = sorted({(tuple(sorted(families)), (0, 0, 0)) for families, _ in expected})
+        assert listed == expected
+        return scan._symmetric, len(listed)
+
+    def test_scan_corpus(self):
+        corpus = TestConfigurationScan()
+        for op in corpus.corpus():
+            assert self.assert_lists_like_the_rotations(ConfigurationScan.closedness(op))[0]
+        for a, b in corpus.mixed_pairs():
+            reduced, count = self.assert_lists_like_the_rotations(ConfigurationScan.schouten(a, b))
+            assert not reduced and count
+
+    def test_non_skew_scans_list_every_rotation(self):
+        skew, non_skew = constant_type1(1), field_only_type1()
+        sparse = parse_document(str(FIXTURES / "sparse_nonskew.op.json")).payload
+        for scan in (ConfigurationScan.schouten(non_skew, skew),
+                     ConfigurationScan.schouten(skew, non_skew),
+                     ConfigurationScan.closedness(non_skew),
+                     ConfigurationScan.closedness(sparse)):
+            reduced, count = self.assert_lists_like_the_rotations(scan)
+            assert not reduced and count
+
+    def test_random_skew_operators(self, seed):
+        # closedness, Schouten and pair scans of seeded skew operators, each
+        # against the previous one of its type and dimension; pair scans list
+        # from the joins of the pair, not from those of the scanned sum
+        rng = random.Random(seed)
+        previous, listing = {}, Counter()
+        for _ in range(300):
+            op = random_skew_operator(rng)
+            key = (op.type_parity, op.dim)
+            partner, previous[key] = previous.get(key, op), op
+            for kind, scan in (("closedness", ConfigurationScan.closedness(op)),
+                               ("schouten", ConfigurationScan.schouten(partner, op)),
+                               ("pair", ConfigurationScan.pair(partner, op))):
+                reduced, count = self.assert_lists_like_the_rotations(scan)
+                assert reduced
+                listing[kind] += count > 0
+            # block 0 alone breaks the block relation, so its scan is not reduced
+            half = MatrixDiffOperator(op.type_parity, op.dim,
+                                      {key: entry for key, entry in op.blocks().items() if not key[0]})
+            reduced, count = self.assert_lists_like_the_rotations(ConfigurationScan.closedness(half))
+            assert reduced == (not half.blocks())
+            listing["half"] += count > 0
+        assert min(listing.values()) >= 100
+
+    def test_truncated_representatives(self):
+        for n, count in ((8, 31), (12, 83), (20, 314)):
+            scan = ConfigurationScan.closedness(quintic_example(n))
+            assert self.assert_lists_like_the_rotations(scan) == (True, count)
 
 
 def _flipped(parities, slot):
