@@ -438,8 +438,9 @@ class ConfigurationScan:
     the block relation.  Without it the failing set need not be closed under
     S3 (the Schouten bracket of a sparse non-skew operator with itself is an
     example) nor under parity flips, so a scan is reduced only when every
-    operator of its joins is skew, and otherwise scans every configuration.  The sum that ``pair`` scans is then skew too, because the
-    skew conditions are linear.  The gate is set before the first search from
+    operator of its joins is skew, and otherwise scans every configuration.
+    The sum that ``pair`` scans is then skew too, because the skew
+    conditions are linear.  The gate is set before the first search from
     ``check_skew_symmetry``, which decides each operator once, so the scan
     has no precondition and checking skew-symmetry before it costs nothing.
     """
@@ -558,15 +559,22 @@ class ConfigurationScan:
     def _configurations(self) -> List[Tuple]:
         """The configurations to decide, in lexicographic order: those with a
         pairing term that meets a stored block or, when the reduction applies,
-        the representatives of their family orbits."""
+        the representatives of their family orbits.  A reduced scan reads only
+        the p_a = 0 entries and p_b = 0 blocks: by the block relation of a skew
+        operator its p = 1 blocks have the same support and field families, so
+        they list the same family triples."""
         if self._symmetric is None:
             self._symmetric = all(check_skew_symmetry(op)[0] for pair in self._joins for op in pair)
         listed = set()
+        parities = (0,) if self._symmetric else (0, 1)
         for op_a, op_b in self._joins:
             rows: Dict[int, List[Tuple[int, int]]] = {}
             for p_b, g, f_b in op_b.blocks():
-                rows.setdefault(g, []).append((p_b, f_b))
+                if p_b in parities:
+                    rows.setdefault(g, []).append((p_b, f_b))
             for (p_a, f_c, f_a), scalar in op_a.blocks().items():
+                if p_a not in parities:
+                    continue
                 for g in _field_families(scalar.entries().values(), self.dim):
                     for p_b, f_b in rows.get(g, ()):
                         if self._symmetric:

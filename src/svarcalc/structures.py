@@ -112,7 +112,7 @@ def iter_axiom_failures(spec: AlgebraSpec, algebra_class: str):
     """
     if algebra_class not in AXIOM_IDENTITIES:
         raise ValueError(f"unknown algebra class '{algebra_class}'")
-    return _failures(spec, AXIOM_IDENTITIES[algebra_class])
+    return _failures(spec, AXIOM_IDENTITIES[algebra_class], _REQUIRED[algebra_class])
 
 
 class Term(NamedTuple):
@@ -213,35 +213,58 @@ def _required(groups) -> List[str]:
     return [name for name in ("circ", "times", "dot", "form", "grading") if name in used]
 
 
+# The components each class reads, derived once from its groups.
+_REQUIRED = {cls: _required(groups) for cls, groups in AXIOM_IDENTITIES.items()}
+
+
 def _cells(spec: AlgebraSpec, name: str):
     """A table's [p][q] coefficient vectors; the form's entries as 1-vectors."""
     data = getattr(spec, name)
     return [[(v,) for v in row] for row in data] if name == "form" else data
 
 
-def _nested(outer_nz, inner_nz, nesting: str, dim: int):
-    """outer(inner(e_a, e_b), e_c) or outer(e_a, inner(e_b, e_c)) on every basis
-    triple, from the ``_sparse`` cells of both products, as sparse
-    {(a, b, c): {k: coefficient}}."""
-    out: Dict[Tuple[int, int, int], Dict[int, Coeff]] = {}
-    for p, q in product(range(dim), repeat=2):
-        for m, x in inner_nz[p][q]:
-            for r in range(dim):
-                key, pairs = ((p, q, r), outer_nz[m][r]) if nesting == "left" else \
-                    ((r, p, q), outer_nz[r][m])
-                if pairs:
-                    cell = out.setdefault(key, {})
-                    for k, y in pairs:
-                        cell[k] = cell.get(k, 0) + x * y
-    return out
+def _nonzero(spec: AlgebraSpec, name: str):
+    """The nonzero (p, q, k, coefficient) cells of a table, or of the form with k = 0."""
+    return [(p, q, k, c) for p, row in enumerate(_cells(spec, name))
+            for q, cell in enumerate(row) if any(cell) for k, c in enumerate(cell) if c]
 
 
-def _failures(spec: AlgebraSpec, groups):
-    required = _required(groups)
+def _nested(outer, inner, nesting: str, dim: int):
+    """outer(inner(e_a, e_b), e_c) ("left") or outer(e_a, inner(e_b, e_c))
+    ("right") on every basis triple, from the ``_nonzero`` cells of both
+    products, as a flat list of its nonzero (a, b, c, k, coefficient) cells.
+    An inner cell (p, q) -> e_m meets only the outer cells of row m ("left")
+    or of column m ("right"), each sum accumulating under (triple, k)."""
+    lines: List[List[Tuple[int, int, Coeff]]] = [[] for _ in range(dim)]
+    for p, q, k, y in outer:
+        if nesting == "left":
+            lines[p].append((q, k, y))
+        else:
+            lines[q].append((p, k, y))
+    out: Dict[Tuple[int, int, int, int], Coeff] = {}
+    for p, q, m, x in inner:
+        for r, k, y in lines[m]:
+            key = (p, q, r, k) if nesting == "left" else (r, p, q, k)
+            out[key] = out.get(key, 0) + x * y
+    return [key + (v,) for key, v in out.items() if v]
+
+
+def _failures(spec: AlgebraSpec, groups, required: List[str]):
+    """The witnesses of ``groups`` on ``spec``, which must hold ``required``.
+
+    A group of triples adds every term into one residual dict keyed by one
+    int, ((flat basis triple) * rows + row) * dim + k.  Cell (a, b, c) of a
+    term's tensor sits at the basis triple idx with (idx[p], idx[q], idx[r])
+    = (a, b, c) for its permutation p q r: slot s of the cell holds letter
+    perm[s], so it takes that letter's weight in the key, and a Koszul sign
+    reads the slots that hold the signed letters; both are set once per
+    term.  After the group, the (triple, row) keys with a nonzero component
+    are yielded in order, each with its whole residual.
+    """
     spec.require(*required)
     dim, grading = spec.dim, spec.grading
-    sparse = {name: _sparse(_cells(spec, name)) for name in required if name != "grading"}
-    nested: Dict[Tuple[str, str, str], Dict] = {}
+    tables = {name: _nonzero(spec, name) for name in required if name != "grading"}
+    nested: Dict[Tuple[str, str, str], List] = {}
     for group in groups:
         if isinstance(group, Symmetric):
             cells = _cells(spec, group.component)
@@ -250,30 +273,29 @@ def _failures(spec: AlgebraSpec, groups):
                     yield (group.label, (i, j),
                            tuple(Fraction(a - b) for a, b in zip(cells[i][j], cells[j][i])))
             continue
-        # Term-major: each term walks its tensor's nonzero cells once.  Cell
-        # (a, b, c) sits at the basis triple idx with (idx[p], idx[q], idx[r]) =
-        # (a, b, c) for the term's permutation p q r, so idx = (a, b, c) read
-        # through the inverse permutation.
-        residuals: Dict[Tuple[Tuple[int, int, int], int], Dict[int, Coeff]] = {}
+        rows = len(group)
+        weight = {"x": dim ** 3 * rows, "y": dim * dim * rows, "z": dim * rows}
+        residuals: Dict[int, Coeff] = {}
         for pos, (label, terms) in enumerate(group):
             for term in terms:
-                key = (term.outer, term.inner, term.nesting)
-                if key not in nested:
-                    nested[key] = _nested(sparse[term.outer], sparse[term.inner], term.nesting, dim)
-                inv = tuple(term.perm.index(s) for s in "xyz")
-                sign = term.sign and tuple(inv["xyz".index(s)] for s in term.sign)
-                for abc, cell in nested[key].items():
-                    coeff = term.coeff
-                    if sign and grading[abc[sign[0]]] & grading[abc[sign[1]]]:
-                        coeff = -coeff
-                    acc = residuals.setdefault(((abc[inv[0]], abc[inv[1]], abc[inv[2]]), pos), {})
-                    for k, v in cell.items():
-                        acc[k] = acc.get(k, 0) + coeff * v
-        for idx, pos in sorted(key for key, acc in residuals.items() if any(acc.values())):
+                tensor = (term.outer, term.inner, term.nesting)
+                if tensor not in nested:
+                    nested[tensor] = _nested(tables[term.outer], tables[term.inner], term.nesting, dim)
+                cells, coeff, offset = nested[tensor], term.coeff, pos * dim
+                w0, w1, w2 = map(weight.get, term.perm)
+                if term.sign:
+                    s0, s1 = map(term.perm.index, term.sign)
+                    cells = [cell[:4] + (-cell[4],) if grading[cell[s0]] & grading[cell[s1]]
+                             else cell for cell in cells]
+                for a, b, c, k, v in cells:
+                    flat = a * w0 + b * w1 + c * w2 + offset + k
+                    residuals[flat] = residuals.get(flat, 0) + coeff * v
+        for key in sorted({flat // dim for flat, v in residuals.items() if v}):
+            triple, pos = divmod(key, rows)
             label, terms = group[pos]
-            acc = residuals[idx, pos]
             width = 1 if terms[0].outer == "form" else dim
-            yield label, idx, tuple(Fraction(acc.get(k, 0)) for k in range(width))
+            idx = (triple // (dim * dim), triple // dim % dim, triple % dim)
+            yield label, idx, tuple(Fraction(residuals.get(key * dim + k, 0)) for k in range(width))
 
 
 def derived_dot_table(spec: AlgebraSpec) -> Table:

@@ -22,6 +22,9 @@ from svarcalc import (
 )
 from svarcalc.structures import (
     ALGEBRA_CLASSES,
+    Term,
+    _failures,
+    _required,
     derived_dot_table,
     iter_axiom_failures,
     multiply,
@@ -528,9 +531,10 @@ class TestIdentityTableOracle:
     def test_graded_construction_and_odd_mutations(self, seed):
         # The Gel'fand-Dorfman specs pass novikov_super for every weight; a
         # bump on a product of two odd basis vectors must fail it, with every
-        # witness and its Koszul signs matching the oracle.
+        # witness and its Koszul signs matching the oracle, up to the
+        # benchmark's half = 4 and 5.
         rng = random.Random(seed)
-        for half, weight in product((2, 3), range(4)):
+        for half, weight in product((2, 3, 4, 5), range(4)):
             spec = graded_spec(half, weight)
             self.assert_matches_oracle(spec)
             assert check_axioms(spec, "novikov_super") == (True, None)
@@ -549,3 +553,74 @@ class TestIdentityTableOracle:
             ok, witness = check_axioms(spec, cls)
             assert not ok
             assert witness == next(oracle_failures(spec, cls))
+
+    def test_term_placement_under_every_permutation_and_sign(self, seed):
+        # One-term groups outside the table: every permutation, nesting and
+        # signed pair, so a cell placed through perm rather than its inverse
+        # (the two differ on 3-cycles) or Koszul slots not read through perm
+        # (they differ when the signed letters are not the swapped pair)
+        # cannot pass.
+        rng = random.Random(seed)
+        spec = AlgebraSpec(dim=3, circ=random_table(rng, 3, 0.5), grading=(0, 1, 1))
+        e, g = spec.basis, spec.grading
+        witnesses = 0
+        for perm, nesting, sign in product(("xyz", "xzy", "yxz", "yzx", "zxy", "zyx"),
+                                           ("left", "right"), (None, "xy", "xz", "yz")):
+            term = Term(2, "circ", "circ", nesting, perm, sign)
+            expected = []
+            for idx in product(range(3), repeat=3):
+                p, q, r = (idx["xyz".index(s)] for s in perm)
+                value = (multiply(spec.circ, multiply(spec.circ, e(p), e(q)), e(r))
+                         if nesting == "left" else
+                         multiply(spec.circ, e(p), multiply(spec.circ, e(q), e(r))))
+                flip = sign and g[idx["xyz".index(sign[0])]] & g[idx["xyz".index(sign[1])]]
+                value = _scale(-2 if flip else 2, value)
+                if any(value):
+                    expected.append(("t", idx, tuple(F(v) for v in value)))
+            groups = ((("t", (term,)),),)
+            assert list(_failures(spec, groups, _required(groups))) == expected, term
+            witnesses += len(expected)
+        assert witnesses
+
+    def test_benchmark_sized_novikov_poisson_bumps(self, seed):
+        # The truncated sizes of the benchmark's axiom tables, with one circ
+        # and one dot bump each: every witness, in order, of the flat-key
+        # residuals at dims where d - 1 would let components collide.
+        rng = random.Random(seed)
+        for n in (8, 12):
+            base = make_truncated_example(n)
+            self.assert_matches_oracle(base, ("novikov_poisson",))
+            for table in ("circ", "dot"):
+                site = tuple(rng.randrange(n) for _ in range(3))
+                spec = bumped(base, table, site, rng.choice((-1, 1, 2, F(1, 2))))
+                self.assert_matches_oracle(spec, ("novikov", "novikov_poisson"))
+                assert not check_axioms(spec, "novikov_poisson")[0]
+
+    def test_one_dimensional_specs(self):
+        for c, t, d, f, g in product((0, 1, 3, F(1, 2)), (0, 2, F(-1, 2)), (0, 1, F(3, 2)),
+                                     (0, F(1, 2)), (0, 1)):
+            spec = AlgebraSpec(dim=1, circ=(((c,),),), times=(((t,),),), dot=(((d,),),),
+                               form=((f,),), grading=(g,))
+            self.assert_matches_oracle(spec)
+
+    def test_half_entries_cancel_in_one_component_only(self):
+        # e0.e0 = (e0 + e1)/2 and e0.e1 = e1.e0 = e0: on (e0, e0, e1) the two
+        # sides of dot_associative are e0/2 and (e0 + e1)/2, so the e0 halves
+        # cancel exactly while e1 keeps -1/2, and the residual keeps the zero.
+        zero = [[0, 0], [0, 0]]
+        dot = [[[F(1, 2), F(1, 2)], [1, 0]], [[1, 0], [0, 0]]]
+        spec = AlgebraSpec(dim=2, circ=[zero, zero], dot=dot)
+        self.assert_matches_oracle(spec)
+        ok, witness = check_axioms(spec, "novikov_poisson")
+        assert not ok
+        assert witness == ("dot_associative", (0, 0, 1), (F(0), F(-1, 2)))
+        assert [type(v) for v in witness[2]] == [F, F]
+        # The same halves as circ, with the form pairing e0 with e0: on
+        # (e0, e0, e0) form_circ_invariance reads 1/2 - 1/2 and yields nothing,
+        # while form_times_ratio on that triple keeps its 1/2 as a 1-tuple.
+        form_spec = AlgebraSpec(dim=2, circ=dot, times=[zero, zero], form=[[1, 0], [0, 0]])
+        self.assert_matches_oracle(form_spec)
+        assert list(iter_axiom_failures(form_spec, "form_compat"))[:2] == [
+            ("form_times_ratio", (0, 0, 0), (F(1, 2),)),
+            ("form_circ_invariance", (0, 0, 1), (F(-1),)),
+        ]
