@@ -24,7 +24,8 @@ when integral and a ``Fraction`` otherwise (``_exact``); the empty monomial is
 the scalar 1 and the zero polynomial is the empty mapping.
 Reordering a product of generators costs a sign of -1 for every transposition
 of two odd generators, which is exactly the super-commutation rule
-``u v = (-1)^{|u||v|} v u``.
+``u v = (-1)^{|u||v|} v u``.  One function, ``insert_generator``, sorts a
+generator into a monomial and counts the odd generators it passes.
 """
 
 from __future__ import annotations
@@ -132,57 +133,33 @@ def normalize_monomial(gens: Sequence[Generator]) -> Tuple[Optional[Monomial], i
 
     Returns ``(monomial, sign)`` where sign is -1 to the number of odd-odd
     transpositions performed, or ``(None, 0)`` when an odd generator repeats
-    (its square vanishes).  The product is built from the right, one
-    ``insert_generator`` per factor: an odd factor that passes an odd number
-    of odd generators on the way to its place flips the sign.
+    (its square vanishes).  This is the product of the factors gen^1 with the
+    empty monomial (``_mul_monomials``).
     """
-    mono: Monomial = ()
+    return _mul_monomials([(gen, 1) for gen in gens], ())
+
+
+def _mul_monomials(m1: Sequence[Tuple[Generator, int]],
+                   m2: Monomial) -> Tuple[Optional[Monomial], int]:
+    """The product m1 * m2 as ``(canonical monomial, sign)``, or ``(None, 0)``.
+
+    The factors gen^exp of m1 are put in front of the canonical m2, last
+    factor first, by one ``insert_generator`` call each; an odd factor that
+    passes an odd number of odd generators flips the sign.  m1 may be any
+    factor sequence: an odd factor with exponent 2 or more, or one already
+    present, gives zero.  The cost is len(m1) times the result's length.
+    """
     sign = 1
-    for gen in reversed(gens):
-        mono, crossed = insert_generator(mono, gen)
-        if mono is None:
+    for gen, exp in reversed(m1):
+        odd = (gen[2] + gen[3]) & 1
+        if odd and exp > 1:
             return None, 0
-        if crossed & parity(gen):
+        m2, crossed = insert_generator(m2, gen, 0, exp)
+        if m2 is None:
+            return None, 0
+        if odd & crossed:
             sign = -sign
-    return mono, sign
-
-
-def _mul_monomials(m1: Monomial, m2: Monomial) -> Tuple[Optional[Monomial], int]:
-    """Merge two canonical monomials; sign from odd-odd crossings."""
-    if not m1:
-        return m2, 1
-    if not m2:
-        return m1, 1
-    # Suffix counts of odd generators in m1: crossings for an odd generator
-    # of m2 inserted before position i.
-    n1 = len(m1)
-    odd_suffix = [0] * (n1 + 1)
-    for i in range(n1 - 1, -1, -1):
-        odd_suffix[i] = odd_suffix[i + 1] + (parity(m1[i][0]) if m1[i][1] & 1 else 0)
-    out = []
-    sign = 1
-    i = j = 0
-    while i < n1 and j < len(m2):
-        g1, e1 = m1[i]
-        g2, e2 = m2[j]
-        if g1 < g2:
-            out.append((g1, e1))
-            i += 1
-        elif g1 == g2:
-            if parity(g1):
-                return None, 0
-            out.append((g1, e1 + e2))
-            i += 1
-            j += 1
-        else:
-            if parity(g2):
-                if odd_suffix[i] & 1:
-                    sign = -sign
-            out.append((g2, e2))
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out), sign
+    return m2, sign
 
 
 class Sparse:
@@ -381,9 +358,11 @@ class SuperPolynomial(Sparse):
 def mul_into(acc: Dict[Monomial, Coeff], u: SuperPolynomial, v: SuperPolynomial) -> None:
     """Add the product u * v into the term dict ``acc`` in place.
 
-    A sum of products accumulated this way builds one dict instead of a
-    polynomial per product and per partial sum; coefficients that cancel to
-    zero are removed as they arise, so ``acc`` stays canonical.
+    Each monomial product is ``_mul_monomials(m1, m2)``: the generators of
+    m1 sorted into m2 one at a time.  A sum of products accumulated this way
+    builds one dict instead of a polynomial per product and per partial sum;
+    coefficients that cancel to zero are removed as they arise, so ``acc``
+    stays canonical.
     """
     for m1, c1 in u._terms.items():
         for m2, c2 in v._terms.items():
@@ -428,13 +407,17 @@ def partial_derive(u: SuperPolynomial, gen: Generator) -> SuperPolynomial:
     return tower_partials(u, gen).get(gen[2]) or SuperPolynomial.zero()
 
 
-def insert_generator(mono: Monomial, gen: Generator, lo: int = 0) -> Tuple[Optional[Monomial], int]:
-    """Put one more factor gen in front of the sorted tail mono[lo:] and sort it in.
+def insert_generator(mono: Monomial, gen: Generator, lo: int = 0,
+                     exp: int = 1) -> Tuple[Optional[Monomial], int]:
+    """Put one more factor gen^exp in front of the sorted tail mono[lo:] and sort it in.
 
-    Returns the canonical monomial and the number of odd generators gen
-    passes on the way to its place, so the reordering sign is
-    (-1)^{|gen| * count}.  An even gen already present gets its exponent
-    raised; an odd one gives ``(None, 0)`` (its square vanishes).
+    Every monomial is ordered here: products and normal forms
+    (``_mul_monomials``), the document reader, the superderivation and the
+    scan's closing covector (``times_generator_into``).  Returns the
+    canonical monomial and the number of odd generators gen passes on the
+    way to its place, so the reordering sign is (-1)^{|gen| * count}; an odd
+    gen comes with exp 1.  An even gen already present gets its exponent
+    raised by exp; an odd one gives ``(None, 0)`` (its square vanishes).
     """
     pos, crossed = lo, 0
     for g, _ in mono[lo:]:
@@ -445,8 +428,8 @@ def insert_generator(mono: Monomial, gen: Generator, lo: int = 0) -> Tuple[Optio
     if pos < len(mono) and mono[pos][0] == gen:
         if parity(gen):
             return None, 0
-        return mono[:pos] + ((gen, mono[pos][1] + 1),) + mono[pos + 1:], crossed
-    return mono[:pos] + ((gen, 1),) + mono[pos:], crossed
+        return mono[:pos] + ((gen, mono[pos][1] + exp),) + mono[pos + 1:], crossed
+    return mono[:pos] + ((gen, exp),) + mono[pos:], crossed
 
 
 def times_generator_into(acc: Dict[Monomial, Coeff], terms: Mapping[Monomial, Coeff],

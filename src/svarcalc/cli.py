@@ -53,7 +53,8 @@ MAX_WINDOW = 32
 
 def _require_kind(doc: InputDocument, kind: str, path: str) -> None:
     if doc.kind != kind:
-        raise DocumentError("kind", f"{path}: expected a {kind} document, got {doc.kind}")
+        article = "an" if kind[0] in "aeiou" else "a"
+        raise DocumentError("kind", f"{path}: expected {article} {kind} document, got {doc.kind}")
 
 
 def _verdict(check: str, witnesses: list, configuration: dict) -> Report:

@@ -40,10 +40,10 @@ from .algebra import (
     Generator,
     Monomial,
     SuperPolynomial,
+    _exact,
+    _mul_monomials,
     covector,
     field,
-    mul_into,
-    parity,
 )
 from .modes import LinearOperatorData
 from .operators import MatrixDiffOperator, ScalarDiffOperator
@@ -242,7 +242,7 @@ def _polynomial_in(data, dim: int, where: Tuple) -> SuperPolynomial:
         mono = term.get("monomial", [])
         if not isinstance(mono, list):
             raise DocumentError(_location((*where, t, ".monomial")), "expected a list of factors")
-        product = SuperPolynomial.one()
+        factors = []
         for f_idx, factor in enumerate(mono):
             if not (isinstance(factor, list) and len(factor) == 2):
                 raise DocumentError(_location((*where, t, ".monomial", f_idx)),
@@ -252,11 +252,17 @@ def _polynomial_in(data, dim: int, where: Tuple) -> SuperPolynomial:
             if not (_is_int(exp) and exp >= 1):
                 raise DocumentError(_location((*where, t, ".monomial", f_idx, 1)),
                                     "exponent must be an integer >= 1")
-            # One factor gen^exp, so the cost does not grow with exp; the
-            # square of an odd generator vanishes.
-            product = product * SuperPolynomial(
-                {((gen, exp),): 1} if exp == 1 or not parity(gen) else {})
-        mul_into(acc, SuperPolynomial.scalar(coeff), product)
+            factors.append((gen, exp))
+        # One insertion per factor gen^exp, so the cost does not grow with
+        # exp; the square of an odd generator gives sign 0.
+        mono, sign = _mul_monomials(factors, ())
+        c = sign * _exact(coeff)
+        if c:
+            c += acc.get(mono, 0)
+            if c:
+                acc[mono] = c
+            else:
+                del acc[mono]
     return SuperPolynomial(acc)
 
 

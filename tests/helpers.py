@@ -101,6 +101,43 @@ def partial_by_scan(u: SuperPolynomial, gen) -> SuperPolynomial:
     return SuperPolynomial({m: c for m, c in acc.items() if c})
 
 
+def merge_monomials(m1, m2):
+    """Oracle for the monomial product: merge two canonical monomials as two
+    sorted lists.  An odd generator of m2 that is placed before position i of
+    m1 crosses the odd generators of m1[i:], counted once in a suffix table."""
+    if not m1:
+        return m2, 1
+    if not m2:
+        return m1, 1
+    n1 = len(m1)
+    odd_suffix = [0] * (n1 + 1)
+    for i in range(n1 - 1, -1, -1):
+        odd_suffix[i] = odd_suffix[i + 1] + (parity(m1[i][0]) if m1[i][1] & 1 else 0)
+    out = []
+    sign = 1
+    i = j = 0
+    while i < n1 and j < len(m2):
+        g1, e1 = m1[i]
+        g2, e2 = m2[j]
+        if g1 < g2:
+            out.append((g1, e1))
+            i += 1
+        elif g1 == g2:
+            if parity(g1):
+                return None, 0
+            out.append((g1, e1 + e2))
+            i += 1
+            j += 1
+        else:
+            if parity(g2) and odd_suffix[i] & 1:
+                sign = -sign
+            out.append((g2, e2))
+            j += 1
+    out.extend(m1[i:])
+    out.extend(m2[j:])
+    return tuple(out), sign
+
+
 def random_homogeneous(rng: random.Random, pool, parity: int,
                        tries: int = 60) -> SuperPolynomial:
     for _ in range(tries):

@@ -15,10 +15,19 @@ from svarcalc import (
     parity,
     partial_derive,
 )
-from svarcalc.algebra import _exact, times_generator_into, tower_partials
+from svarcalc.algebra import _exact, _mul_monomials, mul_into, times_generator_into, tower_partials
 from svarcalc.modes import CENTRAL, NUM, FormalDistribution, phi_symbol
 from svarcalc.operators import ScalarDiffOperator
-from helpers import KERNEL_POOL, field_pool, kernel_poly, mixed_pool, partial_by_scan, random_poly
+from helpers import (
+    KERNEL_COEFFS,
+    KERNEL_POOL,
+    field_pool,
+    kernel_poly,
+    merge_monomials,
+    mixed_pool,
+    partial_by_scan,
+    random_poly,
+)
 
 ONE = SuperPolynomial.one()
 
@@ -159,6 +168,76 @@ class TestAlgebraKernelOracle:
                 acc = dict(product.terms())
                 times_generator_into(acc, u.terms(), gen, -1)
                 assert acc == {}
+
+
+# Fields of twelve families and covectors of every slot, two families and
+# both base parities: enough distinct generators for monomials of 60.
+PRODUCT_POOL = (field_pool(12, 4)
+                + [covector(s, f, k, bp) for s in (1, 2, 3) for f in range(2)
+                   for k in range(3) for bp in (0, 1)])
+
+
+def canonical_monomial(rng, pool, length):
+    """A sorted monomial of ``length`` distinct generators of ``pool``; even
+    generators carry exponents up to 3."""
+    gens = sorted(rng.sample(pool, length))
+    return tuple((g, rng.randint(1, 3) if not parity(g) else 1) for g in gens)
+
+
+def product_pair(rng):
+    """Two canonical monomials: short ones from a few generators, so that
+    even repeats and odd collisions are common, or long ones of 20 to 60
+    whose odd generators are mostly kept apart, so that the product is
+    usually nonzero."""
+    if rng.random() < 0.85:
+        pool = rng.sample(PRODUCT_POOL, 10)
+        return (canonical_monomial(rng, pool, rng.randint(0, 8)),
+                canonical_monomial(rng, pool, rng.randint(0, 8)))
+    m1 = canonical_monomial(rng, PRODUCT_POOL, rng.randint(20, 60))
+    taken = {g for g, _ in m1 if parity(g)} if rng.random() < 0.8 else set()
+    pool = [g for g in PRODUCT_POOL if g not in taken]
+    return m1, canonical_monomial(rng, pool, rng.randint(20, min(60, len(pool))))
+
+
+class TestProductOracle:
+    """The monomial product as insertions, against a merge of the two sorted
+    monomials (``merge_monomials``)."""
+
+    def test_monomial_products_match_merge(self, seed):
+        rng = random.Random(seed)
+        seen = {"empty": 0, "vanishing": 0, "negative": 0, "even repeat": 0, "long": 0}
+        for _ in range(3000):
+            m1, m2 = product_pair(rng)
+            want = merge_monomials(m1, m2)
+            assert _mul_monomials(m1, m2) == want
+            seen["empty"] += not (m1 and m2)
+            seen["vanishing"] += want[1] == 0
+            seen["negative"] += want[1] < 0
+            seen["long"] += len(m1) >= 20 and want[1] != 0
+            seen["even repeat"] += bool({g for g, _ in m1 if not parity(g)}
+                                        & {g for g, _ in m2}) and want[1] != 0
+        assert min(seen.values()) >= 50, seen
+
+    def test_polynomial_products_match_merge(self, seed):
+        rng = random.Random(seed + 1)
+        for _ in range(300):
+            pairs = [product_pair(rng) for _ in range(rng.randint(1, 4))]
+            u = SuperPolynomial({m1: rng.choice(KERNEL_COEFFS) for m1, _ in pairs})
+            v = SuperPolynomial({m2: rng.choice(KERNEL_COEFFS) for _, m2 in pairs})
+            want = {}
+            for m1, c1 in u.terms().items():
+                for m2, c2 in v.terms().items():
+                    mono, sign = merge_monomials(m1, m2)
+                    if sign:
+                        want[mono] = want.get(mono, 0) + (c1 * c2 if sign > 0 else -c1 * c2)
+            want = {m: c for m, c in want.items() if c}
+            acc = {}
+            mul_into(acc, u, v)
+            product = (u * v).terms()
+            assert acc == product == want
+            types = {m: type(c) for m, c in want.items()}
+            assert {m: type(c) for m, c in acc.items()} == types
+            assert {m: type(c) for m, c in product.items()} == types
 
 
 class TestExactCoefficients:

@@ -101,7 +101,17 @@ class TestExitCodes:
         assert "verdict: error" in out and "nested too deeply" in out
 
     def test_wrong_kind_is_error(self, docs, capsys):
-        assert main(["check-hamiltonian", docs["nx2.alg.json"]]) == 2
+        cases = (
+            (["check-hamiltonian", docs["nx2.alg.json"]], "an operator", "algebra"),
+            (["check-algebra", "--class", "novikov", docs["d5.op.json"]], "an algebra", "operator"),
+            (["induce", "--window", "2", docs["d5.op.json"]], "a linear_operator", "operator"),
+            (["evolution", docs["d5.op.json"], "--density", docs["d5.op.json"]], "a density",
+             "operator"),
+        )
+        for argv, expected, got in cases:
+            assert main(argv) == 2
+            path = argv[-1]
+            assert f"{path}: expected {expected} document, got {got}" in capsys.readouterr().out
 
     def test_boolean_power_is_error(self, docs, tmp_path, capsys):
         doc = json.loads(Path(docs["d5.op.json"]).read_text())

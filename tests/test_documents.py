@@ -18,6 +18,7 @@ from svarcalc import (
     make_exterior_example,
     make_truncated_example,
     np_to_nx,
+    parity,
     virasoro_operator_data,
     build_type0_operator,
     build_type1_operator,
@@ -130,6 +131,29 @@ class TestRoundTrip:
         assert time.perf_counter() - start < 0.1
         assert power.terms() == {((field(0, 2), 10 ** 9),): 1}
         assert square.is_zero()
+
+    def test_long_monomials_parse_in_one_pass(self):
+        # 2000 distinct field generators, 1000 of them odd, in ascending and
+        # descending order, then with an odd generator repeated at both ends.
+        # Even ones carry exponents up to 3, so the expansion has 4000 factors.
+        gens = [field(f // 2, 1 + f % 2) for f in range(2000)]
+        factors = [(g, 1 if parity(g) else 1 + g[1] % 3) for g in gens]
+        cases = (factors, factors[::-1], [(gens[2], 1)] + factors[::-1] + [(gens[2], 1)])
+        for listed in cases:
+            doc = {"format": "svarcalc/1", "kind": "density", "dimension": 1000,
+                   "polynomial": [{"coeff": "-3/2", "monomial": [
+                       [_generator_out(g), exp] for g, exp in listed]}]}
+            start = time.perf_counter()
+            _, poly = parse_document_data(doc).payload
+            assert time.perf_counter() - start < 1
+            expanded = [g for g, exp in listed for _ in range(exp)]
+            assert poly == SuperPolynomial.from_terms([(expanded, Fraction(-3, 2))])
+            if len(listed) > len(gens):
+                assert poly.is_zero()
+            else:
+                # Reversing 1000 odd generators makes 1000 * 999 / 2
+                # transpositions, an even number.
+                assert poly.terms() == {tuple(sorted(factors)): Fraction(-3, 2)}
 
 
 def _operator_doc(**entry):
