@@ -294,8 +294,10 @@ def induce_bracket(data: LinearOperatorData, window: int) -> ModeBracketTable:
         sum_t sum_g T_t[a][b][g] kappa_t(k1, k2) phi_g(k1 + k2)
             + constant[a][b] kappa_c(k1, k2) c.
 
-    No distribution is formed and every coefficient is exact.  The realized
-    operator must be super skew-symmetric.
+    Per block and column g the kernels of the terms with T_t[a][b][g] != 0
+    are added in term order into one kernel, whose nonzero values are the
+    phi_g coefficients.  No distribution is formed and every coefficient is
+    exact.  The realized operator must be super skew-symmetric.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -303,38 +305,26 @@ def induce_bracket(data: LinearOperatorData, window: int) -> ModeBracketTable:
     if not ok:
         raise ValueError(f"realized operator is not super skew-symmetric: {witness}")
     n, d = data.top_order, data.dim
-    terms = data.terms()
-    tables = [table for _, _, table in terms]
-    kernels = [_kernel(power, derivs, n, window) for power, derivs, _ in terms]
-    if data.constant is not None:
-        kernels.append(_kernel(2 * n + 3, None, n, window))
-    # held[pair]: (term, kernel value) of every term whose kernel holds the pair.
-    held: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    for t, kernel in enumerate(kernels):
-        for pair, c in kernel.items():
-            held.setdefault(pair, []).append((t, c))
-    # blocks: (a, b, cols) of every entry with a nonzero constant, cols[t]
-    # the (column, constant) pairs of term t; column d names the central symbol.
-    blocks = []
-    for a, b in product(range(d), repeat=2):
-        cols = [[(g, scale) for g, scale in enumerate(table[a][b]) if scale] for table in tables]
-        if data.constant is not None:
-            cols.append([(d, data.constant[a][b])] if data.constant[a][b] else [])
-        if any(cols):
-            blocks.append((a, b, cols))
+    terms = [(table, _kernel(power, derivs, n, window)) for power, derivs, table in data.terms()]
+    central = _kernel(2 * n + 3, None, n, window) if data.constant is not None else {}
+    low = -4 * window  # syms[g][K - low] is the symbol phi_g(K) of a mode sum K
+    syms = [[phi_symbol(g, K) for K in range(low, 1 - low)] for g in range(d)]
     entries: Dict[Tuple[ModeKey, ModeKey], Combo] = {}
-    for (k1, k2), kterms in held.items():
-        syms = [phi_symbol(g, k1 + k2) for g in range(d)] + [CENTRAL]
-        for a, b, cols in blocks:
-            combo: Combo = {}
-            for t, c in kterms:
-                for g, scale in cols[t]:
-                    sym = syms[g]
-                    combo[sym] = combo.get(sym, _ZERO) + scale * c
-            if not all(combo.values()):
-                combo = {s: c for s, c in combo.items() if c}
-            if combo:
-                entries[((a, k1), (b, k2))] = combo
+    for a, b in product(range(d), repeat=2):
+        for g, row in enumerate(syms):
+            # The combined kernel of column g, its terms added in order.
+            kernel: Dict[Tuple[int, int], Coeff] = {}
+            for table, term in terms:
+                scale = table[a][b][g]
+                if scale:
+                    for pair, c in term.items():
+                        kernel[pair] = kernel.get(pair, _ZERO) + scale * c
+            for (k1, k2), c in kernel.items():
+                if c:
+                    entries.setdefault(((a, k1), (b, k2)), {})[row[k1 + k2 - low]] = c
+        if central and data.constant[a][b]:
+            for (k1, k2), c in central.items():
+                entries.setdefault(((a, k1), (b, k2)), {})[CENTRAL] = data.constant[a][b] * c
     return ModeBracketTable(dim=d, window=window, entries=entries)
 
 
@@ -436,7 +426,7 @@ def check_super_skew(table: ModeBracketTable):
     position = {key: n for n, key in enumerate(table.mode_keys())}
     entries = table.entries
     first = None  # (positions, pair) of the least failing pair so far
-    for x, y in entries:
+    for (x, y), combo in entries.items():
         px, py = position.get(x), position.get(y)
         if px is None or py is None:
             continue
@@ -444,20 +434,26 @@ def check_super_skew(table: ModeBracketTable):
             if (y, x) in entries:
                 continue  # decided from its own entry
             x, y, px, py = y, x, py, px
+            ordered, other = {}, combo
+        else:
+            ordered, other = combo, entries.get((y, x), {})
         if first is not None and (px, py) >= first[0]:
             continue
-        sign = -1 if (mode_parity(x) & mode_parity(y)) else 1
-        residue = dict(entries.get((x, y), {}))
-        for sym, coeff in entries.get((y, x), {}).items():
-            c = residue.get(sym, _ZERO) + (coeff if sign > 0 else -coeff)
-            if c:
-                residue[sym] = c
-            elif sym in residue:
-                del residue[sym]
-        # [x, y] + (-1)^{xy} [y, x] must vanish
-        if residue:
+        if _skew_residue(ordered, other.items(), mode_parity(x) & mode_parity(y)):
             first = ((px, py), (x, y))
     return (True, None) if first is None else (False, first[1])
+
+
+def _skew_residue(ordered, other, odd: int) -> bool:
+    """Whether [x, y] + (-1)^{xy} [y, x], ``odd`` = |x| |y|, leaves a residue,
+    from the key-ordered [x, y] (a dict or its items) and the items of [y, x]:
+    a stored coefficient 0 counts in [x, y] unless [y, x] cancels it."""
+    residue = dict(ordered)
+    for sym, coeff in other:
+        c = residue.pop(sym, _ZERO) + (-coeff if odd else coeff)
+        if c:
+            residue[sym] = c
+    return bool(residue)
 
 
 def check_super_jacobi(table: ModeBracketTable):
@@ -491,7 +487,8 @@ def check_super_jacobi(table: ModeBracketTable):
     pairs of interior modes.  Admissibility is decided on the inner pairs,
     and a swap reverses them: the skew check lets [b, a] store a symbol with
     coefficient 0 that [a, b] lacks, so the symmetry of admissible pairs is
-    decided as well.  The set of failing triples is then closed under S3.
+    decided as well, both on the position arrays (``_swappable``).  The set
+    of failing triples is then closed under S3.
     The lexicographically least permutation of a triple is its sorted order,
     so the first failing triple is sorted, and the witness is unchanged.
     Otherwise the rotation sweep runs.
@@ -535,9 +532,7 @@ def check_super_jacobi(table: ModeBracketTable):
                     break
                 terms.append((p, c))
             inner[s][j] = terms if terms is None else tuple(terms)
-    swaps = check_super_skew(table)[0] and all(
-        (inner[i][j] is None) == (inner[j][i] is None)
-        for i in range(count) for j in range(i + 1, count))
+    swaps = _swappable(value, inner, parity)
 
     for i in range(count):
         px, inner_i = parity[i], inner[i]
@@ -572,6 +567,17 @@ def check_super_jacobi(table: ModeBracketTable):
                 if any(total.values()):
                     return False, (keys[i], keys[j], keys[k])
     return True, None
+
+
+def _swappable(value, inner, parity) -> bool:
+    """The gate of the sorted sweep, on ``check_super_jacobi``'s arrays: the
+    table is super skew-symmetric (by the rule of ``check_super_skew``) and
+    its admissible interior pairs are symmetric, decided on the pairs i <= j."""
+    return not any(
+        (value[i][j] or value[j][i])
+        and (_skew_residue(value[i][j], value[j][i], parity[i] & parity[j])
+             or (inner[i][j] is None) != (inner[j][i] is None))
+        for i in range(len(parity)) for j in range(i, len(parity)))
 
 
 def render_mode(key: ModeKey) -> str:

@@ -132,12 +132,6 @@ def compose_D_left(op: ScalarDiffOperator) -> ScalarDiffOperator:
     return out
 
 
-def compose_D_power_left(op: ScalarDiffOperator, times: int) -> ScalarDiffOperator:
-    for _ in range(times):
-        op = compose_D_left(op)
-    return op
-
-
 class MatrixDiffOperator:
     """Type-graded matrix of scalar operators.
 
@@ -218,19 +212,39 @@ def iter_skew_failures(op: MatrixDiffOperator):
     is the canonical rendering of the coefficient mismatch at that power.
     Only the stored (row, col) pairs and their transposes are visited, in
     row-major order: at every other pair both sides of both conditions are 0.
+    D^l o c_l is normal-ordered from one D tower of c_l by ``_leibniz_row``.
     """
     iota = op.type_parity
     for row, col in sorted({pair for _, row, col in op.blocks() for pair in ((row, col), (col, row))}):
         entry = op.entry(0, row, col)
-        lhs = ScalarDiffOperator.zero()
+        terms: Dict[int, SuperPolynomial] = {}
         for power, coeff in entry.entries().items():
             sign = -1 if ((2 * iota + power) * (power - 1) // 2) & 1 else 1
-            lhs = lhs + compose_D_power_left(ScalarDiffOperator.single(coeff, 0), power).scaled(sign)
+            derivs = [coeff]
+            for _ in range(power):
+                derivs.append(superderive(derivs[-1]))
+            for q, a in enumerate(_leibniz_row(power, (iota + power) & 1)):
+                term = derivs[power - q].scaled(sign * a)
+                terms[q] = terms[q] + term if q in terms else term
+        lhs = ScalarDiffOperator(terms)
         for condition, diff in (("transpose", lhs - op.entry(0, col, row)),
                                 ("block", entry - op.entry(1, row, col).scaled(1 if iota else -1))):
             if diff:
                 power = min(diff.entries())
                 yield (condition, row, col, power, str(diff.entries()[power]))
+
+
+def _leibniz_row(power: int, parity: int) -> List[int]:
+    """a(power, q), q = 0 .. power, in D^power o u = sum_q a(power, q) D^(power - q)(u) D^q
+    for u of the given parity: D o v = D(v) + (-1)^|v| v D at v = D^(p - q)(u) gives
+    a(p + 1, q) += a(p, q) and a(p + 1, q + 1) += (-1)^(|u| + p - q) a(p, q)."""
+    row = [1]
+    for p in range(power):
+        nxt = row + [0]
+        for q, a in enumerate(row):
+            nxt[q + 1] += -a if (parity + p - q) & 1 else a
+        row = nxt
+    return row
 
 
 def check_skew_symmetry(op: MatrixDiffOperator):

@@ -37,7 +37,7 @@ from svarcalc.modes import (
 )
 from svarcalc.operators import (
     _field_families,
-    compose_D_power_left,
+    compose_D_left,
     iter_closedness_failures,
     iter_schouten_failures,
 )
@@ -243,6 +243,14 @@ def rotation_listing(scan):
     return sorted(listed)
 
 
+def compose_D_power_left(op, times: int):
+    """D^times o op, normal-ordered by ``times`` applications of
+    ``compose_D_left``."""
+    for _ in range(times):
+        op = compose_D_left(op)
+    return op
+
+
 def skew_transpose(scalar, iota):
     """The entry that super skew-symmetry asks for at the mirrored position of
     ``scalar``: sum_l (-1)^{(2 iota + l)(l-1)/2} D^l o c_l, normal-ordered."""
@@ -253,9 +261,10 @@ def skew_transpose(scalar, iota):
     return out
 
 
-def random_skew_operator(rng: random.Random) -> MatrixDiffOperator:
+def random_skew_operator(rng: random.Random, powers: int = 4) -> MatrixDiffOperator:
     """A seeded super skew-symmetric operator of dimension 1 to 3 and either
-    type, with coefficients of up to four field factors.
+    type, with coefficients of up to four field factors at D powers below
+    ``powers``.
 
     Each drawn entry A of block 0 gets its skew transpose at the mirrored
     position (a diagonal entry becomes A plus its transpose, which the
@@ -267,7 +276,7 @@ def random_skew_operator(rng: random.Random) -> MatrixDiffOperator:
     for _ in range(rng.randint(1, 3)):
         row, col = rng.randrange(dim), rng.randrange(dim)
         scalar = ScalarDiffOperator({power: random_homogeneous(rng, pool, (iota + power) & 1)
-                                     for power in rng.sample(range(4), rng.randint(1, 2))})
+                                     for power in rng.sample(range(powers), rng.randint(1, 2))})
         if row == col:
             scalar = scalar + skew_transpose(scalar, iota)
         for r, c, entry in ((row, col, scalar), (col, row, skew_transpose(scalar, iota))):

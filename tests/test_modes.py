@@ -21,6 +21,7 @@ from svarcalc import (
     super_virasoro_table,
     virasoro_operator_data,
 )
+from svarcalc import modes
 from svarcalc.modes import (
     NUM,
     _kernel,
@@ -599,6 +600,26 @@ class TestKernelOracle:
                     assert typed(induce_bracket(source, window).entries) == \
                         typed(induce_by_products(source, window, guard))
 
+    def test_cancelling_terms_leave_no_zero_coefficient(self):
+        # One-family skew data at top order 1 where D-power terms cancel at
+        # some pairs and the central term alone survives at some entries.
+        cancelled = central_only = 0
+        for even, odd, constant in (((-1, -2), (0,), 1), ((0, F(1, 2)), (F(-1, 2),), F(3, 2)),
+                                    ((F(-1, 2), -1), (0,), F(1, 3))):
+            data = one_family(1, even, odd, constant)
+            for window in (2, 3):
+                kernels = [(table[0][0][0], _kernel(power, derivs, 1, window))
+                           for power, derivs, table in data.terms()]
+                for pair in set().union(*(kernel for _, kernel in kernels)):
+                    parts = [scale * kernel[pair] for scale, kernel in kernels
+                             if scale and pair in kernel]
+                    cancelled += len(parts) > 1 and sum(parts) == 0
+                entries = induce_bracket(data, window).entries
+                assert all(combo and all(combo.values()) for combo in entries.values())
+                central_only += sum(list(combo) == [CENTRAL] for combo in entries.values())
+                assert typed(entries) == typed(induce_by_products(data, window, window + 7))
+        assert cancelled > 100 and central_only > 12
+
 
 # One-family skew tables above top order 1, found by a search over entries in
 # [-2, 2]: (even tables | odd tables | constant).
@@ -728,6 +749,67 @@ class TestSwapLemma:
                 admissible += s is not None
                 nonzero += bool(s)
         assert admissible > 2000 and nonzero > 25
+
+    @staticmethod
+    def gate(table, monkeypatch):
+        """``check_super_jacobi(table)`` and the value of its sorted-sweep gate."""
+        seen = []
+        real = modes._swappable
+        monkeypatch.setattr(modes, "_swappable", lambda *args: seen.append(real(*args)) or seen[-1])
+        result = check_super_jacobi(table)
+        monkeypatch.undo()
+        return result, seen[0]
+
+    @staticmethod
+    def symmetric_admissibility(table):
+        """Whether [x, y] and [y, x] leave the window together: a pair is
+        admissible when its bracket stores no mode symbol outside it, with any
+        coefficient."""
+        bound = 2 * table.window
+        keys = table.mode_keys()
+        admissible = lambda x, y: all(s == CENTRAL or abs(s[2]) <= bound for s in table.bracket(x, y))
+        return all(admissible(x, y) == admissible(y, x) for x in keys for y in keys)
+
+    def gate_cases(self, rng):
+        """Closed-form tables with one change: a stored zero on either side of
+        a pair, a nonzero or zero even diagonal entry, an odd diagonal entry,
+        and a symbol outside the window on one side of a pair."""
+        for families, window in ((1, 2), (2, 1)):
+            base = super_virasoro_table(families, window)
+            keys = base.mode_keys()
+            outside = phi_symbol(rng.randrange(families), rng.choice((-1, 1)) * (2 * window + 2))
+            for _ in range(3):
+                x, y = sorted(rng.sample(keys, 2))
+                held = set(base.bracket(x, y)) | set(base.bracket(y, x))
+                inside = rng.choice([phi_symbol(*key) for key in keys if phi_symbol(*key) not in held])
+                even = rng.choice([key for key in keys if key[1] % 2 == 0])
+                odd = rng.choice([key for key in keys if key[1] % 2])
+                for key, sym, coeff in (((x, y), inside, 0), ((y, x), inside, 0),
+                                        ((even, even), inside, 1), ((even, even), inside, 0),
+                                        ((odd, odd), inside, 1), ((x, y), outside, 0),
+                                        ((y, x), outside, 0), ((y, x), outside, 1)):
+                    entries = {k: dict(v) for k, v in base.entries.items()}
+                    combo = entries.setdefault(key, {})
+                    combo[sym] = combo.get(sym, 0) + coeff
+                    yield ModeBracketTable(dim=families, window=window, entries=entries)
+
+    def test_gate_is_skew_and_symmetric_admissibility(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        seen = set()
+        for table in self.gate_cases(rng):
+            skew, symmetric = check_super_skew(table)[0], self.symmetric_admissibility(table)
+            result, gate = self.gate(table, monkeypatch)
+            assert gate == (skew and symmetric)
+            assert result == full_jacobi_sweep(table)
+            seen.add((skew, symmetric, result[0]))
+        assert {(True, True), (True, False), (False, True)} <= {case[:2] for case in seen}
+        assert {(True, True, False), (False, True, False)} <= seen
+        for families in (1, 2, 3):
+            for window in (2, 3):
+                for mirrored in (False, True):
+                    table = perturbed_table(rng, families, window, mirrored)
+                    gate = self.gate(table, monkeypatch)[1]
+                    assert gate == (check_super_skew(table)[0] and self.symmetric_admissibility(table))
 
     def test_non_skew_table_takes_the_rotation_sweep(self):
         # [x, y] = phi(0) and [phi(0), z] = c with no reverse brackets: only

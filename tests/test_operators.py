@@ -11,9 +11,9 @@ import pytest
 
 from svarcalc import cli, operators
 from svarcalc.algebra import COVECTOR_SLOTS, FIELD_KIND, base_of, times_generator_into
-from svarcalc.calculus import non_membership_certificate, variational_derivative
+from svarcalc.calculus import non_membership_certificate, superderive_n, variational_derivative
 from svarcalc.documents import InputDocument, parse_document, render_document
-from svarcalc.operators import iter_schouten_failures, iter_skew_failures
+from svarcalc.operators import _leibniz_row, iter_schouten_failures, iter_skew_failures
 from svarcalc.suite import constant_type1, hand_checked_mutation, twisted_type0
 from svarcalc import (
     AlgebraSpec,
@@ -46,6 +46,7 @@ from svarcalc import (
 )
 from helpers import (
     bumped,
+    compose_D_power_left,
     dense_apply,
     dense_frechet,
     dense_skew_failures,
@@ -199,6 +200,49 @@ def _relabel(entry, perm):
             terms.append((gens, c))
         out[power] = SuperPolynomial.from_terms(terms)
     return ScalarDiffOperator(out)
+
+
+class TestSkewOracle:
+    """``iter_skew_failures`` normal-orders D^l o c_l with one Leibniz table
+    (``_leibniz_row``); the oracle composes D on the left l times
+    (``skew_transpose`` through ``compose_D_power_left``)."""
+
+    def operators(self, seed):
+        """Seeded skew operators with D powers up to 7 over fields of orders
+        1 to 3 (both parities), each followed by a copy with one coefficient
+        of one stored entry changed."""
+        rng = random.Random(seed)
+        ops = []
+        for _ in range(30):
+            op = random_skew_operator(rng, powers=8)
+            blocks = dict(op.blocks())
+            key, power = rng.choice(sorted(blocks) or [(0, 0, 0)]), rng.randrange(8)
+            bump = random_homogeneous(rng, field_pool(op.dim, 3), (op.type_parity + power) & 1)
+            blocks[key] = blocks.get(key, ScalarDiffOperator.zero()) + ScalarDiffOperator({power: bump})
+            ops += [op, MatrixDiffOperator(op.type_parity, op.dim, blocks)]
+        return ops
+
+    def test_failures_match_the_composition_oracle(self, seed):
+        failing = high = 0
+        for n, op in enumerate(self.operators(seed)):
+            failures = list(iter_skew_failures(op))
+            assert failures == list(dense_skew_failures(op))
+            assert n % 2 or not failures  # the unchanged operators are skew
+            failing += bool(failures)
+            high += any(power >= 6 for entry in op.blocks().values() for power in entry.entries())
+        assert failing >= 20 and high >= 10
+
+    def test_leibniz_table_matches_repeated_composition(self, seed):
+        rng = random.Random(seed)
+        for parity in (0, 1):
+            u = random_homogeneous(rng, field_pool(2, 3), parity)
+            assert u and u.has_parity(parity)
+            for power in range(9):
+                row = _leibniz_row(power, parity)
+                table = ScalarDiffOperator({q: superderive_n(u, power - q).scaled(a)
+                                            for q, a in enumerate(row)})
+                assert table == compose_D_power_left(ScalarDiffOperator.single(u, 0), power)
+                assert len(row) == power + 1 and row[0] == 1
 
 
 class TestApplyOperator:
