@@ -261,8 +261,9 @@ class ModeBracketTable:
 
     ``entries`` maps ordered mode pairs ((family, doubled), (family, doubled))
     with |doubled| <= 2*window to the bracket value, a combination of phi
-    symbols and the central symbol.  Pairs with zero bracket are omitted.
-    The central element is implicit: its brackets with everything vanish.
+    symbols and the central symbol.  Pairs with zero bracket are omitted,
+    and the checks read a stored coefficient 0 as no term.  The central
+    element is implicit: its brackets with everything vanish.
     """
 
     dim: int
@@ -419,9 +420,9 @@ def check_super_skew(table: ModeBracketTable):
 
     The witness is the first failing pair (x, y) of ``mode_keys()`` squared
     in row-major order.  A pair with neither bracket stored passes, and
-    (x, y) fails exactly when (y, x) does, so only the pairs with a stored
-    entry are decided, each as its key-ordered member: the first failure in
-    row-major order is such a member, the least one by key position.
+    (x, y) fails exactly when (y, x) does, so each pair with a stored entry
+    is decided once, from either entry, and the least failing pair by key
+    position is the first failure in row-major order.
     """
     position = {key: n for n, key in enumerate(table.mode_keys())}
     entries = table.entries
@@ -430,30 +431,26 @@ def check_super_skew(table: ModeBracketTable):
         px, py = position.get(x), position.get(y)
         if px is None or py is None:
             continue
+        other = entries.get((y, x))
         if px > py:
-            if (y, x) in entries:
-                continue  # decided from its own entry
+            if other is not None:
+                continue  # decided from the reverse entry
             x, y, px, py = y, x, py, px
-            ordered, other = {}, combo
-        else:
-            ordered, other = combo, entries.get((y, x), {})
-        if first is not None and (px, py) >= first[0]:
-            continue
-        if _skew_residue(ordered, other.items(), mode_parity(x) & mode_parity(y)):
+        if (first is None or (px, py) < first[0]) and _skew_residue(
+                combo, other.items() if other else (), mode_parity(x) & mode_parity(y)):
             first = ((px, py), (x, y))
     return (True, None) if first is None else (False, first[1])
 
 
-def _skew_residue(ordered, other, odd: int) -> bool:
-    """Whether [x, y] + (-1)^{xy} [y, x], ``odd`` = |x| |y|, leaves a residue,
-    from the key-ordered [x, y] (a dict or its items) and the items of [y, x]:
-    a stored coefficient 0 counts in [x, y] unless [y, x] cancels it."""
-    residue = dict(ordered)
-    for sym, coeff in other:
-        c = residue.pop(sym, _ZERO) + (-coeff if odd else coeff)
-        if c:
-            residue[sym] = c
-    return bool(residue)
+def _skew_residue(left, right, odd: int) -> bool:
+    """Whether [x, y] + (-1)^{xy} [y, x], ``odd`` = |x| |y|, has a nonzero
+    coefficient, from one bracket (a dict or its items) and the items of the
+    other, in either order."""
+    rest = dict(left)
+    for sym, coeff in right:
+        if rest.pop(sym, _ZERO) != (coeff if odd else -coeff):
+            return True
+    return any(rest.values())
 
 
 def check_super_jacobi(table: ModeBracketTable):
@@ -478,20 +475,16 @@ def check_super_jacobi(table: ModeBracketTable):
     smallest of its rotations: the reduced sweep visits it, and visits the
     other triples in the same order, so it returns the same witness.
 
-    On a super skew-symmetric table (``check_super_skew``) whose admissible
-    pairs are symmetric, the sweep visits only the sorted triples, about a
-    sixth of them.  There [b, a] = -(-1)^{|a||b|} [a, b] on interior modes,
-    which gives S(y, x, z) = -(-1)^{px py} S(x, y, z) and
-    S(x, z, y) = -(-1)^{py pz} S(x, y, z).  A swap reuses the same outer
-    brackets [inner symbol, third mode], so it needs skew-symmetry only on
-    pairs of interior modes.  Admissibility is decided on the inner pairs,
-    and a swap reverses them: the skew check lets [b, a] store a symbol with
-    coefficient 0 that [a, b] lacks, so the symmetry of admissible pairs is
-    decided as well, both on the position arrays (``_swappable``).  The set
-    of failing triples is then closed under S3.
-    The lexicographically least permutation of a triple is its sorted order,
-    so the first failing triple is sorted, and the witness is unchanged.
-    Otherwise the rotation sweep runs.
+    On a super skew-symmetric table (``check_super_skew``, decided on the
+    position arrays by ``_swappable``) the sweep visits only the sorted
+    triples, about a sixth of them.  There [b, a] = -(-1)^{|a||b|} [a, b] on
+    interior modes, so S(y, x, z) = -(-1)^{px py} S(x, y, z) and
+    S(x, z, y) = -(-1)^{py pz} S(x, y, z): a swap reverses one inner pair,
+    which keeps its nonzero symbols and so its admissibility, and reuses the
+    outer brackets [inner symbol, third mode], so skew-symmetry is needed on
+    interior pairs only.  Failing triples are then closed under S3, and the
+    first one is sorted, its least permutation.  Otherwise the rotation
+    sweep runs.
     """
     keys = table.mode_keys()
     count = len(keys)
@@ -511,9 +504,9 @@ def check_super_jacobi(table: ModeBracketTable):
                 place[sym] = (-1 if abs(sym[2]) > bound
                               else position.setdefault((sym[1], sym[2]), len(position)))
     # value[s][w] holds the items of the entry [mode s, keys[w]]; inner[i][j]
-    # holds the terms of [keys[i], keys[j]] as (position, coeff), or None
-    # when that entry holds a mode outside the window (the pair is not
-    # admissible).
+    # holds the nonzero mode terms of [keys[i], keys[j]] as (position,
+    # coeff), or None when one of them lies outside the window (the pair is
+    # not admissible).
     value = [[()] * count for _ in range(len(position))]
     inner = [[()] * count for _ in range(count)]
     for (x, y), combo in table.entries.items():
@@ -522,17 +515,16 @@ def check_super_jacobi(table: ModeBracketTable):
             continue
         items = value[s][j] = tuple(combo.items())
         if s < count:
-            terms = []
+            terms = inner[s][j] = []
             for m, c in items:
                 p = place[m]
-                if p is None:
-                    continue
+                if p is None or not c:
+                    continue  # a stored coefficient 0 is no term
                 if p < 0:
-                    terms = None
+                    inner[s][j] = None
                     break
                 terms.append((p, c))
-            inner[s][j] = terms if terms is None else tuple(terms)
-    swaps = _swappable(value, inner, parity)
+    swaps = _swappable(value, parity)
 
     for i in range(count):
         px, inner_i = parity[i], inner[i]
@@ -569,14 +561,12 @@ def check_super_jacobi(table: ModeBracketTable):
     return True, None
 
 
-def _swappable(value, inner, parity) -> bool:
-    """The gate of the sorted sweep, on ``check_super_jacobi``'s arrays: the
-    table is super skew-symmetric (by the rule of ``check_super_skew``) and
-    its admissible interior pairs are symmetric, decided on the pairs i <= j."""
+def _swappable(value, parity) -> bool:
+    """The gate of the sorted sweep: ``check_super_skew``'s decision on
+    ``check_super_jacobi``'s arrays, over the interior pairs i <= j."""
     return not any(
         (value[i][j] or value[j][i])
-        and (_skew_residue(value[i][j], value[j][i], parity[i] & parity[j])
-             or (inner[i][j] is None) != (inner[j][i] is None))
+        and _skew_residue(value[i][j], value[j][i], parity[i] & parity[j])
         for i in range(len(parity)) for j in range(i, len(parity)))
 
 

@@ -227,9 +227,10 @@ def iter_skew_failures(op: MatrixDiffOperator):
                 term = derivs[power - q].scaled(sign * a)
                 terms[q] = terms[q] + term if q in terms else term
         lhs = ScalarDiffOperator(terms)
-        for condition, diff in (("transpose", lhs - op.entry(0, col, row)),
-                                ("block", entry - op.entry(1, row, col).scaled(1 if iota else -1))):
-            if diff:
+        for condition, left, right in (("transpose", lhs, op.entry(0, col, row)),
+                                       ("block", entry, op.entry(1, row, col).scaled(1 if iota else -1))):
+            if left != right:
+                diff = left - right
                 power = min(diff.entries())
                 yield (condition, row, col, power, str(diff.entries()[power]))
 

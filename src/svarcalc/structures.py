@@ -27,11 +27,6 @@ from .operators import MatrixDiffOperator, ScalarDiffOperator
 Vector = Tuple[Coeff, ...]
 
 
-def _sparse(table):
-    """A table's [p][q] cells as lists of their nonzero (k, coefficient) pairs."""
-    return [[[(k, c) for k, c in enumerate(cell) if c] for cell in row] for row in table]
-
-
 @dataclass
 class AlgebraSpec:
     """Structure constants of a finite-dimensional algebra.
@@ -303,13 +298,11 @@ def derived_dot_table(spec: AlgebraSpec) -> Table:
     spec.require("circ", "times")
     dim = spec.dim
     dot = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-    circ, times = _sparse(spec.circ), _sparse(spec.times)
-    for i, j in product(range(dim), repeat=2):
-        for k, c in circ[i][j]:
-            dot[i][j][k] += c
-            dot[j][i][k] += c
-        for k, c in times[i][j]:
-            dot[i][j][k] -= c
+    for i, j, k, c in _nonzero(spec, "circ"):
+        dot[i][j][k] += c
+        dot[j][i][k] += c
+    for i, j, k, c in _nonzero(spec, "times"):
+        dot[i][j][k] -= c
     return tuple(tuple(map(tuple, row)) for row in dot)
 
 
@@ -337,14 +330,12 @@ def build_type0_operator(spec: AlgebraSpec) -> MatrixDiffOperator:
     its negative.
     """
     spec.require("circ")
-    circ = _sparse(spec.circ)
+    circ = spec.circ
     blocks: Dict[Tuple[int, int, int], ScalarDiffOperator] = {}
     for p, q in product(range(spec.dim), repeat=2):
-        times: Dict[int, Coeff] = dict(circ[q][p])
-        for k, c in circ[p][q]:
-            times[k] = times.get(k, 0) - c
-        op = ScalarDiffOperator({0: _linear_coeff(circ[p][q], 2),
-                                 1: _linear_coeff(sorted(times.items()), 1)})
+        times = (b - a for a, b in zip(circ[p][q], circ[q][p]))
+        op = ScalarDiffOperator({0: _linear_coeff(enumerate(circ[p][q]), 2),
+                                 1: _linear_coeff(enumerate(times), 1)})
         if op:
             blocks[(0, p, q)] = op
             blocks[(1, p, q)] = op.scaled(-1)

@@ -294,10 +294,11 @@ class TestRendering:
 
 
 def nested_bracket(table, combo, w):
-    """[combo, w] through ``table.bracket``; None when a mode leaves the window."""
+    """[combo, w] through ``table.bracket``; None when a mode leaves the window.
+    A stored coefficient 0 is no term."""
     out = {}
     for sym, coeff in combo.items():
-        if sym == CENTRAL:
+        if sym == CENTRAL or not coeff:
             continue
         inner = table.bracket((sym[1], sym[2]), w)
         if inner is None:
@@ -760,16 +761,6 @@ class TestSwapLemma:
         monkeypatch.undo()
         return result, seen[0]
 
-    @staticmethod
-    def symmetric_admissibility(table):
-        """Whether [x, y] and [y, x] leave the window together: a pair is
-        admissible when its bracket stores no mode symbol outside it, with any
-        coefficient."""
-        bound = 2 * table.window
-        keys = table.mode_keys()
-        admissible = lambda x, y: all(s == CENTRAL or abs(s[2]) <= bound for s in table.bracket(x, y))
-        return all(admissible(x, y) == admissible(y, x) for x in keys for y in keys)
-
     def gate_cases(self, rng):
         """Closed-form tables with one change: a stored zero on either side of
         a pair, a nonzero or zero even diagonal entry, an odd diagonal entry,
@@ -793,23 +784,20 @@ class TestSwapLemma:
                     combo[sym] = combo.get(sym, 0) + coeff
                     yield ModeBracketTable(dim=families, window=window, entries=entries)
 
-    def test_gate_is_skew_and_symmetric_admissibility(self, seed, monkeypatch):
+    def test_gate_is_skew_symmetry(self, seed, monkeypatch):
         rng = random.Random(seed)
         seen = set()
         for table in self.gate_cases(rng):
-            skew, symmetric = check_super_skew(table)[0], self.symmetric_admissibility(table)
             result, gate = self.gate(table, monkeypatch)
-            assert gate == (skew and symmetric)
+            assert gate == check_super_skew(table)[0]
             assert result == full_jacobi_sweep(table)
-            seen.add((skew, symmetric, result[0]))
-        assert {(True, True), (True, False), (False, True)} <= {case[:2] for case in seen}
-        assert {(True, True, False), (False, True, False)} <= seen
+            seen.add((gate, result[0]))
+        assert {(True, True), (True, False), (False, False)} <= seen
         for families in (1, 2, 3):
             for window in (2, 3):
                 for mirrored in (False, True):
                     table = perturbed_table(rng, families, window, mirrored)
-                    gate = self.gate(table, monkeypatch)[1]
-                    assert gate == (check_super_skew(table)[0] and self.symmetric_admissibility(table))
+                    assert self.gate(table, monkeypatch)[1] == check_super_skew(table)[0]
 
     def test_non_skew_table_takes_the_rotation_sweep(self):
         # [x, y] = phi(0) and [phi(0), z] = c with no reverse brackets: only
@@ -822,19 +810,72 @@ class TestSwapLemma:
         assert sorted_jacobi_sweep(table) == (True, None)
         assert check_super_jacobi(table) == (False, (x, y, z))
 
-    def test_one_sided_zero_symbol_takes_the_rotation_sweep(self):
-        # The skew check passes, but [y, x] stores phi(3) with coefficient 0,
-        # outside window 1: every triple reading [y, x] is inadmissible while
-        # those reading [x, y] are not.  The failing rotations of (x, y, z)
-        # read [x, y]; the sorted triple (x, z, y) reads [y, x].
+
+def with_zeros(rng, table, count):
+    """``table`` with ``count`` more coefficients 0 stored at random interior
+    pairs, on interior, out-of-window and beyond-family mode symbols and the
+    central symbol."""
+    entries = {k: dict(v) for k, v in table.entries.items()}
+    keys = table.mode_keys()
+    bound = 2 * table.window
+    added = 0
+    while added < count:
+        sym = rng.choice((
+            phi_symbol(*rng.choice(keys)),
+            phi_symbol(rng.randrange(table.dim), rng.choice((-1, 1)) * rng.randint(bound + 1, bound + 4)),
+            phi_symbol(table.dim + rng.randrange(2), rng.randint(-bound, bound)),
+            CENTRAL))
+        combo = entries.setdefault((rng.choice(keys), rng.choice(keys)), {})
+        if sym not in combo:
+            combo[sym] = rng.choice((0, F(0)))
+            added += 1
+    return ModeBracketTable(dim=table.dim, window=table.window, entries=entries)
+
+
+class TestZeroRule:
+    """A stored coefficient 0 is no term: every check and oracle returns on a
+    table the (ok, witness) of its twin without the zeros."""
+
+    CHECKS = (check_super_skew, full_skew_sweep, check_super_jacobi, full_jacobi_sweep)
+
+    def assert_invariant(self, table, twin):
+        expected = [check(twin) for check in self.CHECKS]
+        assert [check(table) for check in self.CHECKS] == expected
+        assert expected[0] == expected[1] and expected[2] == expected[3]
+        return expected
+
+    def test_stored_zero_bracket_is_skew_on_either_side(self):
+        x, y = (0, -2), (0, 2)
+        for key in ((x, y), (y, x)):
+            table = ModeBracketTable(dim=1, window=1, entries={key: {phi_symbol(0, 0): 0}})
+            assert check_super_skew(table) == full_skew_sweep(table) == (True, None)
+
+    def test_out_of_window_zero_keeps_the_pair_admissible(self):
+        # [y, x] stores phi(3), outside window 1, with coefficient 0: the pair
+        # stays admissible, the table is skew, and the sorted sweep finds the
+        # first failure (x, z, y), which reads [y, x].
         x, z, y, m = (0, -2), (0, -1), (0, 2), (0, 0)
-        table = ModeBracketTable(dim=1, window=1, entries={
-            (x, y): {phi_symbol(0, 0): 1}, (y, x): {phi_symbol(0, 0): -1, phi_symbol(0, 6): 0},
-            (m, z): {CENTRAL: 1}, (z, m): {CENTRAL: -1}})
-        assert check_super_skew(table) == (True, None)
-        assert full_jacobi_sweep(table) == (False, (x, y, z))
-        assert sorted_jacobi_sweep(table) == (True, None)
-        assert check_super_jacobi(table) == (False, (x, y, z))
+        twin = {(x, y): {phi_symbol(0, 0): 1}, (y, x): {phi_symbol(0, 0): -1},
+                (m, z): {CENTRAL: 1}, (z, m): {CENTRAL: -1}}
+        entries = dict(twin)
+        entries[(y, x)] = {phi_symbol(0, 0): -1, phi_symbol(0, 6): 0}
+        expected = self.assert_invariant(ModeBracketTable(dim=1, window=1, entries=entries),
+                                         ModeBracketTable(dim=1, window=1, entries=twin))
+        assert expected[0] == (True, None) and expected[2] == (False, (x, z, y))
+
+    def test_zeros_change_no_verdict(self, seed):
+        rng = random.Random(seed)
+        outcomes = set()
+        for families, window in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            twins = [super_virasoro_table(families, window)]
+            twins += [perturbed_table(rng, families, window, mirrored)
+                      for mirrored in (False, True) for _ in range(2)]
+            for twin in twins:
+                for _ in range(3):
+                    table = with_zeros(rng, twin, rng.randint(1, 4))
+                    skew, _, jacobi, _ = self.assert_invariant(table, twin)
+                    outcomes.add((skew[0], jacobi[0]))
+        assert {(True, True), (True, False), (False, False)} <= outcomes
 
 
 class TestExactCoefficients:
