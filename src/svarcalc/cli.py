@@ -20,7 +20,7 @@ import stat
 import sys
 import time
 from itertools import islice
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .documents import DocumentError, InputDocument, parse_document, render_document
 from .modes import induce_bracket, render_table
@@ -51,10 +51,16 @@ from .suite import verify_paper_examples
 MAX_WINDOW = 32
 
 
-def _require_kind(doc: InputDocument, kind: str, path: str) -> None:
-    if doc.kind != kind:
-        article = "an" if kind[0] in "aeiou" else "a"
-        raise DocumentError("kind", f"{path}: expected {article} {kind} document, got {doc.kind}")
+def _load(kind: str, *paths: str) -> List[Tuple[object, dict]]:
+    """The payload and the input echo of the document at each path.  Every
+    path is parsed before any kind is checked, so an unreadable or malformed
+    document is reported before a document of another kind."""
+    docs = [parse_document(path) for path in paths]
+    for path, doc in zip(paths, docs):
+        if doc.kind != kind:
+            article = "an" if kind[0] in "aeiou" else "a"
+            raise DocumentError("kind", f"{path}: expected {article} {kind} document, got {doc.kind}")
+    return [(doc.payload, input_echo(path, doc)) for path, doc in zip(paths, docs)]
 
 
 def _verdict(check: str, witnesses: list, configuration: dict) -> Report:
@@ -64,26 +70,20 @@ def _verdict(check: str, witnesses: list, configuration: dict) -> Report:
 
 
 def _cmd_check_algebra(args) -> Report:
-    doc = parse_document(args.file)
-    _require_kind(doc, "algebra", args.file)
-    witnesses = list(islice(iter_axiom_failures(doc.payload, args.algebra_class),
-                            args.witness_limit))
-    return _verdict("check-algebra", witnesses,
-                    {"class": args.algebra_class, "input": input_echo(args.file, doc)})
+    [(spec, echo)] = _load("algebra", args.file)
+    witnesses = list(islice(iter_axiom_failures(spec, args.algebra_class), args.witness_limit))
+    return _verdict("check-algebra", witnesses, {"class": args.algebra_class, "input": echo})
 
 
 def _cmd_check_skew(args) -> Report:
-    doc = parse_document(args.file)
-    _require_kind(doc, "operator", args.file)
-    witnesses = list(islice(iter_skew_failures(doc.payload), args.witness_limit))
-    return _verdict("check-skew", witnesses, {"input": input_echo(args.file, doc)})
+    [(op, echo)] = _load("operator", args.file)
+    witnesses = list(islice(iter_skew_failures(op), args.witness_limit))
+    return _verdict("check-skew", witnesses, {"input": echo})
 
 
 def _cmd_check_hamiltonian(args) -> Report:
-    doc = parse_document(args.file)
-    _require_kind(doc, "operator", args.file)
-    op = doc.payload
-    config = {"input": input_echo(args.file, doc), "jobs": args.jobs}
+    [(op, echo)] = _load("operator", args.file)
+    config = {"input": echo, "jobs": args.jobs}
     if not check_skew_symmetry(op)[0]:
         skew = islice(iter_skew_failures(op), args.witness_limit)
         return _verdict("check-hamiltonian", [("skew",) + w for w in skew], config)
@@ -95,12 +95,8 @@ def _cmd_check_hamiltonian(args) -> Report:
 
 def _load_operator_pair(args) -> Tuple[MatrixDiffOperator, MatrixDiffOperator, dict]:
     """The two operators and the report configuration that echoes them."""
-    doc_a = parse_document(args.first)
-    doc_b = parse_document(args.second)
-    _require_kind(doc_a, "operator", args.first)
-    _require_kind(doc_b, "operator", args.second)
-    echo = {"first": input_echo(args.first, doc_a), "second": input_echo(args.second, doc_b)}
-    return doc_a.payload, doc_b.payload, echo
+    (op_a, first), (op_b, second) = _load("operator", args.first, args.second)
+    return op_a, op_b, {"first": first, "second": second}
 
 
 def _cmd_schouten(args) -> Report:
@@ -123,48 +119,41 @@ _BUILDERS = {
 
 
 def _cmd_build(args) -> Report:
-    doc = parse_document(args.file)
-    _require_kind(doc, "algebra", args.file)
-    operator = _BUILDERS[args.source_class](doc.payload)
+    [(spec, echo)] = _load("algebra", args.file)
+    operator = _BUILDERS[args.source_class](spec)
     rendered = render_document(InputDocument("operator", operator))
     if args.output:
         _write_in_place(args.output, rendered)
     return Report(
         check="build",
         verdict=PASS,
-        configuration={"from": args.source_class, "input": input_echo(args.file, doc),
-                       "output": args.output},
+        configuration={"from": args.source_class, "input": echo, "output": args.output},
         detail={"operator_document": rendered},
     )
 
 
 def _cmd_induce(args) -> Report:
-    doc = parse_document(args.file)
-    _require_kind(doc, "linear_operator", args.file)
-    table = induce_bracket(doc.payload, args.window)
+    [(data, echo)] = _load("linear_operator", args.file)
+    table = induce_bracket(data, args.window)
     return Report(
         check="induce",
         verdict=PASS,
-        configuration={"window": args.window, "input": input_echo(args.file, doc)},
+        configuration={"window": args.window, "input": echo},
         detail={"brackets": render_table(table)},
     )
 
 
 def _cmd_evolution(args) -> Report:
-    op_doc = parse_document(args.file)
-    _require_kind(op_doc, "operator", args.file)
-    density_doc = parse_document(args.density)
-    _require_kind(density_doc, "density", args.density)
-    dim, density = density_doc.payload
-    if dim != op_doc.payload.dim:
+    [(op, op_echo)] = _load("operator", args.file)
+    [((dim, density), density_echo)] = _load("density", args.density)
+    if dim != op.dim:
         raise DocumentError("dimension",
                             "operator and density documents disagree on the family count")
-    rhs = evolution_rhs(op_doc.payload, density)
+    rhs = evolution_rhs(op, density)
     return Report(
         check="evolution",
         verdict=PASS,
-        configuration={"operator": input_echo(args.file, op_doc),
-                       "density": input_echo(args.density, density_doc)},
+        configuration={"operator": op_echo, "density": density_echo},
         detail={"components": {str(fam): str(poly) for fam, poly in sorted(rhs.items())}},
     )
 

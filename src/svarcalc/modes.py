@@ -262,8 +262,9 @@ class ModeBracketTable:
     ``entries`` maps ordered mode pairs ((family, doubled), (family, doubled))
     with |doubled| <= 2*window to the bracket value, a combination of phi
     symbols and the central symbol.  Pairs with zero bracket are omitted,
-    and the checks read a stored coefficient 0 as no term.  The central
-    element is implicit: its brackets with everything vanish.
+    and a stored coefficient 0 is no term: the checks, ``bracket`` and the
+    rendering skip it.  The central element is implicit: its brackets with
+    everything vanish.
     """
 
     dim: int
@@ -275,7 +276,7 @@ class ModeBracketTable:
         bound = 2 * self.window
         if abs(x[1]) > bound or abs(y[1]) > bound:
             return None
-        return self.entries.get((x, y), {})
+        return {sym: c for sym, c in self.entries.get((x, y), {}).items() if c}
 
     def mode_keys(self) -> List[ModeKey]:
         bound = 2 * self.window
@@ -419,33 +420,38 @@ def check_super_skew(table: ModeBracketTable):
     """Graded skew-symmetry of the table; returns (ok, witness).
 
     The witness is the first failing pair (x, y) of ``mode_keys()`` squared
-    in row-major order.  A pair with neither bracket stored passes, and
-    (x, y) fails exactly when (y, x) does, so each pair with a stored entry
-    is decided once, from either entry, and the least failing pair by key
-    position is the first failure in row-major order.
+    in row-major order, found by ``_first_skew_pair`` on the entries indexed
+    by mode position.
     """
-    position = {key: n for n, key in enumerate(table.mode_keys())}
-    entries = table.entries
-    first = None  # (positions, pair) of the least failing pair so far
-    for (x, y), combo in entries.items():
-        px, py = position.get(x), position.get(y)
-        if px is None or py is None:
-            continue
-        other = entries.get((y, x))
-        if px > py:
-            if other is not None:
-                continue  # decided from the reverse entry
-            x, y, px, py = y, x, py, px
-        if (first is None or (px, py) < first[0]) and _skew_residue(
-                combo, other.items() if other else (), mode_parity(x) & mode_parity(y)):
-            first = ((px, py), (x, y))
-    return (True, None) if first is None else (False, first[1])
+    keys = table.mode_keys()
+    position = {key: n for n, key in enumerate(keys)}
+    value = [[()] * len(keys) for _ in keys]
+    for (x, y), combo in table.entries.items():
+        i, j = position.get(x), position.get(y)
+        if i is not None and j is not None:
+            value[i][j] = combo.items()
+    pair = _first_skew_pair(value, [mode_parity(key) for key in keys])
+    return (True, None) if pair is None else (False, (keys[pair[0]], keys[pair[1]]))
+
+
+def _first_skew_pair(value, parity) -> Optional[Tuple[int, int]]:
+    """The first interior pair (i, j), i <= j, in row-major order whose
+    brackets, the items ``value[i][j]`` and ``value[j][i]``, fail
+    ``_skew_residue``; None when every pair passes.  A pair fails exactly
+    when its mirror does, so this is also the first failing pair of the full
+    square."""
+    count = len(parity)
+    for i in range(count):
+        row, pi = value[i], parity[i]
+        for j in range(i, count):
+            if (row[j] or value[j][i]) and _skew_residue(row[j], value[j][i], pi & parity[j]):
+                return i, j
+    return None
 
 
 def _skew_residue(left, right, odd: int) -> bool:
     """Whether [x, y] + (-1)^{xy} [y, x], ``odd`` = |x| |y|, has a nonzero
-    coefficient, from one bracket (a dict or its items) and the items of the
-    other, in either order."""
+    coefficient, from the items of the two brackets in either order."""
     rest = dict(left)
     for sym, coeff in right:
         if rest.pop(sym, _ZERO) != (coeff if odd else -coeff):
@@ -475,10 +481,10 @@ def check_super_jacobi(table: ModeBracketTable):
     smallest of its rotations: the reduced sweep visits it, and visits the
     other triples in the same order, so it returns the same witness.
 
-    On a super skew-symmetric table (``check_super_skew``, decided on the
-    position arrays by ``_swappable``) the sweep visits only the sorted
-    triples, about a sixth of them.  There [b, a] = -(-1)^{|a||b|} [a, b] on
-    interior modes, so S(y, x, z) = -(-1)^{px py} S(x, y, z) and
+    On a super skew-symmetric table (``_first_skew_pair`` on the position
+    arrays) the sweep visits only the sorted triples, about a sixth of them.
+    There [b, a] = -(-1)^{|a||b|} [a, b] on interior modes, so
+    S(y, x, z) = -(-1)^{px py} S(x, y, z) and
     S(x, z, y) = -(-1)^{py pz} S(x, y, z): a swap reverses one inner pair,
     which keeps its nonzero symbols and so its admissibility, and reuses the
     outer brackets [inner symbol, third mode], so skew-symmetry is needed on
@@ -524,7 +530,7 @@ def check_super_jacobi(table: ModeBracketTable):
                     inner[s][j] = None
                     break
                 terms.append((p, c))
-    swaps = _swappable(value, parity)
+    swaps = _first_skew_pair(value, parity) is None
 
     for i in range(count):
         px, inner_i = parity[i], inner[i]
@@ -561,15 +567,6 @@ def check_super_jacobi(table: ModeBracketTable):
     return True, None
 
 
-def _swappable(value, parity) -> bool:
-    """The gate of the sorted sweep: ``check_super_skew``'s decision on
-    ``check_super_jacobi``'s arrays, over the interior pairs i <= j."""
-    return not any(
-        (value[i][j] or value[j][i])
-        and _skew_residue(value[i][j], value[j][i], parity[i] & parity[j])
-        for i in range(len(parity)) for j in range(i, len(parity)))
-
-
 def render_mode(key: ModeKey) -> str:
     fam, doubled = key
     if doubled % 2 == 0:
@@ -586,8 +583,7 @@ def render_symbol(sym: Symbol) -> str:
 
 
 def render_combo(combo: Combo) -> str:
-    if not combo:
-        return "0"
+    """The nonzero terms of ``combo`` in symbol order, or "0" when it has none."""
     parts = []
     for sym in sorted(combo):
         coeff = combo[sym]
@@ -596,17 +592,18 @@ def render_combo(combo: Combo) -> str:
             parts.append(body)
         elif coeff == -1:
             parts.append(f"-{body}")
-        else:
+        elif coeff:
             parts.append(f"{coeff}*{body}")
-    return " + ".join(parts).replace("+ -", "- ")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
 def render_table(table: ModeBracketTable) -> List[str]:
     """Deterministic line rendering of every nonzero bracket."""
     lines = []
-    for (left, right) in sorted(table.entries):
-        combo = table.entries[(left, right)]
-        lines.append(f"[{render_mode(left)}, {render_mode(right)}] = {render_combo(combo)}")
+    for left, right in sorted(table.entries):
+        value = render_combo(table.entries[left, right])
+        if value != "0":
+            lines.append(f"[{render_mode(left)}, {render_mode(right)}] = {value}")
     return lines
 
 

@@ -383,7 +383,9 @@ class ConfigurationScan:
 
     Memo.  For the life of the scan, the Frechet linearization is kept per
     (operator, family, parity) and the derivative tower of each applied
-    column per (operator, family, parity, column), built once on the slot-1
+    column per (operator, family, parity, column), the operator keyed by its
+    identity: the scan holds every operator it keys, so no id is reused while
+    it lives, and [H, H] shares one memo.  Each is built once on the slot-1
     covector symbol; slots 2 and 3 get a copy with the covector kind
     relabelled.  That is exact: every memoised polynomial holds the
     covectors of one slot only, and fields sort before covectors, so the
@@ -466,20 +468,10 @@ class ConfigurationScan:
 
     def __init__(self, pairs: Sequence[Tuple[MatrixDiffOperator, MatrixDiffOperator]]):
         first = pairs[0][0]
-        self.ops: List[MatrixDiffOperator] = []
-        index: List[Tuple[int, int]] = []
         for pair in pairs:
-            slots = []
             for op in pair:
                 first._check_compatible(op)
-                # Operators are deduplicated by identity, so [H, H] shares one memo.
-                idx = next((i for i, seen in enumerate(self.ops) if seen is op), None)
-                if idx is None:
-                    idx = len(self.ops)
-                    self.ops.append(op)
-                slots.append(idx)
-            index.append(tuple(slots))
-        self._index = index
+        self._pairs = pairs
         # The operator pairs whose joins list the configurations to decide.
         self._joins = pairs
         self.type_parity = first.type_parity
@@ -507,30 +499,32 @@ class ConfigurationScan:
 
     # -- memoised pieces -------------------------------------------------------
 
-    def _linearization(self, i: int, sym: Generator) -> Dict[int, List[Tuple[int, Mapping]]]:
-        """Frechet linearization of operator i along sym, grouped by row."""
-        key = (i, sym)
+    def _linearization(self, op: MatrixDiffOperator,
+                       sym: Generator) -> Dict[int, List[Tuple[int, Mapping]]]:
+        """Frechet linearization of op along sym, grouped by row."""
+        key = (id(op), sym)
         rows = self._lin.get(key)
         if rows is None:
             if sym[0] == _SLOT_ONE:
                 rows = {}
-                for (row, col), scalar in frechet(self.ops[i], sym, (sym[3] + 1) & 1).items():
+                for (row, col), scalar in frechet(op, sym, (sym[3] + 1) & 1).items():
                     rows.setdefault(row, []).append((col, scalar.entries()))
             else:
-                first = self._linearization(i, (_SLOT_ONE,) + sym[1:])
+                first = self._linearization(op, (_SLOT_ONE,) + sym[1:])
                 rows = {row: [(col, {m: _relabel(coeff, sym[0]) for m, coeff in entries.items()})
                               for col, entries in cols]
                         for row, cols in first.items()}
             self._lin[key] = rows
         return rows
 
-    def _derivative(self, j: int, sym: Generator, col: int, m: int) -> SuperPolynomial:
-        """D^m of column col of operator j applied to the basis covector sym."""
-        key = (j, sym, col)
+    def _derivative(self, op: MatrixDiffOperator, sym: Generator, col: int,
+                    m: int) -> SuperPolynomial:
+        """D^m of column col of op applied to the basis covector sym."""
+        key = (id(op), sym, col)
         tower = self._towers.get(key)
         if tower is None:
             if sym[0] == _SLOT_ONE:
-                entry = self.ops[j].entry((sym[3] + 1) & 1, col, sym[1])
+                entry = op.entry((sym[3] + 1) & 1, col, sym[1])
                 tower = [entry.apply(SuperPolynomial.generator(sym))]
             else:
                 tower = []
@@ -539,19 +533,19 @@ class ConfigurationScan:
             if sym[0] == _SLOT_ONE:
                 tower.append(superderive(tower[-1]))
             else:
-                first = self._derivative(j, (_SLOT_ONE,) + sym[1:], col, len(tower))
+                first = self._derivative(op, (_SLOT_ONE,) + sym[1:], col, len(tower))
                 tower.append(_relabel(first, sym[0]))
         return tower[m]
 
     # -- one configuration -------------------------------------------------------
 
-    def _product(self, i: int, j: int, arg: Generator, operand: Generator,
-                 row: int) -> Dict:
-        """Terms of (Frechet_i arg)(op_j operand) at ``row``, before the closing covector."""
+    def _product(self, op_a: MatrixDiffOperator, op_b: MatrixDiffOperator,
+                 arg: Generator, operand: Generator, row: int) -> Dict:
+        """Terms of (Frechet_op_a arg)(op_b operand) at ``row``, before the closing covector."""
         acc: Dict = {}
-        for col, entries in self._linearization(i, arg).get(row, ()):
+        for col, entries in self._linearization(op_a, arg).get(row, ()):
             for m, coeff in entries.items():
-                w = self._derivative(j, operand, col, m)
+                w = self._derivative(op_b, operand, col, m)
                 if w:
                     mul_into(acc, coeff, w)
         return acc
@@ -562,10 +556,10 @@ class ConfigurationScan:
         xi = _basis_symbols(families, parities)
         signs = _config_signs(self.type_parity, parities)
         acc: Dict = {}
-        for i, j in self._index:
+        for op_a, op_b in self._pairs:
             for (a, b, c), sign in zip(_CYCLIC, signs):
                 # The pairing with a basis covector at family c keeps row c only.
-                product = self._product(i, j, xi[a], xi[b], families[c])
+                product = self._product(op_a, op_b, xi[a], xi[b], families[c])
                 times_generator_into(acc, product, xi[c], sign)
         return SuperPolynomial(acc)
 

@@ -227,6 +227,25 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(path) in err
 
+    def test_error_precedence_between_documents(self, docs, tmp_path, capsys):
+        # pair and schouten parse both documents before checking either kind;
+        # evolution checks the operator's kind before it reads the density.
+        algebra, operator = docs["nx2.alg.json"], docs["d5.op.json"]
+        missing = str(tmp_path / "missing.json")
+        unreadable = ("", f"cannot read {missing}: No such file or directory")
+        wrong_kind = ("kind", f"{algebra}: expected an operator document, got algebra")
+        cases = [(["evolution", algebra, "--density", missing], wrong_kind)]
+        for command in ("pair", "schouten"):
+            cases += [([command, algebra, missing], unreadable),
+                      ([command, missing, algebra], unreadable),
+                      ([command, algebra, algebra], wrong_kind),
+                      ([command, operator, algebra], wrong_kind)]
+        report = tmp_path / "report.json"
+        for argv, (location, message) in cases:
+            assert main(argv + ["--report", str(report)]) == 2
+            assert json.loads(report.read_text())["witnesses"] == [
+                {"location": location, "message": message}]
+
 
 class TestReports:
     def test_report_is_byte_identical_across_runs(self, docs, tmp_path, capsys):

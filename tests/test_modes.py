@@ -29,6 +29,7 @@ from svarcalc.modes import (
     mode_parity,
     render_combo,
     render_mode,
+    render_table,
     z_shift,
 )
 
@@ -478,6 +479,20 @@ class TestSweepOracles:
         del entries[((0, 0), (0, 1))]
         assert check_super_skew(table) == full_skew_sweep(table) == (True, None)
 
+    def test_skew_decides_the_diagonal(self):
+        # [x, x] = -[x, x] forces [x, x] = 0 on an integer mode, while any
+        # [x, x] is skew on a half-integer mode.
+        for families, window in ((1, 2), (2, 1)):
+            base = super_virasoro_table(families, window)
+            for key in base.mode_keys():
+                entries = {k: dict(v) for k, v in base.entries.items()}
+                combo = entries.setdefault((key, key), {})
+                combo[CENTRAL] = combo.get(CENTRAL, 0) + 1
+                table = ModeBracketTable(dim=families, window=window, entries=entries)
+                expected = (True, None) if key[1] & 1 else (False, (key, key))
+                assert check_super_skew(table) == full_skew_sweep(table) == expected
+                assert check_super_jacobi(table) == full_jacobi_sweep(table)
+
     def test_jacobi_matches_full_sweep_on_closed_forms(self):
         for families, window in ((1, 2), (1, 3), (2, 2), (3, 2)):
             table = super_virasoro_table(families, window)
@@ -755,11 +770,12 @@ class TestSwapLemma:
     def gate(table, monkeypatch):
         """``check_super_jacobi(table)`` and the value of its sorted-sweep gate."""
         seen = []
-        real = modes._swappable
-        monkeypatch.setattr(modes, "_swappable", lambda *args: seen.append(real(*args)) or seen[-1])
+        real = modes._first_skew_pair
+        monkeypatch.setattr(modes, "_first_skew_pair",
+                            lambda *args: seen.append(real(*args)) or seen[-1])
         result = check_super_jacobi(table)
         monkeypatch.undo()
-        return result, seen[0]
+        return result, seen[0] is None
 
     def gate_cases(self, rng):
         """Closed-form tables with one change: a stored zero on either side of
@@ -849,6 +865,17 @@ class TestZeroRule:
         for key in ((x, y), (y, x)):
             table = ModeBracketTable(dim=1, window=1, entries={key: {phi_symbol(0, 0): 0}})
             assert check_super_skew(table) == full_skew_sweep(table) == (True, None)
+
+    def test_stored_zero_is_no_term_in_output(self):
+        x, y = (0, -2), (0, 2)
+        table = ModeBracketTable(dim=1, window=1, entries={(x, y): {phi_symbol(0, 0): 0}})
+        assert render_table(table) == []
+        assert table.bracket(x, y) == {}
+        assert render_combo({phi_symbol(0, 0): 0, CENTRAL: 2}) == "2*c"
+        assert render_combo({phi_symbol(0, 0): F(0)}) == "0"
+        table.entries[(y, x)] = {phi_symbol(0, 0): 0, CENTRAL: F(-1, 2)}
+        assert render_table(table) == ["[phi0(1), phi0(-1)] = -1/2*c"]
+        assert table.bracket(y, x) == {CENTRAL: F(-1, 2)}
 
     def test_out_of_window_zero_keeps_the_pair_admissible(self):
         # [y, x] stores phi(3), outside window 1, with coefficient 0: the pair

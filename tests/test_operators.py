@@ -620,12 +620,12 @@ class TestScanOracle:
                 rows = {}
                 for (row, col), scalar in frechet(op, sym, par).items():
                     rows.setdefault(row, []).append((col, dict(scalar.entries())))
-                assert scan._linearization(0, sym) == rows
+                assert scan._linearization(op, sym) == rows
                 applied = apply_matrix_operator(op, {fam: gp(sym)}, par)
                 for col in range(op.dim):
                     derivative = applied[col]
                     for m in range(6):
-                        assert scan._derivative(0, sym, col, m) == derivative
+                        assert scan._derivative(op, sym, col, m) == derivative
                         derivative = superderive(derivative)
 
     def test_passing_member_of_a_failing_orbit_raises(self):
@@ -734,8 +734,8 @@ def cyclic_terms(scan, families, parities):
     terms = []
     for a, b, c in operators._CYCLIC:
         acc = {}
-        for i, j in scan._index:
-            times_generator_into(acc, scan._product(i, j, xi[a], xi[b], families[c]), xi[c], 1)
+        for op_a, op_b in scan._pairs:
+            times_generator_into(acc, scan._product(op_a, op_b, xi[a], xi[b], families[c]), xi[c], 1)
         terms.append(SuperPolynomial(acc))
     return terms
 
