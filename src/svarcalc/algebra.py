@@ -25,7 +25,9 @@ the scalar 1 and the zero polynomial is the empty mapping.
 Reordering a product of generators costs a sign of -1 for every transposition
 of two odd generators, which is exactly the super-commutation rule
 ``u v = (-1)^{|u||v|} v u``.  One function, ``insert_generator``, sorts a
-generator into a monomial and counts the odd generators it passes.
+generator into a monomial and counts the odd generators it passes; only the
+scan's closing covector, which enters from the right, is placed by a walk
+from the right end (``times_generator_into``).
 """
 
 from __future__ import annotations
@@ -411,9 +413,9 @@ def insert_generator(mono: Monomial, gen: Generator, lo: int = 0,
                      exp: int = 1) -> Tuple[Optional[Monomial], int]:
     """Put one more factor gen^exp in front of the sorted tail mono[lo:] and sort it in.
 
-    Every monomial is ordered here: products and normal forms
-    (``_mul_monomials``), the document reader, the superderivation and the
-    scan's closing covector (``times_generator_into``).  Returns the
+    Monomials are ordered here: products and normal forms
+    (``_mul_monomials``), the document reader and the superderivation, when
+    D(gen) does not stay in gen's place.  Returns the
     canonical monomial and the number of odd generators gen passes on the
     way to its place, so the reordering sign is (-1)^{|gen| * count}; an odd
     gen comes with exp 1.  An even gen already present gets its exponent
@@ -436,20 +438,26 @@ def times_generator_into(acc: Dict[Monomial, Coeff], terms: Mapping[Monomial, Co
                          gen: Generator, sign: int = 1) -> None:
     """Add sign * (u * gen) into the term dict ``acc`` in place, u given by its terms.
 
-    gen enters from the right, so it passes the odd generators above its
-    place: all odd generators of the monomial except the ``crossed`` below.
+    gen enters from the right and passes the factors above its place, so one
+    walk from the right end finds the place and counts the odd factors
+    passed; a closing covector sorts near the end, so the walk is short.
     Distinct monomials of u stay distinct; they merge only with what ``acc``
     already holds, and coefficients that cancel are removed.
     """
     odd = parity(gen)
     for mono, coeff in terms.items():
-        new, crossed = insert_generator(mono, gen)
-        if new is not None:
-            flip = sign < 0
-            if odd and (monomial_parity(mono) + crossed) & 1:
-                flip = not flip
-            c = acc.get(new, _ZERO) + (-coeff if flip else coeff)
-            if c:
-                acc[new] = c
-            elif new in acc:
-                del acc[new]
+        pos, passed = len(mono), 0
+        while pos and mono[pos - 1][0] > gen:
+            pos -= 1
+            passed += mono[pos][0][2] + mono[pos][0][3]  # its parity, mod 2
+        if pos and mono[pos - 1][0] == gen:
+            if odd:
+                continue
+            new = mono[:pos - 1] + ((gen, mono[pos - 1][1] + 1),) + mono[pos:]
+        else:
+            new = mono[:pos] + ((gen, 1),) + mono[pos:]
+        c = acc.get(new, _ZERO) + (-coeff if (sign < 0) ^ (odd & passed) else coeff)
+        if c:
+            acc[new] = c
+        elif new in acc:
+            del acc[new]

@@ -44,21 +44,26 @@ def superderive(u: SuperPolynomial) -> SuperPolynomial:
     """Apply the odd superderivation D once.
 
     On each factor gen^exp of a monomial, D passes the odd factors to its
-    left and gives exp * gen^(exp-1) * D(gen); D(gen) is sorted into the tail
-    of the monomial in place, with the sign of the odd generators it passes.
+    left and gives exp * gen^(exp-1) * D(gen).  When exp is 1 and the next
+    factor sorts above D(gen), D(gen) takes gen's own place; otherwise it is
+    sorted into the tail of the monomial, with the sign of the odd
+    generators it passes.
     """
     acc: Dict[Monomial, Coeff] = {}
     for mono, coeff in u.terms().items():
         odd_prefix = 0
+        last = len(mono) - 1
         for idx, (gen, exp) in enumerate(mono):
             odd = (gen[2] + gen[3]) & 1
-            # gen^(exp-1) stays in place (gen is even whenever exp > 1) and
-            # D(gen) starts just after it.
-            if exp > 1:
-                rest, lo = mono[:idx] + ((gen, exp - 1),) + mono[idx + 1:], idx + 1
+            target = shift(gen)
+            if exp == 1 and (idx == last or mono[idx + 1][0] > target):
+                new, crossed = mono[:idx] + ((target, 1),) + mono[idx + 1:], 0
+            elif exp == 1:
+                new, crossed = insert_generator(mono[:idx] + mono[idx + 1:], target, idx)
             else:
-                rest, lo = mono[:idx] + mono[idx + 1:], idx
-            new, crossed = insert_generator(rest, shift(gen), lo)
+                # gen^(exp-1) stays in place (gen is even) and D(gen) starts after it.
+                rest = mono[:idx] + ((gen, exp - 1),) + mono[idx + 1:]
+                new, crossed = insert_generator(rest, target, idx + 1)
             if new is not None:
                 c = coeff * exp
                 # D(gen) has parity 1 - |gen|.

@@ -58,7 +58,6 @@ from .algebra import (
 from .calculus import (
     non_membership_certificate,
     superderive,
-    superderive_n,
     variational_derivative_field,
 )
 
@@ -136,8 +135,10 @@ class MatrixDiffOperator:
     """Type-graded matrix of scalar operators.
 
     ``blocks`` maps (block_parity, row, col) to a scalar operator; absent
-    entries are zero.  The type constraint (coefficients at power l lie in
-    parity class (type + l) mod 2) is enforced at construction.
+    entries are zero.  Enforced at construction: the type constraint
+    (coefficients at power l lie in parity class (type + l) mod 2), and
+    coefficients in the fields alone, which the scan relies on (``frechet``)
+    and which a monomial shows by ending in a field, as fields sort first.
     """
 
     __slots__ = ("type_parity", "dim", "_blocks", "_skew")
@@ -164,10 +165,13 @@ class MatrixDiffOperator:
                 for power, coeff in op.entries().items():
                     want = (type_parity + power) & 1
                     if not coeff.has_parity(want):
-                        raise ValueError(
-                            f"coefficient at block {block}, entry ({row},{col}), "
-                            f"power {power} must have parity {want}"
-                        )
+                        problem = f"must have parity {want}"
+                    elif any(mono and mono[-1][0][0] != FIELD_KIND for mono in coeff.terms()):
+                        problem = "must hold field generators only"
+                    else:
+                        continue
+                    raise ValueError(f"coefficient at block {block}, entry ({row},{col}), "
+                                     f"power {power} {problem}")
                 self._blocks[(block, row, col)] = op
 
     def entry(self, block: int, row: int, col: int) -> ScalarDiffOperator:
@@ -294,29 +298,46 @@ def frechet(op: MatrixDiffOperator, cov_base: Generator,
     (the symbol itself then has parity omega_parity + 1).  Entry (row, col)
     collects, over coefficient entries a at power l and derivative counts m,
     (-1)^{m (omega_parity + type)} d a / d phi<col>(m+1) * D^l(symbol) * D^m.
+    The coefficients hold fields only (``MatrixDiffOperator``), so each term
+    is its partial with D^l(symbol) appended (``_append_shifted``).
     """
     if cov_base[2] != 0:
         raise ValueError("frechet expects a derivs-0 covector symbol")
     iota = op.type_parity
     fam = cov_base[1]
-    xi_poly = SuperPolynomial.generator(cov_base)
     out: Dict[Tuple[int, int], ScalarDiffOperator] = {}
     sign_flip = (omega_parity + iota) & 1
     for row in sorted(row for block, row, col in op.blocks() if (block, col) == (omega_parity, fam)):
         scalar = op.entry(omega_parity, row, fam)
-        shifted = [coeff * superderive_n(xi_poly, power)
-                   for power, coeff in scalar.entries().items()]
         for col in _field_families(scalar.entries().values(), op.dim):
-            entries: Dict[int, SuperPolynomial] = {}
-            for coeff in shifted:
+            entries: Dict[int, Dict] = {}
+            for power, coeff in scalar.entries().items():
                 for m, part in tower_partials(coeff, field(col, 1)).items():
-                    if sign_flip and (m & 1):
-                        part = -part
-                    entries[m] = entries[m] + part if m in entries else part
-            entry = ScalarDiffOperator(entries)
-            if entry:
-                out[(row, col)] = entry
+                    _append_shifted(entries.setdefault(m, {}), part, cov_base, power,
+                                    sign_flip & m)
+            out[(row, col)] = ScalarDiffOperator(
+                {m: SuperPolynomial(terms) for m, terms in entries.items()})
     return out
+
+
+def _append_shifted(acc: Dict, poly: SuperPolynomial, sym: Generator, power: int,
+                    negate: int = 0) -> None:
+    """Put the terms of +-poly * D^power(sym) into ``acc``, for a poly of fields
+    only and a covector symbol sym: D^power(sym) is one generator, which sorts
+    after every factor of poly, so it is appended to each monomial at sign
+    +1.  The monomials must not be in ``acc`` yet."""
+    closing = (((sym[0], sym[1], sym[2] + power, sym[3]), 1),)
+    for mono, coeff in poly.terms().items():
+        acc[mono + closing] = -coeff if negate else coeff
+
+
+def _apply_to_symbol(scalar: ScalarDiffOperator, sym: Generator) -> SuperPolynomial:
+    """The scalar operator applied to a covector symbol, sum_l c_l D^l(sym), with
+    each term built by ``_append_shifted``; the powers differ, so no two merge."""
+    terms: Dict = {}
+    for power, coeff in scalar.entries().items():
+        _append_shifted(terms, coeff, sym, power)
+    return SuperPolynomial(terms)
 
 
 def _field_families(polys: Iterable[SuperPolynomial], dim: int) -> List[int]:
@@ -386,10 +407,11 @@ class ConfigurationScan:
     column per (operator, family, parity, column), the operator keyed by its
     identity: the scan holds every operator it keys, so no id is reused while
     it lives, and [H, H] shares one memo.  Each is built once on the slot-1
-    covector symbol; slots 2 and 3 get a copy with the covector kind
-    relabelled.  That is exact: every memoised polynomial holds the
-    covectors of one slot only, and fields sort before covectors, so the
-    relabelled monomials keep their order and their signs.
+    covector symbol, by appending its derivatives to field-only coefficients
+    and partials; slots 2 and 3 get a copy with the covector kind
+    relabelled.  That is exact because the constructor admits fields only:
+    every memoised polynomial holds the covectors of one slot, after its
+    fields, so the relabelled monomials keep their order and their signs.
 
     The configurations.  The pairing term of slots (a, b, c) is nonzero only
     if a field family g of entry (p_a, f_c, f_a) of the linearized operator
@@ -524,8 +546,7 @@ class ConfigurationScan:
         tower = self._towers.get(key)
         if tower is None:
             if sym[0] == _SLOT_ONE:
-                entry = op.entry((sym[3] + 1) & 1, col, sym[1])
-                tower = [entry.apply(SuperPolynomial.generator(sym))]
+                tower = [_apply_to_symbol(op.entry((sym[3] + 1) & 1, col, sym[1]), sym)]
             else:
                 tower = []
             self._towers[key] = tower

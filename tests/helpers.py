@@ -324,7 +324,8 @@ def dense_skew_failures(op):
 
 def dense_frechet(op, cov_base, omega_parity):
     """Oracle for ``frechet``: every (row, col) pair of the declared
-    dimension, in row-major order."""
+    dimension, in row-major order, each term through the general product
+    coefficient * D^power(symbol) rather than by appending the symbol."""
     iota = op.type_parity
     fam = cov_base[1]
     xi_poly = SuperPolynomial.generator(cov_base)
@@ -344,6 +345,15 @@ def dense_frechet(op, cov_base, omega_parity):
             if entry:
                 out[(row, col)] = entry
     return out
+
+
+def applied_column(op, sym, col):
+    """Oracle for the scan's applied column D^0: the stored entry at (parity,
+    col, family) of ``sym`` applied to the covector symbol by
+    ``ScalarDiffOperator.apply``, sum_l c_l * D^l(sym) through the general
+    product."""
+    entry = op.entry((sym[3] + 1) & 1, col, sym[1])
+    return entry.apply(SuperPolynomial.generator(sym))
 
 
 def dense_apply(op, xi, block):

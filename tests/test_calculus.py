@@ -123,19 +123,28 @@ class TestKernelOracle:
         return [kernel_poly(rng) for _ in range(count)]
 
     def test_superderive_matches_normalization(self, seed):
-        cases = dict.fromkeys(("power", "odd hit", "even hit", "other parity", "half"), 0)
+        cases = dict.fromkeys(("power", "odd hit", "even hit", "other parity", "half", "in place",
+                               "inserted", "odd next", "even next"), 0)
         for u in self.polys(seed):
             same(superderive(u), superderive_by_normalization(u))
             for mono, coeff in u.terms().items():
                 cases["half"] += not isinstance(coeff, int)
                 present = dict(mono)
-                for gen, exp in mono:
+                for idx, (gen, exp) in enumerate(mono):
                     target = shift(gen)
                     cases["power"] += exp > 1
                     if target in present:
                         cases["odd hit" if parity(target) else "even hit"] += 1
                     cases["other parity"] += any(
                         gen < g < target and g[:3] == gen[:3] for g in present)
+                    # D(gen) takes gen's place only when exp is 1 and the next
+                    # factor sorts above it; a next factor equal to D(gen) gives
+                    # 0 (odd) or a raised exponent (even) through the insertion
+                    after = mono[idx + 1][0] if idx + 1 < len(mono) else None
+                    in_place = exp == 1 and (after is None or after > target)
+                    cases["in place" if in_place else "inserted"] += 1
+                    if after == target:
+                        cases["odd next" if parity(target) else "even next"] += 1
         # every branch of the insertion occurred
         assert all(cases.values()), cases
 

@@ -37,6 +37,8 @@ from helpers import mutate_document
 
 F = Fraction
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+COVECTOR = str(FIXTURES / "invalid" / "covector_coefficient.op.json")
 
 
 @pytest.fixture
@@ -123,6 +125,26 @@ class TestExitCodes:
         witness, = json.loads(report.read_text())["witnesses"]
         assert witness["location"] == "entries[0].power"
 
+    @pytest.mark.parametrize("argv", [
+        ["check-skew", COVECTOR],
+        ["check-hamiltonian", COVECTOR],
+        ["schouten", COVECTOR, COVECTOR],
+        ["pair", COVECTOR, "d.op.json"],
+        ["pair", "d.op.json", COVECTOR],
+        ["evolution", COVECTOR, "--density", "kdv.den.json"],
+    ])
+    def test_covector_coefficient_is_a_located_error(self, docs, tmp_path, argv, capsys):
+        # The operator is skew, but its coefficient holds the covector xi1_0,
+        # which the scan's own basis covectors would collide with.
+        report = tmp_path / "covector.json"
+        argv = [docs.get(arg, arg) for arg in argv] + ["--report", str(report)]
+        assert main(argv) == 2
+        assert json.loads(report.read_text())["witnesses"] == [{
+            "location": "entries",
+            "message": "coefficient at block 0, entry (0,0), power 0 must hold field generators only"}]
+        captured = capsys.readouterr()
+        assert "verdict: error" in captured.out and not captured.err
+
     def test_non_utf8_document_is_a_located_error(self, tmp_path, capsys):
         latin = tmp_path / "latin.op.json"
         latin.write_bytes((SAMPLES / "d1.op.json").read_bytes().replace(
@@ -164,6 +186,7 @@ class TestUsageErrors:
         "check-skew": ["check-skew", "noskew.op.json"],
         "schouten": ["schouten", "broken.op.json", "broken.op.json"],
         "check-hamiltonian": ["check-hamiltonian", "broken.op.json"],
+        "pair": ["pair", "broken.op.json", "d.op.json"],
     }
 
     def argv(self, docs, command):

@@ -45,6 +45,7 @@ from svarcalc import (
     superderive,
 )
 from helpers import (
+    applied_column,
     bumped,
     compose_D_power_left,
     dense_apply,
@@ -120,6 +121,22 @@ class TestTypeConstraint:
     def test_indices_validated(self):
         with pytest.raises(ValueError):
             MatrixDiffOperator(1, 1, {(0, 0, 1): ScalarDiffOperator.d_power(1)})
+
+    def test_covector_coefficient_rejected(self):
+        # The scan's basis covectors would collide with covectors in a
+        # coefficient, so coefficients hold fields only: H = a D + D(a)/2 with
+        # a = xi1_0 phi0(2) is skew, yet no verdict on it would mean anything.
+        a = gp(covector(1, 0, 0, 0)) * gp(field(0, 2))
+        entry = ScalarDiffOperator({1: a, 0: superderive(a).scaled(Fraction(1, 2))})
+        with pytest.raises(ValueError, match=r"^coefficient at block 0, entry \(0,0\), power 1 "
+                                             "must hold field generators only$"):
+            MatrixDiffOperator(1, 1, {(0, 0, 0): entry, (1, 0, 0): entry})
+        # in any term of the coefficient, alone or after fields, in any block
+        odd = gp(field(1, 1)) + gp(field(0, 2)) * gp(field(1, 1)) * gp(covector(3, 1, 2, 0))
+        for coeff in (odd, gp(covector(2, 0, 0, 1))):
+            with pytest.raises(ValueError, match=r"block 1, entry \(0,1\), power 0 must hold field"):
+                MatrixDiffOperator(1, 2, {(0, 0, 0): ScalarDiffOperator.d_power(1),
+                                          (1, 0, 1): ScalarDiffOperator.single(coeff, 0)})
 
 
 class TestOperatorSum:
@@ -421,20 +438,19 @@ class TestConfigurationScan:
 
     def test_linearizations_and_applications_are_built_once_per_symbol(self, monkeypatch):
         linearized, applied = Counter(), Counter()
-        real_frechet, real_apply = operators.frechet, ScalarDiffOperator.apply
+        real_frechet, real_apply = operators.frechet, operators._apply_to_symbol
 
         def counting_frechet(op, sym, omega_parity):
             linearized[id(op), sym, omega_parity] += 1
             return real_frechet(op, sym, omega_parity)
 
-        def counting_apply(scalar, u):
+        def counting_apply(scalar, sym):
             if scalar:
-                (sym,) = u.generators()
                 applied[id(scalar), sym] += 1
-            return real_apply(scalar, u)
+            return real_apply(scalar, sym)
 
         monkeypatch.setattr(operators, "frechet", counting_frechet)
-        monkeypatch.setattr(ScalarDiffOperator, "apply", counting_apply)
+        monkeypatch.setattr(operators, "_apply_to_symbol", counting_apply)
         # built once per (operator, family, parity) on the slot-1 symbol, and
         # each stored entry applied once to it; relabelled for slots 2 and 3
         failing = build_type1_operator(hand_checked_mutation())
@@ -868,6 +884,52 @@ class TestSupportScanOracle:
                 assert list(lin.items()) == list(dense_frechet(op, sym, par).items())
                 nonzero += bool(lin)
         assert nonzero >= 20
+
+
+def _typed(poly):
+    return {mono: (coeff, type(coeff)) for mono, coeff in poly.terms().items()}
+
+
+def _typed_rows(rows):
+    return {row: [(col, {m: _typed(coeff) for m, coeff in entries.items()}) for col, entries in cols]
+            for row, cols in rows.items()}
+
+
+class TestMemoOracle:
+    """Every memo entry of the scan, built by appending the covector symbol to
+    field-only coefficients and partials, against the general product
+    (``dense_frechet``, ``applied_column``) on the symbol of each slot:
+    polynomials and coefficient types."""
+
+    def test_memo_entries_match_the_general_product(self, seed):
+        rng = random.Random(seed)
+        seen = Counter()
+        for _ in range(60):
+            op = random_sparse_operator(rng)
+            if rng.random() < 0.5:
+                op = op.scaled(Fraction(1, 2))
+            for coeff in (c for scalar in op.blocks().values() for c in scalar.entries().values()):
+                for mono, c in coeff.terms().items():
+                    seen["nonlinear"] += sum(exp for _, exp in mono) > 1
+                    seen["even power"] += any(exp > 1 for _, exp in mono)
+                    seen["half"] += c.denominator == 2
+            scan = ConfigurationScan.closedness(op)
+            # slot 3 first, so that its copy also builds the slot-1 entry
+            for slot, fam, par in product((3, 2, 1), range(op.dim), (0, 1)):
+                sym = covector(slot, fam, 0, (par + 1) & 1)
+                want = {}
+                for (row, col), scalar in dense_frechet(op, sym, par).items():
+                    want.setdefault(row, []).append((col, scalar.entries()))
+                rows = scan._linearization(op, sym)
+                assert _typed_rows(rows) == _typed_rows(want)
+                seen[f"linearized type {op.type_parity} block {par} slot {slot}"] += bool(rows)
+                for col in range(op.dim):
+                    column = applied_column(op, sym, col)
+                    for m in range(3):
+                        assert _typed(scan._derivative(op, sym, col, m)) == \
+                            _typed(superderive_n(column, m))
+                    seen[f"applied type {op.type_parity} block {par} slot {slot}"] += bool(column)
+        assert len(seen) == 3 + 2 * 2 * 2 * 3 and min(seen.values()) >= 3, seen
 
 
 class TestApplyOracle:
