@@ -25,9 +25,7 @@ the scalar 1 and the zero polynomial is the empty mapping.
 Reordering a product of generators costs a sign of -1 for every transposition
 of two odd generators, which is exactly the super-commutation rule
 ``u v = (-1)^{|u||v|} v u``.  One function, ``insert_generator``, sorts a
-generator into a monomial and counts the odd generators it passes; only the
-scan's closing covector, which enters from the right, is placed by a walk
-from the right end (``times_generator_into``).
+generator into a monomial and counts the odd generators it passes.
 """
 
 from __future__ import annotations
@@ -432,32 +430,3 @@ def insert_generator(mono: Monomial, gen: Generator, lo: int = 0,
             return None, 0
         return mono[:pos] + ((gen, mono[pos][1] + exp),) + mono[pos + 1:], crossed
     return mono[:pos] + ((gen, exp),) + mono[pos:], crossed
-
-
-def times_generator_into(acc: Dict[Monomial, Coeff], terms: Mapping[Monomial, Coeff],
-                         gen: Generator, sign: int = 1) -> None:
-    """Add sign * (u * gen) into the term dict ``acc`` in place, u given by its terms.
-
-    gen enters from the right and passes the factors above its place, so one
-    walk from the right end finds the place and counts the odd factors
-    passed; a closing covector sorts near the end, so the walk is short.
-    Distinct monomials of u stay distinct; they merge only with what ``acc``
-    already holds, and coefficients that cancel are removed.
-    """
-    odd = parity(gen)
-    for mono, coeff in terms.items():
-        pos, passed = len(mono), 0
-        while pos and mono[pos - 1][0] > gen:
-            pos -= 1
-            passed += mono[pos][0][2] + mono[pos][0][3]  # its parity, mod 2
-        if pos and mono[pos - 1][0] == gen:
-            if odd:
-                continue
-            new = mono[:pos - 1] + ((gen, mono[pos - 1][1] + 1),) + mono[pos:]
-        else:
-            new = mono[:pos] + ((gen, 1),) + mono[pos:]
-        c = acc.get(new, _ZERO) + (-coeff if (sign < 0) ^ (odd & passed) else coeff)
-        if c:
-            acc[new] = c
-        elif new in acc:
-            del acc[new]

@@ -46,13 +46,15 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 from .algebra import (
     COVECTOR_SLOTS,
     FIELD_KIND,
+    Coeff,
     Generator,
+    Monomial,
     Sparse,
     SuperPolynomial,
+    _mul_monomials,
     covector,
     field,
-    mul_into,
-    times_generator_into,
+    monomial_parity,
     tower_partials,
 )
 from .calculus import (
@@ -368,30 +370,15 @@ def _config_signs(iota: int, parities: Tuple[int, int, int]) -> Tuple[int, int, 
     return s1, s2, s3
 
 
-def _basis_symbols(families: Tuple[int, int, int],
-                   parities: Tuple[int, int, int]) -> List[Generator]:
-    """Fresh covector symbols, one per slot, spanning parity-``par`` families."""
-    return [covector(slot, fam, 0, (par + 1) & 1)
-            for slot, fam, par in zip(COVECTOR_SLOTS, families, parities)]
-
-
 # (arg, operand, closing) slots of the three cyclic pairing terms.
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
-_SLOT_ONE = COVECTOR_SLOTS[0]
-
-
-def _relabel(poly: SuperPolynomial, slot: int) -> SuperPolynomial:
-    """A polynomial whose covectors all lie in slot 1, with them moved to ``slot``.
-
-    Fields sort before covectors, and the covectors keep their order among
-    themselves, so every monomial stays sorted and keeps its sign.
-    """
-    return SuperPolynomial({
-        tuple((gen, exp) if gen[0] == FIELD_KIND else ((slot,) + gen[1:], exp)
-              for gen, exp in mono): coeff
-        for mono, coeff in poly.terms().items()})
+def _split(poly: SuperPolynomial) -> List[Tuple[Monomial, int, int, Coeff]]:
+    """The terms F * D^k(xi) of a polynomial of fields F times one covector
+    factor D^k(xi), which sorts last, as (F, |F|, k, coeff)."""
+    return [(mono[:-1], monomial_parity(mono[:-1]), mono[-1][0][2], coeff)
+            for mono, coeff in poly.terms().items()]
 
 
 class ConfigurationScan:
@@ -403,15 +390,19 @@ class ConfigurationScan:
     bracket [H1, H2] is B(H1, H2) + B(H2, H1).
 
     Memo.  For the life of the scan, the Frechet linearization is kept per
-    (operator, family, parity) and the derivative tower of each applied
-    column per (operator, family, parity, column), the operator keyed by its
-    identity: the scan holds every operator it keys, so no id is reused while
-    it lives, and [H, H] shares one memo.  Each is built once on the slot-1
-    covector symbol, by appending its derivatives to field-only coefficients
-    and partials; slots 2 and 3 get a copy with the covector kind
-    relabelled.  That is exact because the constructor admits fields only:
-    every memoised polynomial holds the covectors of one slot, after its
-    fields, so the relabelled monomials keep their order and their signs.
+    (operator, family, base parity) and the derivative tower of each applied
+    column per (operator, family, base parity, column), the operator keyed by
+    its identity: the scan holds every operator it keys, so no id is reused
+    while it lives, and [H, H] shares one memo.  Each is built once on the
+    slot-1 covector symbol, by appending its derivatives to field-only
+    coefficients and partials (the constructor admits fields only), so each
+    term is fields F then one covector factor D^k(xi), kept slot-free as
+    (F, |F|, k, coeff).  ``_pairing`` pairs the pieces F1 X and F2 Y of a
+    cyclic term (a, b, c), closed by the symbol Z: the fields F1 F2, then
+    X, Y and Z in slot order, at the term's configuration sign times the
+    sign of F1 F2 times (-1)^(|X||F2|) times the sign of sorting X Y Z by
+    slot: 1 for (0, 1, 2), (-1)^(|Z|(|X|+|Y|)) for (1, 2, 0),
+    (-1)^(|X|(|Y|+|Z|)) for (2, 0, 1).
 
     The configurations.  The pairing term of slots (a, b, c) is nonzero only
     if a field family g of entry (p_a, f_c, f_a) of the linearized operator
@@ -498,8 +489,8 @@ class ConfigurationScan:
         self._joins = pairs
         self.type_parity = first.type_parity
         self.dim = first.dim
-        self._lin: Dict[Tuple[int, Generator], Dict[int, List[Tuple[int, Mapping]]]] = {}
-        self._towers: Dict[Tuple[int, Generator, int], List[SuperPolynomial]] = {}
+        self._lin: Dict[Tuple[int, int, int], Dict[int, List[Tuple[int, Dict]]]] = {}
+        self._towers: Dict[Tuple[int, int, int, int], List] = {}
 
     @classmethod
     def closedness(cls, op: MatrixDiffOperator) -> "ConfigurationScan":
@@ -521,68 +512,103 @@ class ConfigurationScan:
 
     # -- memoised pieces -------------------------------------------------------
 
-    def _linearization(self, op: MatrixDiffOperator,
-                       sym: Generator) -> Dict[int, List[Tuple[int, Mapping]]]:
-        """Frechet linearization of op along sym, grouped by row."""
-        key = (id(op), sym)
+    def _linearization(self, op: MatrixDiffOperator, fam: int,
+                       base: int) -> Dict[int, List[Tuple[int, Dict[int, List[Tuple]]]]]:
+        """Frechet linearization of op along the symbol of family fam and base
+        parity base, grouped by row, each entry's coefficients ``_split``."""
+        key = (id(op), fam, base)
         rows = self._lin.get(key)
         if rows is None:
-            if sym[0] == _SLOT_ONE:
-                rows = {}
-                for (row, col), scalar in frechet(op, sym, (sym[3] + 1) & 1).items():
-                    rows.setdefault(row, []).append((col, scalar.entries()))
-            else:
-                first = self._linearization(op, (_SLOT_ONE,) + sym[1:])
-                rows = {row: [(col, {m: _relabel(coeff, sym[0]) for m, coeff in entries.items()})
-                              for col, entries in cols]
-                        for row, cols in first.items()}
-            self._lin[key] = rows
+            rows = self._lin[key] = {}
+            sym = covector(COVECTOR_SLOTS[0], fam, 0, base)
+            for (row, col), scalar in frechet(op, sym, (base + 1) & 1).items():
+                rows.setdefault(row, []).append(
+                    (col, {m: _split(coeff) for m, coeff in scalar.entries().items()}))
         return rows
 
-    def _derivative(self, op: MatrixDiffOperator, sym: Generator, col: int,
-                    m: int) -> SuperPolynomial:
-        """D^m of column col of op applied to the basis covector sym."""
-        key = (id(op), sym, col)
+    def _derivative(self, op: MatrixDiffOperator, fam: int, base: int, col: int,
+                    m: int) -> List[Tuple]:
+        """D^m of column col of op applied to the symbol of family fam and base
+        parity base, ``_split``."""
+        key = (id(op), fam, base, col)
         tower = self._towers.get(key)
         if tower is None:
-            if sym[0] == _SLOT_ONE:
-                tower = [_apply_to_symbol(op.entry((sym[3] + 1) & 1, col, sym[1]), sym)]
-            else:
-                tower = []
-            self._towers[key] = tower
-        while len(tower) <= m:
-            if sym[0] == _SLOT_ONE:
-                tower.append(superderive(tower[-1]))
-            else:
-                first = self._derivative(op, (_SLOT_ONE,) + sym[1:], col, len(tower))
-                tower.append(_relabel(first, sym[0]))
-        return tower[m]
+            top = _apply_to_symbol(op.entry((base + 1) & 1, col, fam),
+                                   covector(COVECTOR_SLOTS[0], fam, 0, base))
+            tower = self._towers[key] = [top, [_split(top)]]
+        pieces = tower[1]
+        while len(pieces) <= m:
+            tower[0] = superderive(tower[0])
+            pieces.append(_split(tower[0]))
+        return pieces[m]
 
     # -- one configuration -------------------------------------------------------
 
-    def _product(self, op_a: MatrixDiffOperator, op_b: MatrixDiffOperator,
-                 arg: Generator, operand: Generator, row: int) -> Dict:
-        """Terms of (Frechet_op_a arg)(op_b operand) at ``row``, before the closing covector."""
-        acc: Dict = {}
-        for col, entries in self._linearization(op_a, arg).get(row, ()):
-            for m, coeff in entries.items():
-                w = self._derivative(op_b, operand, col, m)
-                if w:
-                    mul_into(acc, coeff, w)
-        return acc
+    def _pairing(self, cols: List[Tuple[int, Dict[int, List[Tuple]]]], op_b: MatrixDiffOperator,
+                 rotation: Tuple[int, int, int], families: Tuple[int, int, int],
+                 bases: List[int], sign: int) -> Dict:
+        """Terms of one cyclic pairing term times ``sign``: the linearized
+        entries ``cols`` of row families[c] paired with the applied columns of
+        op_b, each pair of pieces placed by the sign rule of the memo."""
+        a, b, c = rotation
+        fam_x, fam_y = families[a], families[b]
+        base_x, base_y, z = bases[a], bases[b], bases[c]
+        gz = ((c + 1, families[c], 0, z), 1)
+        # The covector sign's exponent, with x = |X|, y = |Y| and bits 0 or 1:
+        # x (|F2| + y y_cross) + x x_bit + y y_bit.
+        x_bit, y_bit, y_cross = ((0, 0, 0), (z, z, 0), (z, 0, 1))[a]
+        term: Dict = {}
+        for col, entries in cols:
+            for m, x_pieces in entries.items():
+                y_pieces = self._derivative(op_b, fam_y, base_y, col, m)
+                if not y_pieces:
+                    continue
+                ys = [(f2, -c2 if (ky + base_y) & y_bit else c2, p2 ^ ((ky + base_y) & y_cross),
+                       ((b + 1, fam_y, ky, base_y), 1)) for f2, p2, ky, c2 in y_pieces]
+                for f1, _, kx, c1 in x_pieces:
+                    x = (kx + base_x) & 1
+                    if (x & x_bit) ^ (sign < 0):
+                        c1 = -c1
+                    gx = ((a + 1, fam_x, kx, base_x), 1)
+                    for f2, c2, cross, gy in ys:
+                        if not f1:
+                            mono, s = f2, 1
+                        else:
+                            mono, s = _mul_monomials(f1, f2)
+                            if not s:
+                                continue
+                        if a == 0:
+                            mono += (gx, gy, gz)
+                        elif a == 1:
+                            mono += (gz, gx, gy)
+                        else:
+                            mono += (gy, gz, gx)
+                        coeff = -c1 * c2 if (s < 0) ^ (x & cross) else c1 * c2
+                        coeff += term.get(mono, 0)
+                        if coeff:
+                            term[mono] = coeff
+                        else:
+                            del term[mono]
+        return term
 
     def three_form(self, families: Tuple[int, int, int],
                    parities: Tuple[int, int, int]) -> SuperPolynomial:
         """The scanned three-form on one basis configuration."""
-        xi = _basis_symbols(families, parities)
+        bases = [(par + 1) & 1 for par in parities]
         signs = _config_signs(self.type_parity, parities)
-        acc: Dict = {}
+        form = SuperPolynomial.zero()
         for op_a, op_b in self._pairs:
-            for (a, b, c), sign in zip(_CYCLIC, signs):
+            for rotation, sign in zip(_CYCLIC, signs):
+                a, _, c = rotation
                 # The pairing with a basis covector at family c keeps row c only.
-                product = self._product(op_a, op_b, xi[a], xi[b], families[c])
-                times_generator_into(acc, product, xi[c], sign)
-        return SuperPolynomial(acc)
+                cols = self._linearization(op_a, families[a], bases[a]).get(families[c])
+                if not cols:
+                    continue
+                # Each term is summed on its own first: a sum that cancels
+                # within it then leaves no Fraction in a form of ints.
+                term = self._pairing(cols, op_b, rotation, families, bases, sign)
+                form = form + SuperPolynomial(term)
+        return form
 
     # -- the scan ----------------------------------------------------------------
 

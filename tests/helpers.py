@@ -23,7 +23,8 @@ from svarcalc import (
     np_to_nx,
     parity,
 )
-from svarcalc.algebra import tower_partials
+from svarcalc import operators
+from svarcalc.algebra import COVECTOR_SLOTS, FIELD_KIND, mul_into, tower_partials
 from svarcalc.calculus import non_membership_certificate, superderive_n
 from svarcalc.modes import (
     CENTRAL,
@@ -367,6 +368,67 @@ def dense_apply(op, xi, block):
                 acc = acc + op.entry(block, row, col).apply(poly)
         out[row] = acc
     return out
+
+
+def times_generator_into(acc, terms, gen, sign: int = 1) -> None:
+    """Add sign * (u * gen) into the term dict ``acc`` in place, u given by its
+    terms: gen enters from the right, so one walk from the right end finds its
+    place and counts the odd factors it passes.  Coefficients that cancel are
+    removed."""
+    odd = parity(gen)
+    for mono, coeff in terms.items():
+        pos, passed = len(mono), 0
+        while pos and mono[pos - 1][0] > gen:
+            pos -= 1
+            passed += parity(mono[pos][0])
+        if pos and mono[pos - 1][0] == gen:
+            if odd:
+                continue
+            new = mono[:pos - 1] + ((gen, mono[pos - 1][1] + 1),) + mono[pos:]
+        else:
+            new = mono[:pos] + ((gen, 1),) + mono[pos:]
+        c = acc.get(new, 0) + (-coeff if (sign < 0) ^ (odd & passed) else coeff)
+        if c:
+            acc[new] = c
+        elif new in acc:
+            del acc[new]
+
+
+def relabel(poly: SuperPolynomial, slot: int) -> SuperPolynomial:
+    """A polynomial whose covectors all lie in slot 1, with them moved to
+    ``slot``: fields sort before covectors, so the monomials stay sorted."""
+    return SuperPolynomial({
+        tuple((gen, exp) if gen[0] == FIELD_KIND else ((slot,) + gen[1:], exp)
+              for gen, exp in mono): coeff
+        for mono, coeff in poly.terms().items()})
+
+
+def relabelled_three_form(scan, families, parities) -> SuperPolynomial:
+    """Oracle for ``ConfigurationScan.three_form``: each cyclic term built the
+    general way.  The linearization and the applied column are built on the
+    slot-1 symbol and relabelled to their slots, multiplied by ``mul_into``,
+    and the closing covector is sorted in by ``times_generator_into``; each
+    term is summed on its own before it enters the form."""
+    xi = [covector(slot, fam, 0, (par + 1) & 1)
+          for slot, fam, par in zip(COVECTOR_SLOTS, families, parities)]
+    first = [(COVECTOR_SLOTS[0],) + sym[1:] for sym in xi]
+    acc = {}
+    for op_a, op_b in scan._pairs:
+        for (a, b, c), sign in zip(operators._CYCLIC,
+                                   operators._config_signs(scan.type_parity, parities)):
+            product = {}
+            for (row, col), scalar in operators.frechet(op_a, first[a], parities[a]).items():
+                if row != families[c]:
+                    continue
+                applied = operators._apply_to_symbol(op_b.entry(parities[b], col, families[b]),
+                                                     first[b])
+                for m, coeff in scalar.entries().items():
+                    w = superderive_n(applied, m)
+                    if w:
+                        mul_into(product, relabel(coeff, COVECTOR_SLOTS[a]),
+                                 relabel(w, COVECTOR_SLOTS[b]))
+            times_generator_into(acc, product, xi[c], sign)
+    return SuperPolynomial(acc)
 
 
 def pair_oracle(op1, op2):

@@ -15,7 +15,7 @@ from svarcalc import (
     parity,
     partial_derive,
 )
-from svarcalc.algebra import _exact, _mul_monomials, mul_into, times_generator_into, tower_partials
+from svarcalc.algebra import _exact, _mul_monomials, mul_into, tower_partials
 from svarcalc.modes import CENTRAL, NUM, FormalDistribution, phi_symbol
 from svarcalc.operators import ScalarDiffOperator
 from helpers import (
@@ -27,6 +27,7 @@ from helpers import (
     mixed_pool,
     partial_by_scan,
     random_poly,
+    times_generator_into,
 )
 
 ONE = SuperPolynomial.one()
@@ -151,6 +152,8 @@ class TestAlgebraKernelOracle:
         assert towers > 800
 
     def test_times_generator_matches_product(self, seed):
+        # The closing-covector step of the scan's oracle
+        # (``relabelled_three_form``) against the general product.
         rng = random.Random(seed + 1)
         for _ in range(200):
             u = kernel_poly(rng)

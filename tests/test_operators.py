@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from svarcalc import cli, operators
-from svarcalc.algebra import COVECTOR_SLOTS, FIELD_KIND, base_of, times_generator_into
+from svarcalc.algebra import COVECTOR_SLOTS, FIELD_KIND, base_of, monomial_parity
 from svarcalc.calculus import non_membership_certificate, superderive_n, variational_derivative
 from svarcalc.documents import InputDocument, parse_document, render_document
 from svarcalc.operators import _leibniz_row, iter_schouten_failures, iter_skew_failures
@@ -58,6 +58,7 @@ from helpers import (
     random_homogeneous,
     random_poly,
     random_skew_operator,
+    relabelled_three_form,
     rotation_listing,
     truncated_mutations,
 )
@@ -441,18 +442,21 @@ class TestConfigurationScan:
         real_frechet, real_apply = operators.frechet, operators._apply_to_symbol
 
         def counting_frechet(op, sym, omega_parity):
-            linearized[id(op), sym, omega_parity] += 1
+            assert sym[0] == COVECTOR_SLOTS[0]
+            linearized[id(op), sym[1], sym[3], omega_parity] += 1
             return real_frechet(op, sym, omega_parity)
 
         def counting_apply(scalar, sym):
+            assert sym[0] == COVECTOR_SLOTS[0]
             if scalar:
-                applied[id(scalar), sym] += 1
+                applied[id(scalar), sym[1], sym[3]] += 1
             return real_apply(scalar, sym)
 
         monkeypatch.setattr(operators, "frechet", counting_frechet)
         monkeypatch.setattr(operators, "_apply_to_symbol", counting_apply)
-        # built once per (operator, family, parity) on the slot-1 symbol, and
-        # each stored entry applied once to it; relabelled for slots 2 and 3
+        # built once per (operator, family, base parity) on the slot-1 symbol,
+        # and each stored entry applied once to it; every slot reads the one
+        # slot-free entry
         failing = build_type1_operator(hand_checked_mutation())
         built = 0
         for op in [*self.corpus(), failing]:
@@ -461,7 +465,6 @@ class TestConfigurationScan:
             assert is_hamiltonian(op)[0] == (op is not failing)
             for counts in (linearized, applied):
                 assert set(counts.values()) <= {1}
-                assert all(key[1][0] == COVECTOR_SLOTS[0] for key in counts)
             # only parities (0, 0, 0) are decided, and the failing one stops
             # at its first witness, the representative
             assert len(linearized) <= op.dim
@@ -624,9 +627,9 @@ class TestScanOracle:
         assert _as_lists(operators.iter_closedness_failures(op)) == full
 
     def test_memo_matches_fresh_builds_on_every_slot(self, seed):
-        # The scan builds linearizations and towers on slot-1 symbols and
-        # relabels them for slots 2 and 3; each must equal a fresh build on
-        # the slot's own symbol.
+        # The scan builds linearizations and towers once, on slot-1 symbols,
+        # and keeps them slot-free; placed on the symbol of any slot, each
+        # must equal a fresh build on that symbol.
         ops = list(TestConfigurationScan().corpus()) + [TestConfigurationScan().mixed_pairs()[0][1]]
         ops += random.Random(seed).sample(self.skew_mutations(seed), 3)
         for op in ops:
@@ -636,12 +639,12 @@ class TestScanOracle:
                 rows = {}
                 for (row, col), scalar in frechet(op, sym, par).items():
                     rows.setdefault(row, []).append((col, dict(scalar.entries())))
-                assert scan._linearization(op, sym) == rows
+                assert placed_rows(scan._linearization(op, fam, sym[3]), sym) == rows
                 applied = apply_matrix_operator(op, {fam: gp(sym)}, par)
                 for col in range(op.dim):
                     derivative = applied[col]
                     for m in range(6):
-                        assert scan._derivative(op, sym, col, m) == derivative
+                        assert placed(scan._derivative(op, fam, sym[3], col, m), sym) == derivative
                         derivative = superderive(derivative)
 
     def test_passing_member_of_a_failing_orbit_raises(self):
@@ -745,14 +748,17 @@ def flip_sign(iota, parities, slot):
 
 def cyclic_terms(scan, families, parities):
     """The three cyclic pairing terms of the scanned form, without their
-    configuration signs."""
-    xi = operators._basis_symbols(families, parities)
+    configuration signs, each from the pairing kernel."""
+    bases = [(par + 1) & 1 for par in parities]
     terms = []
-    for a, b, c in operators._CYCLIC:
-        acc = {}
+    for rotation in operators._CYCLIC:
+        a, _, c = rotation
+        term = SuperPolynomial.zero()
         for op_a, op_b in scan._pairs:
-            times_generator_into(acc, scan._product(op_a, op_b, xi[a], xi[b], families[c]), xi[c], 1)
-        terms.append(SuperPolynomial(acc))
+            cols = scan._linearization(op_a, families[a], bases[a]).get(families[c])
+            if cols:
+                term = term + SuperPolynomial(scan._pairing(cols, op_b, rotation, families, bases, 1))
+        terms.append(term)
     return terms
 
 
@@ -895,11 +901,24 @@ def _typed_rows(rows):
             for row, cols in rows.items()}
 
 
+def placed(pieces, sym):
+    """Slot-free memo pieces (F, |F|, k, coeff) placed on the covector symbol
+    sym: the polynomial of the terms coeff * F * D^k(sym)."""
+    assert all(p == monomial_parity(f) for f, p, _, _ in pieces)
+    return SuperPolynomial({f + (((sym[0], sym[1], k, sym[3]), 1),): c for f, _, k, c in pieces})
+
+
+def placed_rows(rows, sym):
+    return {row: [(col, {m: placed(pieces, sym) for m, pieces in entries.items()})
+                  for col, entries in cols]
+            for row, cols in rows.items()}
+
+
 class TestMemoOracle:
     """Every memo entry of the scan, built by appending the covector symbol to
-    field-only coefficients and partials, against the general product
-    (``dense_frechet``, ``applied_column``) on the symbol of each slot:
-    polynomials and coefficient types."""
+    field-only coefficients and partials and kept slot-free, placed on the
+    symbol of each slot, against the general product (``dense_frechet``,
+    ``applied_column``) on that symbol: polynomials and coefficient types."""
 
     def test_memo_entries_match_the_general_product(self, seed):
         rng = random.Random(seed)
@@ -914,22 +933,66 @@ class TestMemoOracle:
                     seen["even power"] += any(exp > 1 for _, exp in mono)
                     seen["half"] += c.denominator == 2
             scan = ConfigurationScan.closedness(op)
-            # slot 3 first, so that its copy also builds the slot-1 entry
             for slot, fam, par in product((3, 2, 1), range(op.dim), (0, 1)):
                 sym = covector(slot, fam, 0, (par + 1) & 1)
                 want = {}
                 for (row, col), scalar in dense_frechet(op, sym, par).items():
                     want.setdefault(row, []).append((col, scalar.entries()))
-                rows = scan._linearization(op, sym)
+                rows = placed_rows(scan._linearization(op, fam, sym[3]), sym)
                 assert _typed_rows(rows) == _typed_rows(want)
                 seen[f"linearized type {op.type_parity} block {par} slot {slot}"] += bool(rows)
                 for col in range(op.dim):
                     column = applied_column(op, sym, col)
                     for m in range(3):
-                        assert _typed(scan._derivative(op, sym, col, m)) == \
+                        assert _typed(placed(scan._derivative(op, fam, sym[3], col, m), sym)) == \
                             _typed(superderive_n(column, m))
                     seen[f"applied type {op.type_parity} block {par} slot {slot}"] += bool(column)
         assert len(seen) == 3 + 2 * 2 * 2 * 3 and min(seen.values()) >= 3, seen
+
+
+class TestPairingKernelOracle:
+    """``ConfigurationScan.three_form``, which places slot-free memo pieces
+    in the slots of each configuration by one sign rule, against
+    ``relabelled_three_form``, which relabels slot-1 builds and multiplies
+    them by the general product: forms and coefficient types on every
+    configuration."""
+
+    def scans(self, seed):
+        corpus = list(TestConfigurationScan().corpus())
+        # skew mutations of the truncated and exterior specs, and the
+        # truncated ones that break skew-symmetry
+        mutants = TestScanOracle().skew_mutations(seed)
+        mutants += [op for op in map(build_type1_operator, truncated_mutations(random.Random(seed)))
+                    if not check_skew_symmetry(op)[0]]
+        halves = [op.scaled(Fraction(1, 2)) for op in corpus]
+        scans = [ConfigurationScan.closedness(op) for op in corpus + mutants + halves]
+        scans += [ConfigurationScan.schouten(a, b) for a, b in TestConfigurationScan().mixed_pairs()]
+        # sums of int and Fraction coefficients: each mutant with half the
+        # corpus operator of its type and dimension with the most blocks
+        for op in mutants:
+            half = max((h for h in halves if (h.type_parity, h.dim) == (op.type_parity, op.dim)),
+                       key=lambda h: len(h.blocks()))
+            scans.append(ConfigurationScan.pair(op, half))
+        # A sum with a cyclic term that cancels inside itself at a monomial
+        # where another term holds an int; summed straight into the form, the
+        # term would leave Fraction(-3, 1) there instead of -3.
+        op, other = (random_skew_operator(random.Random(s)) for s in (273878287, 273878288))
+        scans.append(ConfigurationScan.closedness(op + other.scaled(Fraction(1, 2))))
+        return scans
+
+    def test_forms_match_the_relabelled_product(self, seed):
+        seen = Counter()
+        for scan in self.scans(seed):
+            for families, parities in configurations(scan.dim):
+                form = scan.three_form(families, parities)
+                assert _typed(form) == _typed(relabelled_three_form(scan, families, parities))
+                seen["fraction"] += any(type(c) is Fraction for c in form.terms().values())
+                for rotation, term in zip(operators._CYCLIC, cyclic_terms(scan, families, parities)):
+                    seen[scan.type_parity, parities, rotation] += bool(term)
+        assert seen["fraction"] >= 10
+        del seen["fraction"]
+        # every rotation at every parity triple, for both operator types
+        assert len(seen) == 2 * 8 * 3 and min(seen.values()) >= 1, seen
 
 
 class TestApplyOracle:
