@@ -19,13 +19,22 @@ bit-for-bit.
 
 A monomial is a sorted tuple of ``(generator, exponent)`` pairs; odd
 generators never carry an exponent above 1 (their squares vanish).  A
-polynomial maps monomials to nonzero exact rational coefficients, an ``int``
-when integral and a ``Fraction`` otherwise (``_exact``); the empty monomial is
-the scalar 1 and the zero polynomial is the empty mapping.
+polynomial maps monomials to nonzero exact rational coefficients; the empty
+monomial is the scalar 1 and the zero polynomial is the empty mapping.
 Reordering a product of generators costs a sign of -1 for every transposition
 of two odd generators, which is exactly the super-commutation rule
 ``u v = (-1)^{|u||v|} v u``.  One function, ``insert_generator``, sorts a
 generator into a monomial and counts the odd generators it passes.
+
+Coefficients follow one rule in every module, stated here:
+
+* values enter through ``_exact``: an ``int`` when integral, else a ``Fraction``;
+* ``int`` arithmetic stays ``int``;
+* arithmetic with a ``Fraction`` may leave an integral ``Fraction``, except in
+  the scan's three-forms (``ConfigurationScan.three_form`` returns them
+  through ``_exact``);
+* equal values compare, hash and print alike, so no verdict, certificate or
+  report byte depends on the type.
 """
 
 from __future__ import annotations
@@ -47,13 +56,8 @@ _ONE = 1
 
 
 def _exact(value) -> Coeff:
-    """``value`` as an exact rational: an ``int`` when integral, else a ``Fraction``.
-
-    Integral coefficients stay ``int`` so that the common case runs on machine
-    integers; mixed arithmetic promotes to ``Fraction`` once a denominator
-    appears, and ``int`` and ``Fraction`` compare, hash and print alike.
-    An ``int`` is returned as it is; a ``bool`` becomes the ``int`` 0 or 1.
-    """
+    """``value`` by the coefficient rule of the module docstring: an ``int``
+    (itself, or 0 or 1 for a ``bool``) when integral, else a ``Fraction``."""
     if type(value) is int:
         return value
     f = Fraction(value)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import os
 import stat
 import sys
@@ -35,7 +36,7 @@ from .operators import (
     iter_skew_failures,
 )
 from .algebra import gen_name
-from .reports import ERROR, FAIL, PASS, Report, input_echo
+from .reports import ERROR, FAIL, PASS, Report, input_echo, jsonify
 from .structures import (
     ALGEBRA_CLASSES,
     build_type0_operator,
@@ -267,7 +268,7 @@ def _parser() -> argparse.ArgumentParser:
 def _print_human(report: Report, elapsed: float) -> None:
     print(f"[{report.check}] verdict: {report.verdict} ({elapsed:.2f}s)")
     for witness in report.witnesses:
-        print(f"  witness: {witness}")
+        print(f"  witness: {json.dumps(jsonify(witness))}")
     if report.detail:
         if "brackets" in report.detail:
             for line in report.detail["brackets"]:

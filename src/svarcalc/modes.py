@@ -204,8 +204,8 @@ class LinearOperatorData:
     ``even_tables[m][a][b][g]`` multiplies phi_g(2(N-m)+1) D^{2m} and
     ``odd_tables[n][a][b][g]`` multiplies phi_g(2(N-n)) D^{2n+1} in entry
     (a, b); the optional ``constant[a][b]`` is a scalar block at power 2N+3
-    that feeds the central extension.  Entries are stored exactly: ``int``
-    when integral, ``Fraction`` otherwise.
+    that feeds the central extension.  Entries enter through
+    ``algebra._exact`` (the coefficient rule of the ``algebra`` docstring).
     """
 
     top_order: int

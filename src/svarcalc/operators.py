@@ -51,6 +51,7 @@ from .algebra import (
     Monomial,
     Sparse,
     SuperPolynomial,
+    _exact,
     _mul_monomials,
     covector,
     field,
@@ -218,7 +219,8 @@ def iter_skew_failures(op: MatrixDiffOperator):
     is the canonical rendering of the coefficient mismatch at that power.
     Only the stored (row, col) pairs and their transposes are visited, in
     row-major order: at every other pair both sides of both conditions are 0.
-    D^l o c_l is normal-ordered from one D tower of c_l by ``_leibniz_row``.
+    D^l o c_l is normal-ordered by ``_leibniz_row`` from the D tower of c_l,
+    cut where it vanishes, as all later powers do.
     """
     iota = op.type_parity
     for row, col in sorted({pair for _, row, col in op.blocks() for pair in ((row, col), (col, row))}):
@@ -227,11 +229,12 @@ def iter_skew_failures(op: MatrixDiffOperator):
         for power, coeff in entry.entries().items():
             sign = -1 if ((2 * iota + power) * (power - 1) // 2) & 1 else 1
             derivs = [coeff]
-            for _ in range(power):
+            while len(derivs) <= power and derivs[-1]:
                 derivs.append(superderive(derivs[-1]))
-            for q, a in enumerate(_leibniz_row(power, (iota + power) & 1)):
-                term = derivs[power - q].scaled(sign * a)
-                terms[q] = terms[q] + term if q in terms else term
+            for q, a in _leibniz_row(power, (iota + power) & 1):
+                if power - q < len(derivs):
+                    term = derivs[power - q].scaled(sign * a)
+                    terms[q] = terms[q] + term if q in terms else term
         lhs = ScalarDiffOperator(terms)
         for condition, left, right in (("transpose", lhs, op.entry(0, col, row)),
                                        ("block", entry, op.entry(1, row, col).scaled(1 if iota else -1))):
@@ -241,17 +244,18 @@ def iter_skew_failures(op: MatrixDiffOperator):
                 yield (condition, row, col, power, str(diff.entries()[power]))
 
 
-def _leibniz_row(power: int, parity: int) -> List[int]:
-    """a(power, q), q = 0 .. power, in D^power o u = sum_q a(power, q) D^(power - q)(u) D^q
-    for u of the given parity: D o v = D(v) + (-1)^|v| v D at v = D^(p - q)(u) gives
-    a(p + 1, q) += a(p, q) and a(p + 1, q + 1) += (-1)^(|u| + p - q) a(p, q)."""
-    row = [1]
-    for p in range(power):
-        nxt = row + [0]
-        for q, a in enumerate(row):
-            nxt[q + 1] += -a if (parity + p - q) & 1 else a
-        row = nxt
-    return row
+def _leibniz_row(power: int, parity: int) -> Iterator[Tuple[int, int]]:
+    """The nonzero a(power, q) as (q, a), q ascending, in
+    D^power o u = sum_q a(power, q) D^(power - q)(u) D^q for u of the given
+    parity.  They are the super binomial coefficients (Manin and Radul, 1985):
+    a(p, q) = 0 for p even and q odd, else (-1)^(|u| q) C(p // 2, q // 2),
+    built lazily by C(h, k + 1) = C(h, k) (h - k) / (k + 1)."""
+    half, binomial = power >> 1, 1
+    for k in range(half + 1):
+        yield 2 * k, binomial
+        if power & 1:
+            yield 2 * k + 1, -binomial if parity else binomial
+        binomial = binomial * (half - k) // (k + 1)
 
 
 def check_skew_symmetry(op: MatrixDiffOperator):
@@ -544,12 +548,13 @@ class ConfigurationScan:
 
     # -- one configuration -------------------------------------------------------
 
-    def _pairing(self, cols: List[Tuple[int, Dict[int, List[Tuple]]]], op_b: MatrixDiffOperator,
+    def _pairing(self, form: Dict, op_a: MatrixDiffOperator, op_b: MatrixDiffOperator,
                  rotation: Tuple[int, int, int], families: Tuple[int, int, int],
-                 bases: List[int], sign: int) -> Dict:
-        """Terms of one cyclic pairing term times ``sign``: the linearized
-        entries ``cols`` of row families[c] paired with the applied columns of
-        op_b, each pair of pieces placed by the sign rule of the memo."""
+                 bases: List[int], sign: int) -> None:
+        """Add the cyclic pairing term (a, b, c) = ``rotation`` times ``sign`` into
+        ``form``: row families[c] of op_a linearized along slot a (a basis covector
+        at family c keeps that row only) paired with the columns of op_b applied
+        to slot b, each pair of pieces placed by the sign rule of the memo."""
         a, b, c = rotation
         fam_x, fam_y = families[a], families[b]
         base_x, base_y, z = bases[a], bases[b], bases[c]
@@ -557,8 +562,7 @@ class ConfigurationScan:
         # The covector sign's exponent, with x = |X|, y = |Y| and bits 0 or 1:
         # x (|F2| + y y_cross) + x x_bit + y y_bit.
         x_bit, y_bit, y_cross = ((0, 0, 0), (z, z, 0), (z, 0, 1))[a]
-        term: Dict = {}
-        for col, entries in cols:
+        for col, entries in self._linearization(op_a, fam_x, base_x).get(families[c], ()):
             for m, x_pieces in entries.items():
                 y_pieces = self._derivative(op_b, fam_y, base_y, col, m)
                 if not y_pieces:
@@ -584,31 +588,22 @@ class ConfigurationScan:
                         else:
                             mono += (gy, gz, gx)
                         coeff = -c1 * c2 if (s < 0) ^ (x & cross) else c1 * c2
-                        coeff += term.get(mono, 0)
+                        coeff += form.get(mono, 0)
                         if coeff:
-                            term[mono] = coeff
+                            form[mono] = coeff
                         else:
-                            del term[mono]
-        return term
+                            del form[mono]
 
     def three_form(self, families: Tuple[int, int, int],
                    parities: Tuple[int, int, int]) -> SuperPolynomial:
-        """The scanned three-form on one basis configuration."""
+        """The scanned three-form on one basis configuration, summed in one dict."""
         bases = [(par + 1) & 1 for par in parities]
         signs = _config_signs(self.type_parity, parities)
-        form = SuperPolynomial.zero()
+        form: Dict = {}
         for op_a, op_b in self._pairs:
             for rotation, sign in zip(_CYCLIC, signs):
-                a, _, c = rotation
-                # The pairing with a basis covector at family c keeps row c only.
-                cols = self._linearization(op_a, families[a], bases[a]).get(families[c])
-                if not cols:
-                    continue
-                # Each term is summed on its own first: a sum that cancels
-                # within it then leaves no Fraction in a form of ints.
-                term = self._pairing(cols, op_b, rotation, families, bases, sign)
-                form = form + SuperPolynomial(term)
-        return form
+                self._pairing(form, op_a, op_b, rotation, families, bases, sign)
+        return SuperPolynomial({mono: _exact(coeff) for mono, coeff in form.items()})
 
     # -- the scan ----------------------------------------------------------------
 

@@ -2,8 +2,8 @@
 
 An AlgebraSpec holds up to three bilinear products (circ, times, dot), an
 optional symmetric bilinear form and an optional Z2 grading, all over exact
-rationals: an ``int`` when integral and a ``Fraction`` otherwise, coerced once
-by ``algebra._exact``.  Every axiom class is one entry of the table
+rationals (the coefficient rule of the ``algebra`` docstring).  Every axiom
+class is one entry of the table
 AXIOM_IDENTITIES, decided exhaustively on basis pairs and triples by one
 evaluator; the identities are multilinear, so basis coverage is complete.
 

@@ -24,7 +24,7 @@ from svarcalc import (
     parity,
 )
 from svarcalc import operators
-from svarcalc.algebra import COVECTOR_SLOTS, FIELD_KIND, mul_into, tower_partials
+from svarcalc.algebra import COVECTOR_SLOTS, FIELD_KIND, _exact, mul_into, tower_partials
 from svarcalc.calculus import non_membership_certificate, superderive_n
 from svarcalc.modes import (
     CENTRAL,
@@ -252,6 +252,20 @@ def compose_D_power_left(op, times: int):
     return op
 
 
+def leibniz_rows(parity: int):
+    """Oracle for ``operators._leibniz_row``: the rows a(p, q), q = 0 .. p,
+    for p = 0, 1, 2, ... and u of the given parity, by the Pascal-style
+    recursion that D o v = D(v) + (-1)^|v| v D at v = D^(p - q)(u) gives:
+    a(p + 1, q) += a(p, q) and a(p + 1, q + 1) += (-1)^(|u| + p - q) a(p, q)."""
+    row, p = [1], 0
+    while True:
+        yield row
+        nxt = row + [0]
+        for q, a in enumerate(row):
+            nxt[q + 1] += -a if (parity + p - q) & 1 else a
+        row, p = nxt, p + 1
+
+
 def skew_transpose(scalar, iota):
     """The entry that super skew-symmetry asks for at the mirrored position of
     ``scalar``: sum_l (-1)^{(2 iota + l)(l-1)/2} D^l o c_l, normal-ordered."""
@@ -407,8 +421,9 @@ def relabelled_three_form(scan, families, parities) -> SuperPolynomial:
     """Oracle for ``ConfigurationScan.three_form``: each cyclic term built the
     general way.  The linearization and the applied column are built on the
     slot-1 symbol and relabelled to their slots, multiplied by ``mul_into``,
-    and the closing covector is sorted in by ``times_generator_into``; each
-    term is summed on its own before it enters the form."""
+    and the closing covector is sorted in by ``times_generator_into``; the
+    form's integral coefficients are made ``int`` (``algebra._exact``), as
+    the scan makes them."""
     xi = [covector(slot, fam, 0, (par + 1) & 1)
           for slot, fam, par in zip(COVECTOR_SLOTS, families, parities)]
     first = [(COVECTOR_SLOTS[0],) + sym[1:] for sym in xi]
@@ -428,7 +443,7 @@ def relabelled_three_form(scan, families, parities) -> SuperPolynomial:
                         mul_into(product, relabel(coeff, COVECTOR_SLOTS[a]),
                                  relabel(w, COVECTOR_SLOTS[b]))
             times_generator_into(acc, product, xi[c], sign)
-    return SuperPolynomial(acc)
+    return SuperPolynomial({mono: _exact(coeff) for mono, coeff in acc.items()})
 
 
 def pair_oracle(op1, op2):

@@ -53,6 +53,7 @@ from helpers import (
     dense_skew_failures,
     field_pool,
     full_scan_failures,
+    leibniz_rows,
     pair_oracle,
     phi_flip,
     random_homogeneous,
@@ -256,11 +257,21 @@ class TestSkewOracle:
             u = random_homogeneous(rng, field_pool(2, 3), parity)
             assert u and u.has_parity(parity)
             for power in range(9):
-                row = _leibniz_row(power, parity)
+                row = dict(_leibniz_row(power, parity))
                 table = ScalarDiffOperator({q: superderive_n(u, power - q).scaled(a)
-                                            for q, a in enumerate(row)})
+                                            for q, a in row.items()})
                 assert table == compose_D_power_left(ScalarDiffOperator.single(u, 0), power)
-                assert len(row) == power + 1 and row[0] == 1
+                assert max(row) == power and row[0] == 1
+
+
+class TestLeibnizRow:
+    """The closed-form Leibniz row against the recursion (``leibniz_rows``)
+    for every power up to 300 at both parities."""
+
+    def test_closed_form_matches_the_recursion(self):
+        for parity in (0, 1):
+            for power, row in zip(range(301), leibniz_rows(parity)):
+                assert list(_leibniz_row(power, parity)) == [(q, a) for q, a in enumerate(row) if a]
 
 
 class TestApplyOperator:
@@ -752,13 +763,10 @@ def cyclic_terms(scan, families, parities):
     bases = [(par + 1) & 1 for par in parities]
     terms = []
     for rotation in operators._CYCLIC:
-        a, _, c = rotation
-        term = SuperPolynomial.zero()
+        term = {}
         for op_a, op_b in scan._pairs:
-            cols = scan._linearization(op_a, families[a], bases[a]).get(families[c])
-            if cols:
-                term = term + SuperPolynomial(scan._pairing(cols, op_b, rotation, families, bases, 1))
-        terms.append(term)
+            scan._pairing(term, op_a, op_b, rotation, families, bases, 1)
+        terms.append(SuperPolynomial(term))
     return terms
 
 
@@ -1049,6 +1057,28 @@ class TestExactCoefficients:
             assert form == Fraction(1, 4) * scan.three_form(f, p)
             fractional |= any(isinstance(c, Fraction) for c in form.terms().values())
         assert fractional
+
+    def test_scanned_forms_hold_int_where_integral(self):
+        # Int operators plus half a partner of their type and dimension: the
+        # forms sum Fractions to integers, which must come out as int.
+        rng = random.Random(7)
+        ops = [random_skew_operator(rng) for _ in range(6)]
+        ops += [random_skew_operator(random.Random(s)) for s in (273878287, 273878288)]
+        partners = {}
+        seen = Counter()
+        for op in ops:
+            key = (op.type_parity, op.dim)
+            partner, partners[key] = partners.get(key), op
+            if partner is None:
+                continue
+            scan = ConfigurationScan.closedness(op + partner.scaled(Fraction(1, 2)))
+            for families, parities in configurations(op.dim):
+                coeffs = scan.three_form(families, parities).terms().values()
+                integral = [c for c in coeffs if c.denominator == 1]
+                assert all(type(c) is int for c in integral)
+                seen["integral"] += len(integral)
+                seen["mixed"] += bool(integral) and len(integral) < len(coeffs)
+        assert seen["integral"] >= 1000 and seen["mixed"] >= 20, seen
 
 
 class TestHamiltonianPair:
