@@ -31,8 +31,8 @@ Coefficients follow one rule in every module, stated here:
 * values enter through ``_exact``: an ``int`` when integral, else a ``Fraction``;
 * ``int`` arithmetic stays ``int``;
 * arithmetic with a ``Fraction`` may leave an integral ``Fraction``, except in
-  the scan's three-forms (``ConfigurationScan.three_form`` returns them
-  through ``_exact``);
+  a ``calculus.SlotForm``'s polynomials (the scan's three-forms and their
+  certificate gradients, through ``_exact``);
 * equal values compare, hash and print alike, so no verdict, certificate or
   report byte depends on the type.
 """

@@ -16,7 +16,7 @@ sense; they are determined by their order-1 components.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import (
     FIELD_KIND,
@@ -24,9 +24,11 @@ from .algebra import (
     Generator,
     Monomial,
     SuperPolynomial,
+    _exact,
     base_of,
     field,
     insert_generator,
+    monomial_parity,
     partial_derive,
     shift,
     tower_partials,
@@ -84,8 +86,9 @@ def superderive_n(u: SuperPolynomial, n: int) -> SuperPolynomial:
     return u
 
 
-def variational_derivative(u: SuperPolynomial, base: Generator) -> SuperPolynomial:
-    """Variational (Euler-type) derivative with respect to a base generator.
+def variational_derivative(u, base: Generator) -> SuperPolynomial:
+    """Variational (Euler-type) derivative of a polynomial or a ``SlotForm``
+    with respect to a base generator.
 
     Sum over derivative counts m of c_m D^m P_m, where P_m is the partial
     derivative by the m-th element of the base's tower, truncated at the
@@ -95,23 +98,95 @@ def variational_derivative(u: SuperPolynomial, base: Generator) -> SuperPolynomi
     (-1)^{m(m-1)/2} on odd-based towers (the field case) and the twisted
     (-1)^{m(m+1)/2} on even-based covector towers.
 
-    The sum is evaluated in Horner form, c_0 P_0 + D(c_1 P_1 + D(...)), from
-    the partials of one ``tower_partials`` pass: D is linear, so this is the
-    same polynomial with ``top`` applications of D instead of
-    top (top + 1) / 2.
+    The sum is evaluated in Horner form, c_0 P_0 + D(c_1 P_1 + D(...)), on
+    term dicts from the partials of one ``tower_partials`` pass (a slot
+    form's own, on its keys): D is linear, so this is the same polynomial
+    with ``top`` applications of D instead of top (top + 1) / 2.
     """
     _, _, derivs, base_parity = base
     if derivs != 0:
         raise ValueError("variational derivative expects a derivs-0 base generator")
-    parts = tower_partials(u, base)
-    total = SuperPolynomial.zero()
+    if isinstance(u, SlotForm):
+        parts, rest = u.tower_partials(base)
+        derive, result = rest.derive, rest.polynomial
+    else:
+        parts = {m: part.terms() for m, part in tower_partials(u, base).items()}
+        derive, result = (lambda terms: superderive(SuperPolynomial(terms)).terms()), SuperPolynomial
+    total: Dict = {}
     for m in range(max(parts, default=-1), -1, -1):
-        total = superderive(total)
-        part = parts.get(m)
-        if part:
-            exponent = m * (m - 1) // 2 + (m if base_parity == 0 else 0)
-            total = total - part if exponent & 1 else total + part
-    return total
+        if total:
+            total = derive(total)
+        negate = (m * (m - 1) // 2 + (0 if base_parity else m)) & 1
+        for key, coeff in parts.get(m, {}).items():
+            coeff = total.get(key, _ZERO) + (-coeff if negate else coeff)
+            if coeff:
+                total[key] = coeff
+            else:
+                del total[key]
+    return result(total)
+
+
+class FieldDerivatives(dict):
+    """(|F|, the terms of D(F)) per fields-only monomial F, each built on first use."""
+
+    def __missing__(self, fields: Monomial) -> Tuple[int, List[Tuple[Monomial, Coeff]]]:
+        derivative = superderive(SuperPolynomial({fields: 1})).terms()
+        value = self[fields] = (monomial_parity(fields), list(derivative.items()))
+        return value
+
+
+class SlotForm:
+    """A form linear in each of its slot towers, as terms keyed by (F, k_1, ...,
+    k_n): the monomial F D^k_1(s_1) ... D^k_n(s_n) of fields F and derivs-0
+    covector symbols s_1 < ... < s_n, which sort after every field.  Forms
+    over the same fields may share ``fields`` (``FieldDerivatives``).  The
+    membership functions decide it on its keys, building no polynomial."""
+
+    def __init__(self, terms: Dict, symbols: Sequence[Generator], fields: FieldDerivatives):
+        self.terms, self.symbols, self.fields = terms, tuple(symbols), fields
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def polynomial(self, terms: Optional[Mapping[Tuple, Coeff]] = None) -> SuperPolynomial:
+        """The polynomial of ``terms`` (the form's own by default), coefficients ``_exact``."""
+        return SuperPolynomial({
+            key[0] + tuple(((s[0], s[1], k, s[3]), 1) for s, k in zip(self.symbols, key[1:])):
+                _exact(coeff) for key, coeff in (self.terms if terms is None else terms).items()})
+
+    def tower_partials(self, base: Generator) -> Tuple[Dict[int, Dict], "SlotForm"]:
+        """The partials by D^m of the tower of ``base``, per m, and an empty form
+        of the other slots; D^m(s) passes F and the earlier slot factors."""
+        symbols, fields, tail = self.symbols, self.fields, base[3]
+        slot = symbols.index(base) + 1  # its place in a key
+        lead = sum(s[3] for s in symbols[:slot - 1])
+        parts: Dict[int, Dict] = {}
+        for key, coeff in self.terms.items():
+            m = key[slot]
+            if (m + tail) & 1 and (fields[key[0]][0] + lead + sum(key[1:slot])) & 1:
+                coeff = -coeff
+            parts.setdefault(m, {})[key[:slot] + key[slot + 1:]] = coeff
+        return parts, SlotForm({}, symbols[:slot - 1] + symbols[slot:], fields)
+
+    def derive(self, terms: Mapping[Tuple, Coeff]) -> Dict[Tuple, Coeff]:
+        """D on terms keyed on this form's slots: D(F) in place of F, and each
+        slot factor one order up, past F and the factors before it."""
+        fields, out = self.fields, {}
+        slots = tuple(enumerate((s[3] for s in self.symbols), 1))
+        for key, coeff in terms.items():
+            parity, derivative = fields[key[0]]
+            for g, c in derivative:
+                image = (g, *key[1:])
+                out[image] = out.get(image, _ZERO) + coeff * c
+            up = list(key)
+            for slot, base in slots:
+                k = up[slot]
+                up[slot] = k + 1
+                image = tuple(up)
+                out[image] = out.get(image, _ZERO) + (-coeff if parity & 1 else coeff)
+                up[slot] = k
+                parity += k + base
+        return {key: coeff for key, coeff in out.items() if coeff}
 
 
 def variational_derivative_field(u: SuperPolynomial, family: int) -> SuperPolynomial:
@@ -119,7 +194,7 @@ def variational_derivative_field(u: SuperPolynomial, family: int) -> SuperPolyno
     return variational_derivative(u, field(family, 1))
 
 
-def _deciding_bases(u: SuperPolynomial) -> List[Generator]:
+def _deciding_bases(u) -> List[Generator]:
     """The bases whose variational derivatives decide membership of u in Im D.
 
     If every monomial has degree exactly 1 in some covector tower, u is
@@ -134,8 +209,11 @@ def _deciding_bases(u: SuperPolynomial) -> List[Generator]:
     over the generators follows each of them: the monomials it occurs in,
     the last of those and its top order.  An exponent above 1 or a second
     generator of the tower in one monomial rules it out; it qualifies when
-    it occurs in every monomial.
+    it occurs in every monomial.  A ``SlotForm``'s keys give the rule at once.
     """
+    if isinstance(u, SlotForm):
+        top = [max(orders) for orders in list(zip(*u.terms))[1:]]
+        return [u.symbols[min(range(len(top)), key=lambda slot: (top[slot], slot))]] if top else []
     # base -> [monomials met, last monomial met, top order], None once ruled out
     towers: Dict[Generator, Optional[List[int]]] = {}
     live = 0
@@ -178,8 +256,8 @@ def _require_constant_free(u: SuperPolynomial) -> None:
         )
 
 
-def is_total_derivative(u: SuperPolynomial) -> bool:
-    """Decide membership in the image of D.
+def is_total_derivative(u) -> bool:
+    """Decide membership of a polynomial or a ``SlotForm`` in the image of D.
 
     Valid only for polynomials with zero constant term; a constant-free u is
     a total derivative iff every variational derivative (over all base
@@ -189,15 +267,17 @@ def is_total_derivative(u: SuperPolynomial) -> bool:
     return non_membership_certificate(u) is None
 
 
-def non_membership_certificate(u: SuperPolynomial):
-    """Certificate that u is outside the image of the superderivation.
+def non_membership_certificate(u):
+    """Certificate that u, a polynomial or a ``SlotForm``, is outside the
+    image of the superderivation.
 
     Returns (base generator, its nonzero variational derivative) for the
     first deciding base (the single linear covector tower when there is
     one, else the first base in generator order with a nonzero derivative),
     or None when u is a total derivative.
     """
-    _require_constant_free(u)
+    if not isinstance(u, SlotForm):
+        _require_constant_free(u)
     for base in _deciding_bases(u):
         grad = variational_derivative(u, base)
         if grad:

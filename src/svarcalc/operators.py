@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import islice, permutations, product
+from math import comb
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -51,7 +52,6 @@ from .algebra import (
     Monomial,
     Sparse,
     SuperPolynomial,
-    _exact,
     _mul_monomials,
     covector,
     field,
@@ -59,6 +59,8 @@ from .algebra import (
     tower_partials,
 )
 from .calculus import (
+    FieldDerivatives,
+    SlotForm,
     non_membership_certificate,
     superderive,
     variational_derivative_field,
@@ -220,7 +222,7 @@ def iter_skew_failures(op: MatrixDiffOperator):
     Only the stored (row, col) pairs and their transposes are visited, in
     row-major order: at every other pair both sides of both conditions are 0.
     D^l o c_l is normal-ordered by ``_leibniz_row`` from the D tower of c_l,
-    cut where it vanishes, as all later powers do.
+    cut where it vanishes, as all later powers do, from the first q it reaches.
     """
     iota = op.type_parity
     for row, col in sorted({pair for _, row, col in op.blocks() for pair in ((row, col), (col, row))}):
@@ -231,10 +233,9 @@ def iter_skew_failures(op: MatrixDiffOperator):
             derivs = [coeff]
             while len(derivs) <= power and derivs[-1]:
                 derivs.append(superderive(derivs[-1]))
-            for q, a in _leibniz_row(power, (iota + power) & 1):
-                if power - q < len(derivs):
-                    term = derivs[power - q].scaled(sign * a)
-                    terms[q] = terms[q] + term if q in terms else term
+            for q, a in _leibniz_row(power, (iota + power) & 1, power - len(derivs) + 1):
+                term = derivs[power - q].scaled(sign * a)
+                terms[q] = terms[q] + term if q in terms else term
         lhs = ScalarDiffOperator(terms)
         for condition, left, right in (("transpose", lhs, op.entry(0, col, row)),
                                        ("block", entry, op.entry(1, row, col).scaled(1 if iota else -1))):
@@ -244,15 +245,17 @@ def iter_skew_failures(op: MatrixDiffOperator):
                 yield (condition, row, col, power, str(diff.entries()[power]))
 
 
-def _leibniz_row(power: int, parity: int) -> Iterator[Tuple[int, int]]:
-    """The nonzero a(power, q) as (q, a), q ascending, in
+def _leibniz_row(power: int, parity: int, start: int = 0) -> Iterator[Tuple[int, int]]:
+    """The nonzero a(power, q) for q >= start as (q, a), q ascending, in
     D^power o u = sum_q a(power, q) D^(power - q)(u) D^q for u of the given
     parity.  They are the super binomial coefficients (Manin and Radul, 1985):
     a(p, q) = 0 for p even and q odd, else (-1)^(|u| q) C(p // 2, q // 2),
-    built lazily by C(h, k + 1) = C(h, k) (h - k) / (k + 1)."""
-    half, binomial = power >> 1, 1
-    for k in range(half + 1):
-        yield 2 * k, binomial
+    built lazily from C(p // 2, start // 2) by C(h, k + 1) = C(h, k) (h - k) / (k + 1)."""
+    half, first = power >> 1, start >> 1
+    binomial = comb(half, first)
+    for k in range(first, half + 1):
+        if 2 * k >= start:
+            yield 2 * k, binomial
         if power & 1:
             yield 2 * k + 1, -binomial if parity else binomial
         binomial = binomial * (half - k) // (k + 1)
@@ -406,7 +409,8 @@ class ConfigurationScan:
     X, Y and Z in slot order, at the term's configuration sign times the
     sign of F1 F2 times (-1)^(|X||F2|) times the sign of sorting X Y Z by
     slot: 1 for (0, 1, 2), (-1)^(|Z|(|X|+|Y|)) for (1, 2, 0),
-    (-1)^(|X|(|Y|+|Z|)) for (2, 0, 1).
+    (-1)^(|X|(|Y|+|Z|)) for (2, 0, 1), keyed by (F, k1, k2, k3): a
+    ``calculus.SlotForm``, decided on its keys with one ``FieldDerivatives``.
 
     The configurations.  The pairing term of slots (a, b, c) is nonzero only
     if a field family g of entry (p_a, f_c, f_a) of the linearized operator
@@ -494,7 +498,8 @@ class ConfigurationScan:
         self.type_parity = first.type_parity
         self.dim = first.dim
         self._lin: Dict[Tuple[int, int, int], Dict[int, List[Tuple[int, Dict]]]] = {}
-        self._towers: Dict[Tuple[int, int, int, int], List] = {}
+        self._towers: Dict[Tuple[int, int, int, int], Tuple[SlotForm, List]] = {}
+        self._fields = FieldDerivatives()
 
     @classmethod
     def closedness(cls, op: MatrixDiffOperator) -> "ConfigurationScan":
@@ -533,17 +538,18 @@ class ConfigurationScan:
     def _derivative(self, op: MatrixDiffOperator, fam: int, base: int, col: int,
                     m: int) -> List[Tuple]:
         """D^m of column col of op applied to the symbol of family fam and base
-        parity base, ``_split``."""
+        parity base, ``_split``; each D is taken on the slot keys (F, k)."""
         key = (id(op), fam, base, col)
         tower = self._towers.get(key)
         if tower is None:
-            top = _apply_to_symbol(op.entry((base + 1) & 1, col, fam),
-                                   covector(COVECTOR_SLOTS[0], fam, 0, base))
-            tower = self._towers[key] = [top, [_split(top)]]
-        pieces = tower[1]
+            symbol = covector(COVECTOR_SLOTS[0], fam, 0, base)
+            pieces = _split(_apply_to_symbol(op.entry((base + 1) & 1, col, fam), symbol))
+            form = SlotForm({(f, k): c for f, _, k, c in pieces}, (symbol,), self._fields)
+            tower = self._towers[key] = (form, [pieces])
+        form, pieces = tower
         while len(pieces) <= m:
-            tower[0] = superderive(tower[0])
-            pieces.append(_split(tower[0]))
+            form.terms = form.derive(form.terms)
+            pieces.append([(f, form.fields[f][0], k, c) for (f, k), c in form.terms.items()])
         return pieces[m]
 
     # -- one configuration -------------------------------------------------------
@@ -558,7 +564,6 @@ class ConfigurationScan:
         a, b, c = rotation
         fam_x, fam_y = families[a], families[b]
         base_x, base_y, z = bases[a], bases[b], bases[c]
-        gz = ((c + 1, families[c], 0, z), 1)
         # The covector sign's exponent, with x = |X|, y = |Y| and bits 0 or 1:
         # x (|F2| + y y_cross) + x x_bit + y y_bit.
         x_bit, y_bit, y_cross = ((0, 0, 0), (z, z, 0), (z, 0, 1))[a]
@@ -567,14 +572,13 @@ class ConfigurationScan:
                 y_pieces = self._derivative(op_b, fam_y, base_y, col, m)
                 if not y_pieces:
                     continue
-                ys = [(f2, -c2 if (ky + base_y) & y_bit else c2, p2 ^ ((ky + base_y) & y_cross),
-                       ((b + 1, fam_y, ky, base_y), 1)) for f2, p2, ky, c2 in y_pieces]
+                ys = [(f2, -c2 if (ky + base_y) & y_bit else c2, p2 ^ ((ky + base_y) & y_cross), ky)
+                      for f2, p2, ky, c2 in y_pieces]
                 for f1, _, kx, c1 in x_pieces:
                     x = (kx + base_x) & 1
                     if (x & x_bit) ^ (sign < 0):
                         c1 = -c1
-                    gx = ((a + 1, fam_x, kx, base_x), 1)
-                    for f2, c2, cross, gy in ys:
+                    for f2, c2, cross, ky in ys:
                         if not f1:
                             mono, s = f2, 1
                         else:
@@ -582,28 +586,33 @@ class ConfigurationScan:
                             if not s:
                                 continue
                         if a == 0:
-                            mono += (gx, gy, gz)
+                            key = (mono, kx, ky, 0)
                         elif a == 1:
-                            mono += (gz, gx, gy)
+                            key = (mono, 0, kx, ky)
                         else:
-                            mono += (gy, gz, gx)
+                            key = (mono, ky, 0, kx)
                         coeff = -c1 * c2 if (s < 0) ^ (x & cross) else c1 * c2
-                        coeff += form.get(mono, 0)
+                        coeff += form.get(key, 0)
                         if coeff:
-                            form[mono] = coeff
+                            form[key] = coeff
                         else:
-                            del form[mono]
+                            del form[key]
 
-    def three_form(self, families: Tuple[int, int, int],
-                   parities: Tuple[int, int, int]) -> SuperPolynomial:
-        """The scanned three-form on one basis configuration, summed in one dict."""
+    def _keyed_form(self, families: Tuple[int, int, int],
+                    parities: Tuple[int, int, int]) -> SlotForm:
+        """The scanned three-form on one basis configuration, on slot keys."""
         bases = [(par + 1) & 1 for par in parities]
         signs = _config_signs(self.type_parity, parities)
         form: Dict = {}
         for op_a, op_b in self._pairs:
             for rotation, sign in zip(_CYCLIC, signs):
                 self._pairing(form, op_a, op_b, rotation, families, bases, sign)
-        return SuperPolynomial({mono: _exact(coeff) for mono, coeff in form.items()})
+        return SlotForm(form, tuple(zip(COVECTOR_SLOTS, families, (0, 0, 0), bases)), self._fields)
+
+    def three_form(self, families: Tuple[int, int, int],
+                   parities: Tuple[int, int, int]) -> SuperPolynomial:
+        """The scanned three-form on one basis configuration."""
+        return self._keyed_form(families, parities).polynomial()
 
     # -- the scan ----------------------------------------------------------------
 
@@ -646,7 +655,7 @@ class ConfigurationScan:
         for rep in configs:
             while pending and pending[0][0] < rep:
                 yield self._member_failure(*heappop(pending))
-            certificate = non_membership_certificate(self.three_form(*rep))
+            certificate = non_membership_certificate(self._keyed_form(*rep))
             if certificate is not None:
                 members = _orbit(rep[0]) if self._symmetric else [rep]
                 for member in members:
@@ -656,7 +665,7 @@ class ConfigurationScan:
 
     def _member_failure(self, member: Tuple, certificate: Optional[Tuple]) -> Tuple:
         if certificate is None:
-            certificate = non_membership_certificate(self.three_form(*member))
+            certificate = non_membership_certificate(self._keyed_form(*member))
             if certificate is None:
                 raise RuntimeError(f"configuration {member} passes although its orbit "
                                    "fails; the scanned form breaks the orbit symmetry")

@@ -39,9 +39,9 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    Mutant("three_form without its _exact normalization", "operators.py",
-           "return SuperPolynomial({mono: _exact(coeff) for mono, coeff in form.items()})",
-           "return SuperPolynomial(form)",
+    Mutant("three_form without its _exact normalization", "calculus.py",
+           "_exact(coeff) for key, coeff in (self.terms if terms is None else terms).items()",
+           "coeff for key, coeff in (self.terms if terms is None else terms).items()",
            ("tests/test_operators.py::TestExactCoefficients::test_scanned_forms_hold_int_where_integral",
             "tests/test_operators.py::TestPairingKernelOracle")),
     Mutant("_pairing without (-1)^(|X||F2|)", "operators.py",
@@ -49,8 +49,8 @@ MUTANTS = (
            "(ky + base_y) & y_cross",
            ("tests/test_operators.py::TestPairingKernelOracle",)),
     Mutant("(1, 2, 0) covectors placed as (2, 0, 1)", "operators.py",
-           "mono += (gz, gx, gy)",
-           "mono += (gy, gz, gx)",
+           "key = (mono, 0, kx, ky)",
+           "key = (mono, ky, 0, kx)",
            ("tests/test_operators.py::TestPairingKernelOracle",)),
     Mutant("Leibniz closed form without (-1)^(|u| q)", "operators.py",
            "yield 2 * k + 1, -binomial if parity else binomial",
@@ -96,6 +96,26 @@ MUTANTS = (
            "elif any(mono and mono[-1][0][0] != FIELD_KIND for mono in coeff.terms()):",
            "elif False:",
            ("tests/test_operators.py::TestTypeConstraint",)),
+    Mutant("deciding slot ties broken toward the higher slot", "calculus.py",
+           "key=lambda slot: (top[slot], slot)",
+           "key=lambda slot: (top[slot], -slot)",
+           ("tests/test_calculus.py::TestSlotFormOracle",
+            "tests/test_operators.py::TestSlotDecisionOracle")),
+    Mutant("slot partials signed without the earlier slots", "calculus.py",
+           "(fields[key[0]][0] + lead + sum(key[1:slot])) & 1",
+           "fields[key[0]][0] & 1",
+           ("tests/test_calculus.py::TestSlotFormOracle",
+            "tests/test_operators.py::TestSlotDecisionOracle")),
+    Mutant("keyed D without (-1)^|F|", "calculus.py",
+           "parity, derivative = fields[key[0]]",
+           "derivative, parity = fields[key[0]][1], 0",
+           ("tests/test_calculus.py::TestSlotFormOracle",
+            "tests/test_operators.py::TestSlotDecisionOracle", "tests/test_operators.py::TestMemoOracle")),
+    Mutant("keyed D passes the earlier slot factors by base parity only", "calculus.py",
+           "parity += k + base",
+           "parity += base",
+           ("tests/test_calculus.py::TestSlotFormOracle",
+            "tests/test_operators.py::TestSlotDecisionOracle")),
     Mutant("monomial product keeps an odd factor squared", "algebra.py",
            "if odd and exp > 1:",
            "if False:",
@@ -109,16 +129,20 @@ MUTANTS = (
            "for gen, exp in m1:",
            ("tests/test_algebra.py::TestProductOracle",)),
     Mutant("Leibniz parity from the type alone", "operators.py",
-           "_leibniz_row(power, (iota + power) & 1)",
-           "_leibniz_row(power, iota)",
+           "_leibniz_row(power, (iota + power) & 1, ",
+           "_leibniz_row(power, iota, ",
            ("tests/test_operators.py::TestSkewOracle",)),
     Mutant("superderive always rewrites in place", "calculus.py",
            "if exp == 1 and (idx == last or mono[idx + 1][0] > target):",
            "if exp == 1:",
            ("tests/test_calculus.py::TestKernelOracle",)),
+    Mutant("superderive rewrites in place before an equal factor", "calculus.py",
+           "mono[idx + 1][0] > target",
+           "mono[idx + 1][0] >= target",
+           ("tests/test_calculus.py::TestKernelOracle",)),
     Mutant("an extra D in the Horner loop", "calculus.py",
-           "total = superderive(total)",
-           "total = superderive(superderive(total))",
+           "total = derive(total)",
+           "total = derive(derive(total))",
            ("tests/test_calculus.py::TestVariationalDerivative",)),
     Mutant("skew residue without its odd sign", "modes.py",
            "if rest.pop(sym, _ZERO) != (coeff if odd else -coeff):",
@@ -136,10 +160,18 @@ MUTANTS = (
            "tuple(Fraction(a - b) for a, b in zip(cells[i][j], cells[j][i]))",
            "tuple(Fraction(b - a) for a, b in zip(cells[i][j], cells[j][i]))",
            ("tests/test_structures.py::TestIdentityTableOracle",)),
+    Mutant("forward permutation weights", "structures.py",
+           "w0, w1, w2 = map(weight.get, term.perm)",
+           "w0, w1, w2 = (weight[\"xyz\"[term.perm.index(letter)]] for letter in \"xyz\")",
+           ("tests/test_structures.py::TestIdentityTableOracle",)),
     Mutant("identity rows keyed d - 1 apart", "structures.py",
            "pos * dim",
            "pos * (dim - 1)",
            ("tests/test_structures.py::TestIdentityTableOracle",)),
+    Mutant("_load checks a kind before parsing the next document", "cli.py",
+           "    docs = [parse_document(path) for path in paths]\n    for path, doc in zip(paths, docs):\n",
+           "    docs = []\n    for path in paths:\n        docs.append(doc := parse_document(path))\n",
+           ("tests/test_cli.py::TestUsageErrors::test_error_precedence_between_documents",)),
     Mutant("--window bound off by one", "cli.py",
            "args.window > MAX_WINDOW",
            "args.window >= MAX_WINDOW",

@@ -1,6 +1,7 @@
 """Superderivation, variational operators, evolutionary derivations."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from svarcalc import (
     variational_derivative_field,
 )
 from svarcalc.algebra import FIELD_KIND, base_of
-from svarcalc.calculus import _deciding_bases
+from svarcalc.calculus import FieldDerivatives, SlotForm, _deciding_bases, non_membership_certificate
 from helpers import (
     field_pool,
     kernel_poly,
@@ -272,6 +273,37 @@ class TestTotalDerivativeMembership:
             linear += bool(towers)
             dropped += bool(candidates - set(towers)) and len(u.terms()) > 1
         assert linear > 500 and dropped > 500
+
+
+class TestSlotFormOracle:
+    """``SlotForm``, which works on keys (F, k_1, ..., k_n), against the general
+    path on its own polynomial, for seeded forms of one to three slots: the
+    variational derivative by every slot symbol, the certificate, and D."""
+
+    def test_keyed_results_match_the_polynomial(self, seed):
+        rng = random.Random(seed)
+        pool = [field(fam, order) for fam in range(2) for order in (1, 2, 3)]
+        seen = Counter()
+        for _ in range(400):
+            n = rng.randint(1, 3)
+            symbols = [covector(slot, rng.randrange(2), 0, rng.randrange(2)) for slot in range(1, n + 1)]
+            terms = {}
+            for _ in range(rng.randint(1, 5)):
+                fields, sign = normalize_monomial(rng.sample(pool, rng.randint(0, 2)))
+                if fields is not None:
+                    key = (fields, *(rng.randrange(4) for _ in range(n)))
+                    terms[key] = terms.get(key, 0) + sign * rng.choice((1, 2, -3, Fraction(1, 2)))
+            form = SlotForm({key: c for key, c in terms.items() if c}, symbols, FieldDerivatives())
+            poly = form.polynomial()
+            for slot, symbol in enumerate(symbols):
+                gradient = variational_derivative(form, symbol)
+                assert gradient == variational_derivative(poly, symbol)
+                seen[f"{n} slots, slot {slot + 1} nonzero"] += bool(gradient)
+            want = non_membership_certificate(poly)
+            assert str(non_membership_certificate(form)) == str(want)
+            seen["failing"] += want is not None
+            assert form.polynomial(form.derive(form.terms)) == superderive(poly)
+        assert len(seen) == 1 + 2 + 3 + 1 and min(seen.values()) >= 5, seen
 
 
 class TestEvolutionaryFields:

@@ -11,7 +11,7 @@ import pytest
 
 from svarcalc import cli, operators
 from svarcalc.algebra import COVECTOR_SLOTS, FIELD_KIND, base_of, monomial_parity
-from svarcalc.calculus import non_membership_certificate, superderive_n, variational_derivative
+from svarcalc.calculus import SlotForm, non_membership_certificate, superderive_n, variational_derivative
 from svarcalc.documents import InputDocument, parse_document, render_document
 from svarcalc.operators import _leibniz_row, iter_schouten_failures, iter_skew_failures
 from svarcalc.suite import constant_type1, hand_checked_mutation, twisted_type0
@@ -266,12 +266,21 @@ class TestSkewOracle:
 
 class TestLeibnizRow:
     """The closed-form Leibniz row against the recursion (``leibniz_rows``)
-    for every power up to 300 at both parities."""
+    for every power up to 300 at both parities, from every start."""
 
     def test_closed_form_matches_the_recursion(self):
         for parity in (0, 1):
             for power, row in zip(range(301), leibniz_rows(parity)):
                 assert list(_leibniz_row(power, parity)) == [(q, a) for q, a in enumerate(row) if a]
+
+    def test_every_start_gives_the_suffix(self):
+        for parity in (0, 1):
+            for power, row in zip(range(301), leibniz_rows(parity)):
+                nonzero = [(q, a) for q, a in enumerate(row) if a]
+                first = 0  # the first entry at or after start
+                for start in range(power + 2):
+                    first += first < len(nonzero) and nonzero[first][0] < start
+                    assert list(_leibniz_row(power, parity, start)) == nonzero[first:]
 
 
 class TestApplyOperator:
@@ -761,12 +770,13 @@ def cyclic_terms(scan, families, parities):
     """The three cyclic pairing terms of the scanned form, without their
     configuration signs, each from the pairing kernel."""
     bases = [(par + 1) & 1 for par in parities]
+    symbols = [covector(slot, fam, 0, base) for slot, fam, base in zip(COVECTOR_SLOTS, families, bases)]
     terms = []
     for rotation in operators._CYCLIC:
         term = {}
         for op_a, op_b in scan._pairs:
             scan._pairing(term, op_a, op_b, rotation, families, bases, 1)
-        terms.append(SuperPolynomial(term))
+        terms.append(SlotForm(term, symbols, scan._fields).polynomial())
     return terms
 
 
@@ -1001,6 +1011,34 @@ class TestPairingKernelOracle:
         del seen["fraction"]
         # every rotation at every parity triple, for both operator types
         assert len(seen) == 2 * 8 * 3 and min(seen.values()) >= 1, seen
+
+
+class TestSlotDecisionOracle:
+    """``non_membership_certificate`` of the scan's ``SlotForm`` (the deciding
+    slot read off its keys, the partials taken by position and the Euler sum
+    run with D on the keys of the other slots) against the same function on
+    ``three_form``, on every configuration of the ``TestPairingKernelOracle``
+    corpus."""
+
+    def test_certificates_match_the_general_decision(self, seed):
+        seen = Counter()
+        for scan in TestPairingKernelOracle().scans(seed):
+            for families, parities in configurations(scan.dim):
+                form = scan.three_form(families, parities)
+                want = non_membership_certificate(form)
+                got = non_membership_certificate(scan._keyed_form(families, parities))
+                assert (got is None) == (want is None)
+                if want is None:
+                    continue
+                (base, gradient), (got_base, got_gradient) = want, got
+                assert got_base == base and str(got_gradient) == str(gradient)
+                assert got_gradient == gradient
+                tops = sorted(form.max_derivs(covector(slot, fam, 0, (par + 1) & 1))
+                              for slot, fam, par in zip(COVECTOR_SLOTS, families, parities))
+                seen[f"slot {base[0]}"] += 1
+                seen[f"base parity {base[3]}"] += 1
+                seen["top-order tie"] += tops[0] == tops[1]
+        assert len(seen) == 3 + 2 + 1 and min(seen.values()) >= 1, seen
 
 
 class TestApplyOracle:
