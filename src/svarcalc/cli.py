@@ -82,16 +82,19 @@ def _cmd_check_skew(args) -> Report:
     return _verdict("check-skew", witnesses, {"input": echo})
 
 
+def _closedness(op: MatrixDiffOperator, limit: int) -> list:
+    """The first ``limit`` closedness certificates of a skew operator, as witnesses."""
+    return [("closedness", families, parities, gen_name(base), str(gradient))
+            for families, parities, base, gradient in iter_closedness_failures(op, limit)]
+
+
 def _cmd_check_hamiltonian(args) -> Report:
     [(op, echo)] = _load("operator", args.file)
     config = {"input": echo, "jobs": args.jobs}
     if not check_skew_symmetry(op)[0]:
         skew = islice(iter_skew_failures(op), args.witness_limit)
         return _verdict("check-hamiltonian", [("skew",) + w for w in skew], config)
-    failures = [("closedness", families, parities, gen_name(base), str(gradient))
-                for families, parities, base, gradient
-                in iter_closedness_failures(op, args.witness_limit)]
-    return _verdict("check-hamiltonian", failures, config)
+    return _verdict("check-hamiltonian", _closedness(op, args.witness_limit), config)
 
 
 def _load_operator_pair(args) -> Tuple[MatrixDiffOperator, MatrixDiffOperator, dict]:
@@ -134,14 +137,16 @@ def _cmd_build(args) -> Report:
 
 
 def _cmd_induce(args) -> Report:
+    """The bracket table on the window, and the verdict on all modes: the
+    operator induces a Lie superalgebra exactly when it is Hamiltonian, so a
+    failure carries the scan's closedness certificates.  ``induce_bracket``
+    refuses an operator that is not skew."""
     [(data, echo)] = _load("linear_operator", args.file)
     table = induce_bracket(data, args.window)
-    return Report(
-        check="induce",
-        verdict=PASS,
-        configuration={"window": args.window, "input": echo},
-        detail={"brackets": render_table(table)},
-    )
+    report = _verdict("induce", _closedness(data.realize(), args.witness_limit),
+                      {"window": args.window, "input": echo})
+    report.detail = {"brackets": render_table(table)}
+    return report
 
 
 def _cmd_evolution(args) -> Report:

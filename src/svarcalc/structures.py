@@ -2,10 +2,9 @@
 
 An AlgebraSpec holds up to three bilinear products (circ, times, dot), an
 optional symmetric bilinear form and an optional Z2 grading, all over exact
-rationals (the coefficient rule of the ``algebra`` docstring).  Every axiom
-class is one entry of the table
-AXIOM_IDENTITIES, decided exhaustively on basis pairs and triples by one
-evaluator; the identities are multilinear, so basis coverage is complete.
+rationals (the coefficient rule of the ``algebra`` docstring).  Each axiom
+class is one entry of AXIOM_IDENTITIES, decided on every basis pair and
+triple by one evaluator; the identities are multilinear, so that is complete.
 
 The two builders realize the structure-constant dictionaries between algebras
 and matrix differential operators: a bialgebra with a compatible form yields
@@ -220,46 +219,45 @@ def _cells(spec: AlgebraSpec, name: str):
 
 def _nonzero(spec: AlgebraSpec, name: str):
     """The nonzero (p, q, k, coefficient) cells of a table, or of the form with k = 0."""
-    return [(p, q, k, c) for p, row in enumerate(_cells(spec, name))
-            for q, cell in enumerate(row) if any(cell) for k, c in enumerate(cell) if c]
-
-
-def _nested(outer, inner, nesting: str, dim: int):
-    """outer(inner(e_a, e_b), e_c) ("left") or outer(e_a, inner(e_b, e_c))
-    ("right") on every basis triple, from the ``_nonzero`` cells of both
-    products, as a flat list of its nonzero (a, b, c, k, coefficient) cells.
-    An inner cell (p, q) -> e_m meets only the outer cells of row m ("left")
-    or of column m ("right"), each sum accumulating under (triple, k)."""
-    lines: List[List[Tuple[int, int, Coeff]]] = [[] for _ in range(dim)]
-    for p, q, k, y in outer:
-        if nesting == "left":
-            lines[p].append((q, k, y))
-        else:
-            lines[q].append((p, k, y))
-    out: Dict[Tuple[int, int, int, int], Coeff] = {}
-    for p, q, m, x in inner:
-        for r, k, y in lines[m]:
-            key = (p, q, r, k) if nesting == "left" else (r, p, q, k)
-            out[key] = out.get(key, 0) + x * y
-    return [key + (v,) for key, v in out.items() if v]
+    cells = _cells(spec, name)
+    zero = (0,) * len(cells[0][0])
+    return [(p, q, k, c) for p, row in enumerate(cells)
+            for q, cell in enumerate(row) if cell != zero for k, c in enumerate(cell) if c]
 
 
 def _failures(spec: AlgebraSpec, groups, required: List[str]):
     """The witnesses of ``groups`` on ``spec``, which must hold ``required``.
 
     A group of triples adds every term into one residual dict keyed by one
-    int, ((flat basis triple) * rows + row) * dim + k.  Cell (a, b, c) of a
-    term's tensor sits at the basis triple idx with (idx[p], idx[q], idx[r])
-    = (a, b, c) for its permutation p q r: slot s of the cell holds letter
-    perm[s], so it takes that letter's weight in the key, and a Koszul sign
-    reads the slots that hold the signed letters; both are set once per
-    term.  After the group, the (triple, row) keys with a nonzero component
-    are yielded in order, each with its whole residual.
+    int, ((flat basis triple) * rows + row) * dim + k.  A term's inner slots
+    p, q and outer slot r hold its permutation's letters in nesting order and
+    take their letters' weights in the key.  An inner cell (p, q) -> x e_m
+    meets only row m ("left") or column m ("right") of the outer table, held
+    as (r * weight_r + k, y); so each inner cell with such a row adds x * y at
+    p * weight_p + q * weight_q + offset for every (offset, y) in it.  A
+    Koszul sign on p and q is folded into x; one on r picks, by the parity of
+    the other signed slot, the row negated on odd r.  After the group, the
+    (triple, row) keys with a nonzero component are yielded in order, each
+    with its whole residual.
     """
     spec.require(*required)
     dim, grading = spec.dim, spec.grading
     tables = {name: _nonzero(spec, name) for name in required if name != "grading"}
-    nested: Dict[Tuple[str, str, str], List] = {}
+    memo: Dict[tuple, List[Tuple[int, int, Coeff, List[Tuple[int, Coeff]]]]] = {}
+
+    def contraction(term: Term, weight: int, negated: bool):
+        """(p, q, x, row) for each inner cell of ``term`` whose outer row is not empty."""
+        key = (term.inner, term.outer, term.nesting, weight, negated)
+        if key not in memo:
+            rows: Dict[int, List[Tuple[int, Coeff]]] = {}
+            right = term.nesting == "right"
+            for m, r, k, y in tables[term.outer]:
+                if right:
+                    m, r = r, m
+                rows.setdefault(m, []).append((r * weight + k, -y if negated and grading[r] else y))
+            memo[key] = [(p, q, x, rows[m]) for p, q, m, x in tables[term.inner] if m in rows]
+        return memo[key]
+
     for group in groups:
         if isinstance(group, Symmetric):
             cells = _cells(spec, group.component)
@@ -273,18 +271,20 @@ def _failures(spec: AlgebraSpec, groups, required: List[str]):
         residuals: Dict[int, Coeff] = {}
         for pos, (label, terms) in enumerate(group):
             for term in terms:
-                tensor = (term.outer, term.inner, term.nesting)
-                if tensor not in nested:
-                    nested[tensor] = _nested(tables[term.outer], tables[term.inner], term.nesting, dim)
-                cells, coeff, offset = nested[tensor], term.coeff, pos * dim
-                w0, w1, w2 = map(weight.get, term.perm)
-                if term.sign:
-                    s0, s1 = map(term.perm.index, term.sign)
-                    cells = [cell[:4] + (-cell[4],) if grading[cell[s0]] & grading[cell[s1]]
-                             else cell for cell in cells]
-                for a, b, c, k, v in cells:
-                    flat = a * w0 + b * w1 + c * w2 + offset + k
-                    residuals[flat] = residuals.get(flat, 0) + coeff * v
+                lp, lq, lr = term.perm if term.nesting == "left" else term.perm[1:] + term.perm[0]
+                cells = contraction(term, weight[lr], False)
+                if term.sign and lr in term.sign:
+                    slot = 1 if lq in term.sign else 0
+                    cells = [b if grading[b[slot]] else a
+                             for a, b in zip(cells, contraction(term, weight[lr], True))]
+                elif term.sign:
+                    cells = [(p, q, -x if grading[p] & grading[q] else x, row) for p, q, x, row in cells]
+                wp, wq, offset, coeff = weight[lp], weight[lq], pos * dim, term.coeff
+                for p, q, x, row in cells:
+                    base, x = p * wp + q * wq + offset, x * coeff
+                    for off, y in row:
+                        flat = base + off
+                        residuals[flat] = residuals.get(flat, 0) + x * y
         for key in sorted({flat // dim for flat, v in residuals.items() if v}):
             triple, pos = divmod(key, rows)
             label, terms = group[pos]

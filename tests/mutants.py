@@ -161,8 +161,17 @@ MUTANTS = (
            "tuple(Fraction(b - a) for a, b in zip(cells[i][j], cells[j][i]))",
            ("tests/test_structures.py::TestIdentityTableOracle",)),
     Mutant("forward permutation weights", "structures.py",
-           "w0, w1, w2 = map(weight.get, term.perm)",
-           "w0, w1, w2 = (weight[\"xyz\"[term.perm.index(letter)]] for letter in \"xyz\")",
+           "lp, lq, lr = term.perm if term.nesting == \"left\" else term.perm[1:] + term.perm[0]",
+           "perm = \"\".join(\"xyz\"[term.perm.index(letter)] for letter in \"xyz\")\n"
+           "                lp, lq, lr = perm if term.nesting == \"left\" else perm[1:] + perm[0]",
+           ("tests/test_structures.py::TestIdentityTableOracle",)),
+    Mutant("pre-negated row picked by the wrong slot's parity", "structures.py",
+           "slot = 1 if lq in term.sign else 0",
+           "slot = 0 if lq in term.sign else 1",
+           ("tests/test_structures.py::TestIdentityTableOracle",)),
+    Mutant("inner Koszul sign read off the p slot alone", "structures.py",
+           "-x if grading[p] & grading[q] else x",
+           "-x if grading[p] else x",
            ("tests/test_structures.py::TestIdentityTableOracle",)),
     Mutant("identity rows keyed d - 1 apart", "structures.py",
            "pos * dim",
@@ -172,6 +181,11 @@ MUTANTS = (
            "    docs = [parse_document(path) for path in paths]\n    for path, doc in zip(paths, docs):\n",
            "    docs = []\n    for path in paths:\n        docs.append(doc := parse_document(path))\n",
            ("tests/test_cli.py::TestUsageErrors::test_error_precedence_between_documents",)),
+    Mutant("induce ignores the scan verdict", "cli.py",
+           "_closedness(data.realize(), args.witness_limit)",
+           "[]",
+           ("tests/test_cross_validation.py::TestHamiltonianJacobiOracle",
+            "tests/test_cli.py::TestUsageErrors::test_failing_inputs_fail")),
     Mutant("--window bound off by one", "cli.py",
            "args.window > MAX_WINDOW",
            "args.window >= MAX_WINDOW",

@@ -32,7 +32,7 @@ from svarcalc import (
 )
 from svarcalc import cli
 from svarcalc.cli import MAX_WINDOW, main
-from svarcalc.documents import InputDocument, render_document
+from svarcalc.documents import InputDocument, parse_document, render_document
 from svarcalc.modes import render_table
 from helpers import mutate_document
 
@@ -40,6 +40,8 @@ F = Fraction
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 COVECTOR = str(FIXTURES / "invalid" / "covector_coefficient.op.json")
+# Skew but not Hamiltonian: truncated n = 2 with circ[1][0][1] raised by one.
+NOT_HAMILTONIAN_LOP = str(FIXTURES / "truncated2_circ101.lop.json")
 
 
 @pytest.fixture
@@ -188,6 +190,7 @@ class TestUsageErrors:
         "schouten": ["schouten", "broken.op.json", "broken.op.json"],
         "check-hamiltonian": ["check-hamiltonian", "broken.op.json"],
         "pair": ["pair", "broken.op.json", "d.op.json"],
+        "induce": ["induce", "--window", "3", NOT_HAMILTONIAN_LOP],
     }
 
     def argv(self, docs, command):
@@ -398,6 +401,10 @@ GOLDEN_REPORTS = {
         ["check-hamiltonian", "--witness-limit", "1000",
          "tests/fixtures/truncated3_circ101.op.json"], 1),
     "schouten_d1_d5": (["schouten", "samples/d1.op.json", "samples/d5.op.json"], 0),
+    "induce_truncated2_circ101": (
+        ["induce", "--window", "1", "--witness-limit", "3",
+         "tests/fixtures/truncated2_circ101.lop.json"], 1),
+    "induce_virasoro_n1": (["induce", "--window", "2", "samples/virasoro_n1.lop.json"], 0),
     "schouten_d1_hand_checked_mutation": (
         ["schouten", "--witness-limit", "3", "samples/d1.op.json",
          "tests/fixtures/hand_checked_mutation.op.json"], 1),
@@ -560,6 +567,25 @@ class TestCommands:
             assert serial["configuration"].pop("jobs") == 1
             assert pooled == serial
             assert serial["witnesses"] if code else not serial["witnesses"]
+
+    def test_induce_fails_with_the_certificates_of_check_hamiltonian(self, tmp_path, capsys):
+        # The verdict is the scan's on all modes, with the witnesses that
+        # check-hamiltonian gives the realized operator, up to the same limit;
+        # the report still holds the window's table.
+        data = parse_document(NOT_HAMILTONIAN_LOP).payload
+        operator = tmp_path / "realized.op.json"
+        operator.write_text(render_document(InputDocument("operator", data.realize())))
+        for limit in ("1", "3"):
+            reports = [tmp_path / "induce.json", tmp_path / "hamiltonian.json"]
+            assert main(["induce", "--window", "1", NOT_HAMILTONIAN_LOP, "--witness-limit", limit,
+                         "--report", str(reports[0])]) == 1
+            assert main(["check-hamiltonian", str(operator), "--witness-limit", limit,
+                         "--report", str(reports[1])]) == 1
+            induced, expected = (json.loads(path.read_text()) for path in reports)
+            assert induced["witnesses"] == expected["witnesses"]
+            assert len(induced["witnesses"]) == int(limit)
+            assert induced["detail"]["brackets"]
+        assert "verdict: fail" in capsys.readouterr().out
 
     def test_induce_prints_closed_form(self, docs, capsys):
         assert main(["induce", "--window", "2", docs["virasoro1.lop.json"]]) == 0

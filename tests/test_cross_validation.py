@@ -37,6 +37,8 @@ from svarcalc import (
 )
 from svarcalc.algebra import normalize_monomial
 from svarcalc.calculus import QuotientDomainError, non_membership_certificate
+from svarcalc.cli import main
+from svarcalc.documents import InputDocument, render_document
 from svarcalc.suite import hand_checked_mutation
 
 from helpers import field_pool, linear_data, mixed_pool, random_poly, truncated_mutations
@@ -311,15 +313,19 @@ class TestSkewOracle:
 
 
 class TestHamiltonianJacobiOracle:
-    def test_hamiltonian_iff_induced_jacobi(self, seed):
-        # For top-order-1 linear data the realized operator is Hamiltonian
-        # exactly when the induced mode bracket satisfies Jacobi.
+    @staticmethod
+    def corpus(seed):
         rng = random.Random(seed)
         specs = [np_to_nx(make_truncated_example(d), 0) for d in (1, 2)]
         specs.append(hand_checked_mutation())
         specs.extend(truncated_mutations(rng))
+        return specs
+
+    def test_hamiltonian_iff_induced_jacobi(self, seed):
+        # For top-order-1 linear data the realized operator is Hamiltonian
+        # exactly when the induced mode bracket satisfies Jacobi.
         verdicts = []
-        for spec in specs:
+        for spec in self.corpus(seed):
             data = linear_data(spec)
             op = data.realize()
             if not check_skew_symmetry(op)[0]:
@@ -329,3 +335,22 @@ class TestHamiltonianJacobiOracle:
                 assert check_super_jacobi(induce_bracket(data, window))[0] == ham, (spec, window)
             verdicts.append(ham)
         assert True in verdicts and False in verdicts
+
+    def test_induce_exit_code_is_the_window_sweep_verdict(self, seed, tmp_path, capsys):
+        # `induce` decides on all modes with the Hamiltonian scan; on the same
+        # corpus its exit code is the Jacobi sweep's verdict at windows 2 and
+        # 3, and an operator that is not skew stays an error.
+        codes = []
+        for n, spec in enumerate(self.corpus(seed)):
+            data = linear_data(spec)
+            path = tmp_path / f"{n}.lop.json"
+            path.write_text(render_document(InputDocument("linear_operator", data)))
+            skew = check_skew_symmetry(data.realize())[0]
+            for window in (2, 3):
+                expected = 2
+                if skew:
+                    expected = 0 if check_super_jacobi(induce_bracket(data, window))[0] else 1
+                assert main(["induce", "--window", str(window), str(path)]) == expected, (spec, window)
+                codes.append(expected)
+        capsys.readouterr()
+        assert {0, 1, 2} <= set(codes)

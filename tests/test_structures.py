@@ -596,6 +596,26 @@ class TestIdentityTableOracle:
                 self.assert_matches_oracle(spec, ("novikov", "novikov_poisson"))
                 assert not check_axioms(spec, "novikov_poisson")[0]
 
+    def test_benchmark_sized_bialgebra_and_odd_bumps(self, seed):
+        # nx_bialgebra at d = 12 with one circ and one times bump, and
+        # novikov_super at half = 6 with odd-odd circ bumps, so that both sign
+        # placements (two inner slots, or an inner and the outer slot) meet
+        # odd basis vectors at the benchmark's largest sizes: every witness,
+        # in order.
+        rng = random.Random(seed)
+        base = np_to_nx(make_truncated_example(12), 0)
+        for table in ("circ", "times"):
+            site = tuple(rng.randrange(12) for _ in range(3))
+            spec = bumped(base, table, site, rng.choice((-1, 1, 2, F(1, 2))))
+            self.assert_matches_oracle(spec, ("nx_bialgebra",))
+            assert not check_axioms(spec, "nx_bialgebra")[0]
+        for weight in (0, 1):
+            spec = graded_spec(6, weight)
+            site = (rng.randrange(6, 12), rng.randrange(6, 12), rng.randrange(12))
+            broken = bumped(spec, "circ", site, rng.choice((-1, 1, F(1, 2))))
+            self.assert_matches_oracle(broken, ("novikov_super",))
+            assert not check_axioms(broken, "novikov_super")[0]
+
     def test_one_dimensional_specs(self):
         for c, t, d, f, g in product((0, 1, 3, F(1, 2)), (0, 2, F(-1, 2)), (0, 1, F(3, 2)),
                                      (0, F(1, 2)), (0, 1)):
